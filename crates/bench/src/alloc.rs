@@ -1,7 +1,8 @@
 //! A counting global allocator for peak-memory measurements.
 //!
-//! Shared by the binaries that report peak allocated bytes
-//! (`recursion_memory`, `benchsuite`). Each binary opts in by declaring
+//! Shared by the binaries that report peak allocated bytes (`benchsuite`
+//! here, and the end-to-end benchmark under `perfbench/`). Each binary
+//! opts in by declaring
 //!
 //! ```ignore
 //! #[global_allocator]

@@ -11,7 +11,7 @@
 //! * **graph families** × **weighting**: {gnp, rmat, grid2d} ×
 //!   {unweighted, weighted (log-uniform, ratio 64)} — six oracle builds,
 //!   each measured for wall-clock, work/depth [`psh_pram::Cost`], **peak allocated
-//!   bytes** (the counting allocator shared with `recursion_memory`),
+//!   bytes** (the shared counting allocator in [`psh_bench::alloc`]),
 //!   hopset size, and snapshot size;
 //! * **serving cells** per build: {fresh, snapshot-loaded oracle} ×
 //!   {Sequential, Parallel{2,4,8}} × {1, 8, 32 client threads}, each
@@ -56,12 +56,6 @@
 //!   bytes, resident adjacency-slab bytes, and mmap-served `query_batch`
 //!   qps for both encodings (answers gated byte-identical to the
 //!   reference either way);
-//! * **frontier race**: Dial and Δ-stepping SSSP over weighted gnp and
-//!   grid2d graphs at several sizes (up to `n = 120 000`), each run
-//!   through both [`psh_graph::QueueKind`]s — the calendar
-//!   [`psh_graph::BucketQueue`] vs the `BTreeMap` baseline — best of 3,
-//!   with the distance/parent arrays gated identical between the two
-//!   queues;
 //! * **sharded-vs-monolithic cells** per build: the same graph
 //!   partitioned into 4 shards by [`psh_core::shard::ShardedOracleBuilder`]
 //!   (per-shard builds fanned across the pool) next to the monolithic
@@ -93,7 +87,7 @@
 //! and a `serve_net` table (one row per wire cell). Rows are
 //! stringly-typed table cells; `meta` carries the numeric knobs. The
 //! `serve_net`, `load`, `serve_cached`, `swap`, `baselines`, `compress`,
-//! `frontier`, `shard`, and `open_loop` tables are
+//! `shard`, and `open_loop` tables are
 //! additive — documents keep `schema_version` 1, and `bench-compare`
 //! diffs two documents table-by-table (tables present in only one side
 //! are reported as added/removed, so old baselines stay comparable).
@@ -113,11 +107,9 @@ use psh_core::snapshot::{
     write_oracle, OracleMeta,
 };
 use psh_core::HopsetParams;
-use psh_exec::{ExecutionPolicy, Executor};
-use psh_graph::traversal::delta_stepping::{default_delta, delta_stepping_queued};
-use psh_graph::traversal::dial::dial_sssp_queued;
+use psh_exec::ExecutionPolicy;
 use psh_graph::traversal::dijkstra::dijkstra_pair;
-use psh_graph::{CsrGraph, GraphDelta, LoadMode, QueueKind, INF};
+use psh_graph::{CsrGraph, GraphDelta, LoadMode, INF};
 use psh_net::{NetClient, NetServer, ServerConfig};
 use psh_pram::Cost;
 use std::net::SocketAddr;
@@ -169,14 +161,15 @@ fn run_clients(service: &OracleService, pairs: &[(u32, u32)], clients: usize) ->
         .collect()
 }
 
-/// Drive `clients` loopback sockets of strided `query_batch` round
-/// trips (32 pairs each) through a bound server; returns the answers
-/// indexed like `pairs` plus client-side stats rebuilt from the
-/// per-round-trip latency samples.
 /// One worker's share: answers tagged with their `pairs` index, plus
-/// per-round-trip latencies in milliseconds.
+/// one latency in milliseconds per answered query.
 type ClientShare = (Vec<(usize, QueryResult)>, Vec<f64>);
 
+/// Drive `clients` loopback sockets of strided `query_batch` round
+/// trips (32 pairs each) through a bound server; returns the answers
+/// indexed like `pairs` plus client-side stats. Each query's latency
+/// sample is its round trip's latency, so `served` counts queries and
+/// `qps` is queries per second, not trips per second.
 fn run_net_clients(
     addr: SocketAddr,
     pairs: &[(u32, u32)],
@@ -202,7 +195,8 @@ fn run_net_clients(
                         let ask: Vec<(u32, u32)> = trip.iter().map(|&(_, p)| p).collect();
                         let t0 = Instant::now();
                         let got = client.query_batch(&ask).expect("loopback batch");
-                        lats.push(t0.elapsed().as_secs_f64() * 1e3);
+                        let trip_ms = t0.elapsed().as_secs_f64() * 1e3;
+                        lats.extend(std::iter::repeat_n(trip_ms, trip.len()));
                         indexed.extend(trip.iter().map(|&(i, _)| i).zip(got));
                     }
                     (indexed, lats)
@@ -215,6 +209,10 @@ fn run_net_clients(
             .collect()
     });
     let elapsed_s = start.elapsed().as_secs_f64();
+    let trips = per_client
+        .iter()
+        .map(|(indexed, _)| indexed.len().div_ceil(TRIP) as u64)
+        .sum();
     let mut answers: Vec<Option<QueryResult>> = vec![None; pairs.len()];
     let mut lats = Vec::new();
     for (indexed, l) in per_client {
@@ -223,8 +221,14 @@ fn run_net_clients(
         }
         lats.extend(l);
     }
-    let trips = lats.len() as u64;
     let stats = ServiceStats::from_samples(lats, elapsed_s, trips, TRIP, Cost::ZERO);
+    if stats.served != pairs.len() as u64 {
+        die(format!(
+            "wire cell counted {} served queries for {} pairs",
+            stats.served,
+            pairs.len()
+        ));
+    }
     let answers = answers
         .into_iter()
         .map(|a| a.expect("every index covered"))
@@ -605,14 +609,6 @@ fn main() {
         "plain qps",
         "comp qps",
         "identical",
-    ]);
-    let mut frontier_table = Table::new([
-        "algo",
-        "family",
-        "n",
-        "btree (s)",
-        "calendar (s)",
-        "speedup",
     ]);
     let mut shard_table = Table::new([
         "family",
@@ -1045,69 +1041,6 @@ fn main() {
     );
     drop((run_big, g_big, buf_big));
 
-    // --- frontier race: calendar bucket queue vs the BTree baseline -------
-    // Sequential executor: the race isolates the queue data structure,
-    // and both queues feed the identical drive_on engine, so the
-    // distance/parent arrays must be bitwise equal — that equality is a
-    // gated cell like any serving cell.
-    println!("racing the calendar bucket queue against the BTree baseline …");
-    let exec = Executor::sequential();
-    let frontier_sizes: Vec<usize> = if quick {
-        vec![n, 30_000]
-    } else {
-        vec![n, 20_000, 120_000]
-    };
-    for (family, fname) in [(Family::Random, "gnp"), (Family::Grid2d, "grid2d")] {
-        for &fsize in &frontier_sizes {
-            let g = family.instantiate_weighted(fsize, 64.0, seed ^ 0xF07);
-            let delta = default_delta(&g);
-            type Sssp = (psh_graph::traversal::SsspResult, Cost);
-            type QueuedRun<'a> = Box<dyn Fn(QueueKind) -> Sssp + 'a>;
-            let algos: [(&str, QueuedRun<'_>); 2] = [
-                (
-                    "dial",
-                    Box::new(|kind| dial_sssp_queued(&exec, &g, &[(0, 0)], INF, kind)),
-                ),
-                (
-                    "delta",
-                    Box::new(|kind| delta_stepping_queued(&exec, &g, 0, delta, kind)),
-                ),
-            ];
-            for (aname, run) in &algos {
-                let race = |kind: QueueKind| -> (f64, psh_graph::traversal::SsspResult) {
-                    let mut best = f64::INFINITY;
-                    let mut result = None;
-                    for _ in 0..5 {
-                        let t0 = Instant::now();
-                        let (r, _) = run(kind);
-                        best = best.min(t0.elapsed().as_secs_f64());
-                        result = Some(r);
-                    }
-                    (best, result.expect("five reps ran"))
-                };
-                let (btree_s, btree_result) = race(QueueKind::Btree);
-                let (calendar_s, calendar_result) = race(QueueKind::Calendar);
-                let identical = btree_result == calendar_result;
-                mismatches += usize::from(!identical);
-                cells += 1;
-                if !identical {
-                    eprintln!(
-                        "frontier race {aname}/{fname}/n={fsize}: the two queues \
-                         produced different SSSP artifacts"
-                    );
-                }
-                frontier_table.row([
-                    aname.to_string(),
-                    fname.to_string(),
-                    fmt_u(g.n() as u64),
-                    fmt_s(btree_s),
-                    fmt_s(calendar_s),
-                    fmt_f(btree_s / calendar_s.max(1e-12)),
-                ]);
-            }
-        }
-    }
-
     // --- open-loop sweep: latency vs offered load over loopback TCP -------
     // Arrivals follow a seeded Poisson process at each offered rate
     // (psh-client --open-loop semantics): latency runs from the query's
@@ -1202,8 +1135,6 @@ fn main() {
     baselines_table.print();
     println!("\n## compressed adjacency (plain vs delta-gap v2 snapshots)\n");
     compress_table.print();
-    println!("\n## frontier race (BTree baseline vs calendar queue, sequential)\n");
-    frontier_table.print();
     println!("\n## sharded vs monolithic (4 shards, stretch gated at 3×)\n");
     shard_table.print();
     println!("\n## open-loop latency vs offered load (loopback TCP, sequential)\n");
@@ -1227,7 +1158,6 @@ fn main() {
     report.push_table("swap", &swap_table);
     report.push_table("baselines", &baselines_table);
     report.push_table("compress", &compress_table);
-    report.push_table("frontier", &frontier_table);
     report.push_table("shard", &shard_table);
     report.push_table("open_loop", &open_loop_table);
     report.finish();

@@ -466,8 +466,8 @@ impl Report {
     /// The document this report currently describes. The top-level
     /// `threads`/`policy` fields record the *process-default*
     /// [`ExecutionPolicy`] (what `PSH_THREADS` selected) — a binary that
-    /// sweeps explicit policies (e.g. `parallel_scaling`) reports the
-    /// swept policies per table row and in its own `meta` instead.
+    /// sweeps explicit policies (e.g. `benchsuite`) reports the swept
+    /// policies per table row and in its own `meta` instead.
     pub fn to_value(&self) -> JsonValue {
         let policy = ExecutionPolicy::from_env();
         JsonValue::Object(vec![

@@ -35,12 +35,6 @@ impl Summary {
             std: var.sqrt(),
         }
     }
-
-    /// Summarize integer samples.
-    pub fn of_u64(xs: &[u64]) -> Summary {
-        let f: Vec<f64> = xs.iter().map(|&x| x as f64).collect();
-        Summary::of(&f)
-    }
 }
 
 /// Nearest-rank percentile (`p ∈ [0, 100]`) of a sample — the serving

@@ -41,18 +41,6 @@ pub use clustering::Clustering;
 pub use error::ClusterError;
 pub use shifts::ExponentialShifts;
 
-use psh_graph::GraphView;
-use psh_pram::Cost;
-
-/// Run ESTC with pre-sampled shifts (useful for experiments that need to
-/// inspect or replay the shift vector).
-pub fn est_cluster_with_shifts<G: GraphView>(
-    g: &G,
-    shifts: &ExponentialShifts,
-) -> (Clustering, Cost) {
-    engine::shifted_cluster(g, shifts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,7 +27,6 @@ pub mod weight_classes;
 pub mod weighted;
 
 pub use params::HopsetParams;
-pub use unweighted::SplitStrategy;
 pub use weight_classes::WeightClassDecomposition;
 pub use weighted::WeightedHopsets;
 

@@ -29,15 +29,10 @@
 //! **Recursion substrate.** The whole recursion is generic over
 //! [`GraphView`]: the root call works on whatever the caller hands in
 //! (usually an owned [`psh_graph::CsrGraph`]), and each level splits its
-//! piece into per-cluster children through one of two interchangeable
-//! [`SplitStrategy`]s. The default [`SplitStrategy::Arena`] fills a
-//! leased, reusable [`SplitArena`] and recurses on borrowed
-//! [`psh_graph::CsrView`]s — no per-child graph materialization, so a
-//! depth-`d` build no longer copies the adjacency structure `O(d)` times.
-//! [`SplitStrategy::Materialize`] is the legacy reference path (owned
-//! `CsrGraph` per child), kept for the `recursion_memory` bench and the
-//! `view_equivalence` suite, which prove the two paths produce
-//! byte-identical artifacts and Costs.
+//! piece into per-cluster children by filling a leased, reusable
+//! [`SplitArena`] and recursing on borrowed [`psh_graph::CsrView`]s — no
+//! per-child graph materialization, so a depth-`d` build never copies the
+//! adjacency structure `O(d)` times.
 //!
 //! The same code serves the weighted construction of §5: the clustering
 //! engine and the bucketed searches already handle integer weights, and §5
@@ -46,29 +41,12 @@
 use super::{Hopset, HopsetParams};
 use psh_cluster::ClusterBuilder;
 use psh_exec::Executor;
-use psh_graph::subgraph::split_by_labels;
 use psh_graph::traversal::dial::dial_sssp_with;
 use psh_graph::view::SplitArena;
 use psh_graph::{Edge, GraphView, VertexId, INF};
 use psh_pram::Cost;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// How the recursion turns one level's clusters into child subproblems.
-/// Both strategies yield byte-identical artifacts and [`Cost`]s; they
-/// differ only in allocation behavior.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SplitStrategy {
-    /// Fill a per-level [`SplitArena`] (leased from a thread-local pool)
-    /// and recurse on borrowed [`psh_graph::CsrView`]s. The production
-    /// path: no per-child allocation.
-    #[default]
-    Arena,
-    /// Materialize an owned [`psh_graph::CsrGraph`] per child
-    /// (`split_by_labels`). The legacy reference path, kept for
-    /// equivalence testing and memory benchmarking.
-    Materialize,
-}
 
 /// Build a hopset with an explicit top-level β₀ (§5 and Appendix C call
 /// this with their own β₀ choices), on the process-default executor.
@@ -82,27 +60,12 @@ pub fn build_hopset_with_beta0<G: GraphView, R: Rng>(
 }
 
 /// [`build_hopset_with_beta0`] on an explicit executor — recursion,
-/// clusterings, and clique searches all share its pool. Uses the default
-/// [`SplitStrategy::Arena`].
+/// clusterings, and clique searches all share its pool.
 pub fn build_hopset_with_beta0_on<G: GraphView, R: Rng>(
     exec: &Executor,
     g: &G,
     params: &HopsetParams,
     beta0: f64,
-    rng: &mut R,
-) -> (Hopset, Cost) {
-    build_hopset_with_strategy_on(exec, g, params, beta0, SplitStrategy::default(), rng)
-}
-
-/// [`build_hopset_with_beta0_on`] with an explicit [`SplitStrategy`].
-/// The `recursion_memory` bench and the equivalence suites call this with
-/// both strategies and assert the outputs are byte-identical.
-pub fn build_hopset_with_strategy_on<G: GraphView, R: Rng>(
-    exec: &Executor,
-    g: &G,
-    params: &HopsetParams,
-    beta0: f64,
-    strategy: SplitStrategy,
     rng: &mut R,
 ) -> (Hopset, Cost) {
     params.validate().expect("invalid hopset parameters");
@@ -112,7 +75,6 @@ pub fn build_hopset_with_strategy_on<G: GraphView, R: Rng>(
         rho: params.rho(n),
         n_final: params.n_final(n),
         exec: exec.clone(),
-        strategy,
     };
     let ident: Vec<VertexId> = (0..n as u32).collect();
     let out = recurse(g, &ident, beta0, 0, true, &ctx, rng.random());
@@ -131,7 +93,6 @@ struct Ctx {
     rho: f64,
     n_final: usize,
     exec: Executor,
-    strategy: SplitStrategy,
 }
 
 #[derive(Default)]
@@ -228,57 +189,27 @@ fn recurse<G: GraphView>(
     }
 
     // Recursive calls run in parallel (lines 4 and 10); seeds are drawn in
-    // deterministic cluster order before the parallel region. Both split
-    // strategies feed the children to the identical recursion, so the
-    // fan-out below differs only in where the child bytes live.
+    // deterministic cluster order before the parallel region.
     let tasks: Vec<(usize, u64)> = recurse_on.iter().map(|&cid| (cid, rng.random())).collect();
-    let children: Vec<Outcome> = match ctx.strategy {
-        SplitStrategy::Arena => {
-            let mut arena = SplitArena::lease();
-            let split_cost = arena.split(sub, &clustering.cluster_id, clustering.num_clusters);
-            cost = cost.then(split_cost);
-            let arena = &*arena;
-            ctx.exec.par_map(&tasks, 1, |&(cid, child_seed)| {
-                let child_global: Vec<VertexId> = arena
-                    .to_parent(cid)
-                    .iter()
-                    .map(|&p| to_global[p as usize])
-                    .collect();
-                let view = arena.view(cid);
-                recurse(
-                    &view,
-                    &child_global,
-                    next_beta,
-                    depth + 1,
-                    false,
-                    ctx,
-                    child_seed,
-                )
-            })
-        }
-        SplitStrategy::Materialize => {
-            let (pieces, split_cost) =
-                split_by_labels(sub, &clustering.cluster_id, clustering.num_clusters);
-            cost = cost.then(split_cost);
-            ctx.exec.par_map(&tasks, 1, |&(cid, child_seed)| {
-                let piece = &pieces[cid];
-                let child_global: Vec<VertexId> = piece
-                    .to_parent
-                    .iter()
-                    .map(|&p| to_global[p as usize])
-                    .collect();
-                recurse(
-                    &piece.graph,
-                    &child_global,
-                    next_beta,
-                    depth + 1,
-                    false,
-                    ctx,
-                    child_seed,
-                )
-            })
-        }
-    };
+    let mut arena = SplitArena::lease();
+    cost = cost.then(arena.split(sub, &clustering.cluster_id, clustering.num_clusters));
+    let arena = &*arena;
+    let children: Vec<Outcome> = ctx.exec.par_map(&tasks, 1, |&(cid, child_seed)| {
+        let child_global: Vec<VertexId> = arena
+            .to_parent(cid)
+            .iter()
+            .map(|&p| to_global[p as usize])
+            .collect();
+        recurse(
+            &arena.view(cid),
+            &child_global,
+            next_beta,
+            depth + 1,
+            false,
+            ctx,
+            child_seed,
+        )
+    });
 
     let mut max_level = if (!first && !large.is_empty()) || !edges.is_empty() {
         depth
@@ -402,36 +333,6 @@ mod tests {
         let (a, _) = build(&g, &mut StdRng::seed_from_u64(42));
         let (b, _) = build(&g, &mut StdRng::seed_from_u64(42));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn split_strategies_agree_exactly() {
-        // The tentpole contract at unit-test granularity: arena-backed
-        // recursion and materializing recursion are indistinguishable in
-        // artifact and cost. The integration-level proptest suite
-        // (tests/view_equivalence.rs) covers more seeds and policies.
-        let mut rng = StdRng::seed_from_u64(77);
-        let g = generators::connected_random(400, 900, &mut rng);
-        let p = test_params();
-        let beta0 = p.beta0(g.n());
-        let exec = Executor::sequential();
-        let arena = build_hopset_with_strategy_on(
-            &exec,
-            &g,
-            &p,
-            beta0,
-            SplitStrategy::Arena,
-            &mut StdRng::seed_from_u64(7),
-        );
-        let materialized = build_hopset_with_strategy_on(
-            &exec,
-            &g,
-            &p,
-            beta0,
-            SplitStrategy::Materialize,
-            &mut StdRng::seed_from_u64(7),
-        );
-        assert_eq!(arena, materialized);
     }
 
     #[test]

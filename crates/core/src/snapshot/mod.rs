@@ -34,7 +34,7 @@
 //! functions of the stored data, so a reloaded oracle's `query` /
 //! `query_batch` answers **and costs** are byte-identical to the fresh
 //! build's (enforced by the `serving` integration tests and the
-//! `query_throughput` binary).
+//! `benchsuite` divergence gate).
 //!
 //! Malformed input — truncation, wrong version or artifact kind,
 //! out-of-range vertex ids, self-loops, duplicate edges, invalid

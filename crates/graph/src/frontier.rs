@@ -53,31 +53,6 @@ const CALENDAR_SLOTS: usize = 1024;
 /// dropped so a burst of wide rounds cannot pin memory forever.
 const FREE_POOL_CAP: usize = 256;
 
-/// The bucket store every search engine pushes claims into and
-/// [`drive_on`] pops rounds from. `Vec<T>` buckets keyed by `u64` round
-/// keys, popped in ascending key order, whole bucket at a time.
-///
-/// Implementations must keep each key's bucket *whole*: all items pushed
-/// at one key come back in a single `pop_min` (plus later sub-rounds for
-/// items pushed after that pop). Splitting a key across pops would split
-/// its contention-resolution sort and change committed artifacts.
-pub trait ClaimQueue<T> {
-    /// Append `item` to the bucket at `key`.
-    fn push(&mut self, key: u64, item: T);
-
-    /// Remove and return the non-empty bucket with the smallest key.
-    fn pop_min(&mut self) -> Option<(u64, Vec<T>)>;
-
-    /// True when no items are queued.
-    fn is_empty(&self) -> bool;
-
-    /// Hand a spent bucket back for reuse. Implementations may keep its
-    /// allocation for a future `push`; the default drops it.
-    fn recycle(&mut self, bucket: Vec<T>) {
-        drop(bucket);
-    }
-}
-
 /// A calendar (circular multi-list) bucket queue: the near future is a
 /// flat ring of `CALENDAR_SLOTS` lazily-allocated `Vec` buckets indexed
 /// by `key % CALENDAR_SLOTS`, the far future is a sparse `BTreeMap`
@@ -282,75 +257,6 @@ impl<T> BucketQueue<T> {
     }
 }
 
-impl<T> ClaimQueue<T> for BucketQueue<T> {
-    #[inline]
-    fn push(&mut self, key: u64, item: T) {
-        BucketQueue::push(self, key, item);
-    }
-
-    #[inline]
-    fn pop_min(&mut self) -> Option<(u64, Vec<T>)> {
-        BucketQueue::pop_min(self)
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        BucketQueue::is_empty(self)
-    }
-
-    #[inline]
-    fn recycle(&mut self, bucket: Vec<T>) {
-        BucketQueue::recycle(self, bucket);
-    }
-}
-
-/// Which [`ClaimQueue`] drives a traversal. Algorithms default to
-/// [`QueueKind::Calendar`]; the benchsuite `frontier` table uses the
-/// explicit knob to race both stores over identical workloads (the
-/// artifacts must be identical either way — only the wall clock may
-/// differ).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueueKind {
-    /// The cache-conscious ring-of-buckets [`BucketQueue`].
-    Calendar,
-    /// The [`BTreeBucketQueue`] baseline.
-    Btree,
-}
-
-/// The pre-calendar bucket store: an ordered multimap from round keys to
-/// claims, one `BTreeMap` node per non-empty bucket. Kept as the named
-/// baseline the benchsuite `frontier` table races [`BucketQueue`]
-/// against; algorithms should use [`BucketQueue`].
-#[derive(Clone, Debug, Default)]
-pub struct BTreeBucketQueue<T> {
-    buckets: BTreeMap<u64, Vec<T>>,
-}
-
-impl<T> BTreeBucketQueue<T> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        BTreeBucketQueue {
-            buckets: BTreeMap::new(),
-        }
-    }
-}
-
-impl<T> ClaimQueue<T> for BTreeBucketQueue<T> {
-    fn push(&mut self, key: u64, item: T) {
-        self.buckets.entry(key).or_default().push(item);
-    }
-
-    fn pop_min(&mut self) -> Option<(u64, Vec<T>)> {
-        self.buckets.pop_first()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-    // recycle: default drop — recycling is the calendar queue's edge and
-    // the baseline must measure the old allocation behavior honestly.
-}
-
 /// One algorithm's view of the race: what a claim is, when it is still
 /// live, how winners update state, and what they spawn next.
 ///
@@ -399,19 +305,6 @@ pub trait Frontier: Sync {
 pub fn drive<F: Frontier>(
     exec: &Executor,
     queue: &mut BucketQueue<F::Claim>,
-    frontier: &mut F,
-) -> Cost {
-    drive_on(exec, queue, frontier)
-}
-
-/// [`drive`], generic over the bucket store. Exists so the benchsuite
-/// can race queue implementations under identical real workloads; the
-/// popped-key/pushed-claim sequence — and therefore the committed
-/// artifact and the returned [`Cost`] — is the same for any conforming
-/// [`ClaimQueue`].
-pub fn drive_on<Q: ClaimQueue<F::Claim>, F: Frontier>(
-    exec: &Executor,
-    queue: &mut Q,
     frontier: &mut F,
 ) -> Cost {
     let counter = OpCounter::new();
@@ -527,10 +420,10 @@ mod tests {
     fn calendar_queue_matches_the_btree_baseline_on_random_traffic() {
         // Deterministic xorshift traffic: interleaved pushes (some far
         // beyond the window, forcing overflow + promotion) and pops must
-        // produce the exact (key, bucket) sequence of the sorted-map
-        // baseline.
+        // produce the exact (key, bucket) sequence of a plain sorted-map
+        // model.
         let mut cal: BucketQueue<u64> = BucketQueue::new();
-        let mut btree: BTreeBucketQueue<u64> = BTreeBucketQueue::new();
+        let mut btree: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         let mut floor = 0u64; // emulate drive(): never push below the last pop
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut rand = move || {
@@ -542,7 +435,7 @@ mod tests {
         for step in 0..4000 {
             if step % 3 == 2 {
                 let got = cal.pop_min();
-                let want = btree.pop_min();
+                let want = btree.pop_first();
                 assert_eq!(got, want, "pop diverged at step {step}");
                 if let Some((k, bucket)) = got {
                     floor = k;
@@ -558,12 +451,12 @@ mod tests {
                         r % 700
                     };
                 cal.push(key, r);
-                btree.push(key, r);
+                btree.entry(key).or_default().push(r);
             }
         }
         loop {
             let got = cal.pop_min();
-            let want = btree.pop_min();
+            let want = btree.pop_first();
             assert_eq!(got, want, "drain diverged");
             if got.is_none() {
                 break;

@@ -37,9 +37,9 @@
 //!   subgraph views backed by reusable per-recursion-level scratch
 //!   arenas, so Algorithm 4's recursion never materializes a `CsrGraph`
 //!   per cluster per level.
-//! * [`subgraph`] — the materializing reference split (per-cluster owned
-//!   subgraphs), kept for callers that need owned children and as the
-//!   equivalence baseline for the arena path.
+//! * [`subgraph`] — the materializing split (per-cluster owned
+//!   subgraphs), for callers that need owned children, such as the shard
+//!   planner.
 //!
 //! All traversals are instrumented with the [`psh_pram::Cost`] work/depth
 //! model: work counts edge scans / relaxations, depth counts synchronous
@@ -54,7 +54,6 @@ pub mod frontier;
 pub mod generators;
 pub mod io;
 pub mod prefetch;
-pub mod prefix;
 pub mod quotient;
 pub mod source;
 pub mod subgraph;
@@ -65,9 +64,7 @@ pub mod view;
 pub use compress::{CompressedCsr, CompressedView};
 pub use csr::{CsrGraph, Edge, VertexId, Weight, INF};
 pub use delta::{DeltaError, DeltaOp, GraphDelta};
-pub use frontier::{
-    drive, drive_on, BTreeBucketQueue, BucketQueue, ClaimQueue, Frontier, QueueKind,
-};
+pub use frontier::{drive, BucketQueue, Frontier};
 pub use quotient::QuotientGraph;
 pub use source::{CompressedMmapView, ExtraSlabsView, LoadMode, MmapView, SnapshotSource, Verify};
 pub use subgraph::SubGraph;

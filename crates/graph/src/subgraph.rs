@@ -1,4 +1,4 @@
-//! Induced subgraphs and the materializing cluster split.
+//! The materializing cluster split.
 //!
 //! Algorithm 4 (`HopSet`) recurses on each cluster of a decomposition "in
 //! parallel". The natural substrate operation is: given a dense labeling of
@@ -9,15 +9,12 @@
 //!
 //! Two implementations exist:
 //!
-//! * [`crate::view::SplitArena::split`] — the production path: children
-//!   come back as borrowed [`crate::view::CsrView`]s over one reused
-//!   arena, with no per-child allocation. The hopset recursion runs on
-//!   this.
-//! * [`split_by_labels`] (here) — the materializing reference: children
-//!   are owned [`CsrGraph`]s. Kept for callers that need owned subgraphs
-//!   outliving the parent, and as the baseline the `view_equivalence`
-//!   suite and the `recursion_memory` bench compare the arena path
-//!   against.
+//! * [`crate::view::SplitArena::split`] — the hopset recursion's path:
+//!   children come back as borrowed [`crate::view::CsrView`]s over one
+//!   reused arena, with no per-child allocation.
+//! * [`split_by_labels`] (here) — children are owned [`CsrGraph`]s that
+//!   outlive the parent. The shard planner uses it, and the `view` tests
+//!   compare the arena path against it.
 
 use crate::csr::{CsrGraph, Edge, VertexId};
 use crate::view::GraphView;
@@ -44,73 +41,6 @@ impl SubGraph {
     pub fn n(&self) -> usize {
         self.graph.n()
     }
-}
-
-/// Parent→local vertex mapping for an induced subgraph: vertices outside
-/// the inducing subset have **no** local id, and that absence is typed —
-/// [`ParentMap::local_of`] returns an `Option`, so an out-of-subset
-/// lookup can never be mistaken for a vertex id (the raw `u32::MAX`
-/// sentinel this type replaced read exactly like one).
-#[derive(Clone, Debug)]
-pub struct ParentMap {
-    /// Dense over the parent vertex set; `ABSENT` marks non-members.
-    /// The sentinel is an encoding detail and never escapes this type.
-    local: Vec<u32>,
-}
-
-/// In-subset local ids are `< subset.len() <= u32::MAX`, so this value is
-/// free to mark absences.
-const ABSENT: u32 = u32::MAX;
-
-impl ParentMap {
-    /// The local id of `parent` in the subgraph, or `None` if `parent` is
-    /// not part of the inducing subset.
-    #[inline]
-    pub fn local_of(&self, parent: VertexId) -> Option<VertexId> {
-        let raw = self.local[parent as usize];
-        (raw != ABSENT).then_some(raw)
-    }
-
-    /// True if `parent` belongs to the inducing subset.
-    #[inline]
-    pub fn contains(&self, parent: VertexId) -> bool {
-        self.local[parent as usize] != ABSENT
-    }
-
-    /// Size of the parent vertex universe this map is dense over.
-    pub fn parent_n(&self) -> usize {
-        self.local.len()
-    }
-}
-
-/// Induced subgraph on an explicit vertex subset.
-///
-/// Returns the subgraph and the typed parent→local [`ParentMap`].
-pub fn induced<G: GraphView>(g: &G, verts: &[VertexId]) -> (SubGraph, ParentMap) {
-    let mut to_local = vec![ABSENT; g.n()];
-    for (i, &v) in verts.iter().enumerate() {
-        assert!(
-            to_local[v as usize] == ABSENT,
-            "duplicate vertex {v} in induced-subgraph set"
-        );
-        to_local[v as usize] = i as u32;
-    }
-    let mut edges = Vec::new();
-    for (i, &v) in verts.iter().enumerate() {
-        for (u, w) in g.neighbors(v) {
-            let lu = to_local[u as usize];
-            if lu != ABSENT && (i as u32) < lu {
-                edges.push(Edge::new(i as u32, lu, w));
-            }
-        }
-    }
-    (
-        SubGraph {
-            graph: CsrGraph::from_edges(verts.len(), edges),
-            to_parent: verts.to_vec(),
-        },
-        ParentMap { local: to_local },
-    )
 }
 
 /// Split `g` into the `k` induced subgraphs of a dense labeling
@@ -171,34 +101,6 @@ mod tests {
     }
 
     #[test]
-    fn induced_keeps_internal_edges_only() {
-        let g = sample();
-        let (sub, map) = induced(&g, &[0, 1, 2, 3]);
-        assert_eq!(sub.n(), 4);
-        // edges 0-1, 1-2, 2-0, 2-3 survive
-        assert_eq!(sub.graph.m(), 4);
-        assert_eq!(map.local_of(4), None);
-        assert!(!map.contains(4));
-        assert!(map.contains(3));
-        assert_eq!(map.parent_n(), 6);
-        assert_eq!(sub.parent_of(map.local_of(3).unwrap()), 3);
-    }
-
-    #[test]
-    fn induced_map_round_trips_every_member() {
-        let g = sample();
-        let verts = [5u32, 1, 3];
-        let (sub, map) = induced(&g, &verts);
-        for (i, &v) in verts.iter().enumerate() {
-            assert_eq!(map.local_of(v), Some(i as u32));
-            assert_eq!(sub.parent_of(i as u32), v);
-        }
-        for v in [0u32, 2, 4] {
-            assert_eq!(map.local_of(v), None);
-        }
-    }
-
-    #[test]
     fn split_drops_cut_edges() {
         let g = sample();
         let labels = vec![0, 0, 0, 1, 1, 1];
@@ -235,13 +137,6 @@ mod tests {
             assert_eq!(sub.n(), 1);
             assert_eq!(sub.graph.m(), 0);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate vertex")]
-    fn induced_rejects_duplicates() {
-        let g = sample();
-        let _ = induced(&g, &[0, 0]);
     }
 
     proptest! {

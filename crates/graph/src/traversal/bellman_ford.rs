@@ -191,9 +191,9 @@ pub fn hop_limited_sssp_on<G: GraphView>(
         // outgrows L2 ([`prefetch_pays`]), hint it a few candidates
         // ahead of the filter. The two arms spell out the same loop body
         // rather than sharing it through a closure: routing the iterator
-        // construction through a shared closure costs ~30% qps on
-        // cache-resident graphs (measured via query_throughput, n=800),
-        // so each arm must stay independently inlinable.
+        // construction through a shared closure cost ~30% qps on
+        // cache-resident graphs (n=800), so each arm must stay
+        // independently inlinable.
         let mut relax: Vec<(VertexId, Weight)> = if prefetch_pays(n) {
             frontier
                 .par_iter()

@@ -20,7 +20,7 @@
 //! in which some tentative distance improved.
 
 use crate::csr::{VertexId, Weight, INF};
-use crate::frontier::{drive_on, BTreeBucketQueue, BucketQueue, ClaimQueue, Frontier, QueueKind};
+use crate::frontier::{drive, BucketQueue, Frontier};
 use crate::prefetch::{lookahead, prefetch_pays, prefetch_read};
 use crate::traversal::SsspResult;
 use crate::view::GraphView;
@@ -117,33 +117,6 @@ pub fn delta_stepping_with<G: GraphView>(
     src: VertexId,
     delta: Weight,
 ) -> (SsspResult, Cost) {
-    run_delta_stepping(exec, g, src, delta, &mut BucketQueue::new())
-}
-
-/// [`delta_stepping_with`] through an explicitly chosen [`ClaimQueue`]
-/// implementation. The queue only changes wall-clock behavior —
-/// distances and parents are identical for every [`QueueKind`]; the
-/// benchsuite `frontier` race is built on this.
-pub fn delta_stepping_queued<G: GraphView>(
-    exec: &Executor,
-    g: &G,
-    src: VertexId,
-    delta: Weight,
-    kind: QueueKind,
-) -> (SsspResult, Cost) {
-    match kind {
-        QueueKind::Calendar => run_delta_stepping(exec, g, src, delta, &mut BucketQueue::new()),
-        QueueKind::Btree => run_delta_stepping(exec, g, src, delta, &mut BTreeBucketQueue::new()),
-    }
-}
-
-fn run_delta_stepping<G: GraphView, Q: ClaimQueue<DeltaClaim>>(
-    exec: &Executor,
-    g: &G,
-    src: VertexId,
-    delta: Weight,
-    queue: &mut Q,
-) -> (SsspResult, Cost) {
     assert!(delta >= 1, "bucket width must be at least 1");
     let n = g.n();
     let mut state = DeltaStepping {
@@ -152,6 +125,7 @@ fn run_delta_stepping<G: GraphView, Q: ClaimQueue<DeltaClaim>>(
         parent: vec![u32::MAX; n],
         delta,
     };
+    let mut queue = BucketQueue::new();
     queue.push(
         0,
         DeltaClaim {
@@ -160,7 +134,7 @@ fn run_delta_stepping<G: GraphView, Q: ClaimQueue<DeltaClaim>>(
             parent: src,
         },
     );
-    let cost = Cost::flat(n as u64).then(drive_on(exec, queue, &mut state));
+    let cost = Cost::flat(n as u64).then(drive(exec, &mut queue, &mut state));
     (
         SsspResult {
             dist: state.dist,

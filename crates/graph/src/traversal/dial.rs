@@ -18,7 +18,7 @@
 //! expressed without materializing the extra vertex.
 
 use crate::csr::{VertexId, Weight, INF};
-use crate::frontier::{drive_on, BTreeBucketQueue, BucketQueue, ClaimQueue, Frontier, QueueKind};
+use crate::frontier::{drive, BucketQueue, Frontier};
 use crate::prefetch::{lookahead, prefetch_pays, prefetch_read};
 use crate::traversal::SsspResult;
 use crate::view::GraphView;
@@ -138,33 +138,6 @@ pub fn dial_sssp_bounded_with<G: GraphView>(
     sources: &[(VertexId, Weight)],
     bound: Weight,
 ) -> (SsspResult, Cost) {
-    run_dial(exec, g, sources, bound, &mut BucketQueue::new())
-}
-
-/// [`dial_sssp_bounded_with`] through an explicitly chosen
-/// [`ClaimQueue`] implementation. The queue only changes wall-clock
-/// behavior — distances and parents are identical for every
-/// [`QueueKind`]; the benchsuite `frontier` race is built on this.
-pub fn dial_sssp_queued<G: GraphView>(
-    exec: &Executor,
-    g: &G,
-    sources: &[(VertexId, Weight)],
-    bound: Weight,
-    kind: QueueKind,
-) -> (SsspResult, Cost) {
-    match kind {
-        QueueKind::Calendar => run_dial(exec, g, sources, bound, &mut BucketQueue::new()),
-        QueueKind::Btree => run_dial(exec, g, sources, bound, &mut BTreeBucketQueue::new()),
-    }
-}
-
-fn run_dial<G: GraphView, Q: ClaimQueue<DialClaim>>(
-    exec: &Executor,
-    g: &G,
-    sources: &[(VertexId, Weight)],
-    bound: Weight,
-    queue: &mut Q,
-) -> (SsspResult, Cost) {
     let n = g.n();
     let mut dial = Dial {
         g,
@@ -173,6 +146,7 @@ fn run_dial<G: GraphView, Q: ClaimQueue<DialClaim>>(
         settled: vec![false; n],
         bound,
     };
+    let mut queue = BucketQueue::new();
     for &(s, off) in sources {
         if off < INF && off <= bound {
             queue.push(
@@ -184,7 +158,7 @@ fn run_dial<G: GraphView, Q: ClaimQueue<DialClaim>>(
             );
         }
     }
-    let cost = Cost::flat(n as u64).then(drive_on(exec, queue, &mut dial));
+    let cost = Cost::flat(n as u64).then(drive(exec, &mut queue, &mut dial));
     (
         SsspResult {
             dist: dial.dist,

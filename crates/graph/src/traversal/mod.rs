@@ -21,8 +21,8 @@ pub mod dijkstra;
 
 pub use bellman_ford::{hop_limited_pair, hop_limited_sssp, ExtraEdges, HopQuery};
 pub use bfs::{parallel_bfs, parallel_bfs_multi};
-pub use delta_stepping::{delta_stepping, delta_stepping_queued};
-pub use dial::{dial_sssp, dial_sssp_bounded, dial_sssp_offsets, dial_sssp_queued};
+pub use delta_stepping::delta_stepping;
+pub use dial::{dial_sssp, dial_sssp_bounded, dial_sssp_offsets};
 pub use dijkstra::{dijkstra, dijkstra_bounded, dijkstra_pair};
 
 use crate::csr::{VertexId, Weight, INF};

@@ -36,14 +36,6 @@ impl UnionFind {
         x
     }
 
-    /// Representative without path compression (for `&self` contexts).
-    pub fn find_immutable(&self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            x = self.parent[x as usize];
-        }
-        x
-    }
-
     /// Merge the sets of `a` and `b`; returns true if they were distinct.
     pub fn union(&mut self, a: u32, b: u32) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));

@@ -1,27 +1,21 @@
-//! The tentpole contract of the delta-compressed adjacency: algorithms
-//! driven by a [`CompressedCsr`] (or its borrowed [`CompressedView`])
-//! produce **byte-identical artifacts and Costs** to the same
-//! algorithms driven by the plain [`CsrGraph`], across seeds, both
-//! execution policies, and both frontier queue implementations.
+//! The contract of the delta-compressed adjacency: algorithms driven by
+//! a [`CompressedCsr`] (or its borrowed [`CompressedView`]) produce
+//! **byte-identical artifacts and Costs** to the same algorithms driven
+//! by the plain [`CsrGraph`], across seeds and both execution policies.
 //!
-//! Three layers are pinned down:
+//! Two layers are pinned down:
 //!
 //! 1. the substrate — every traversal engine (BFS, Dial, Δ-stepping,
 //!    Dijkstra, hop-limited Bellman–Ford) is indistinguishable between
 //!    the plain and compressed representations of the same graph;
-//! 2. the frontier × compression cross-product — `dial_sssp_queued` and
-//!    `delta_stepping_queued` land on the same bytes for every
-//!    `(QueueKind, representation)` combination, which is what licenses
-//!    racing the calendar queue on compressed snapshots;
-//! 3. the clustering layer — `ClusterBuilder` on a compressed view
+//! 2. the clustering layer — `ClusterBuilder` on a compressed view
 //!    equals `ClusterBuilder` on the plain graph, artifact and cost.
 
 use proptest::prelude::*;
-use psh::graph::frontier::QueueKind;
 use psh::graph::traversal::bellman_ford::hop_limited_sssp;
 use psh::graph::traversal::bfs::parallel_bfs_with;
-use psh::graph::traversal::delta_stepping::{delta_stepping_queued, delta_stepping_with};
-use psh::graph::traversal::dial::{dial_sssp_bounded_with, dial_sssp_queued, dial_sssp_with};
+use psh::graph::traversal::delta_stepping::delta_stepping_with;
+use psh::graph::traversal::dial::{dial_sssp_bounded_with, dial_sssp_with};
 use psh::graph::traversal::dijkstra::dijkstra;
 use psh::prelude::*;
 use rand::rngs::StdRng;
@@ -80,32 +74,6 @@ fn traversals_agree_between_plain_and_compressed() {
 }
 
 #[test]
-fn queue_kind_times_representation_is_byte_identical() {
-    for seed in [1u64, 17, 20150625] {
-        let g = weighted_instance(seed, 200);
-        let c = CompressedCsr::from_view(&g);
-        let view = c.as_view();
-        for policy in policies() {
-            let exec = Executor::new(policy);
-            let dial_ref = dial_sssp_queued(&exec, &g, &[(0, 0)], INF, QueueKind::Btree);
-            let delta_ref = delta_stepping_queued(&exec, &g, 0, 4, QueueKind::Btree);
-            for kind in [QueueKind::Calendar, QueueKind::Btree] {
-                assert_eq!(
-                    dial_sssp_queued(&exec, &view, &[(0, 0)], INF, kind),
-                    dial_ref,
-                    "dial seed {seed} {policy} {kind:?}"
-                );
-                assert_eq!(
-                    delta_stepping_queued(&exec, &view, 0, 4, kind),
-                    delta_ref,
-                    "delta seed {seed} {policy} {kind:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn clustering_a_compressed_view_equals_clustering_the_plain_graph() {
     for seed in 0..4u64 {
         let g = weighted_instance(seed, 120);
@@ -133,7 +101,7 @@ proptest! {
 
     /// Arbitrary-graph sweep: multigraph/self-loop inputs collapse to a
     /// canonical CSR, and its compressed twin traverses identically
-    /// under both policies and both queue kinds.
+    /// under both policies.
     #[test]
     fn prop_compressed_traversal_equals_plain(
         raw in proptest::collection::vec((0u32..60, 0u32..60, 1u64..30), 20..260),
@@ -150,13 +118,11 @@ proptest! {
                 dial_sssp_with(&exec, &view, src),
                 "dial {}", policy
             );
-            for kind in [QueueKind::Calendar, QueueKind::Btree] {
-                prop_assert_eq!(
-                    delta_stepping_queued(&exec, &g, src, 3, kind),
-                    delta_stepping_queued(&exec, &view, src, 3, kind),
-                    "delta {} {:?}", policy, kind
-                );
-            }
+            prop_assert_eq!(
+                delta_stepping_with(&exec, &g, src, 3),
+                delta_stepping_with(&exec, &view, src, 3),
+                "delta {}", policy
+            );
         }
     }
 }

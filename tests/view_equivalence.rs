@@ -1,7 +1,7 @@
-//! The tentpole contract of the GraphView refactor: algorithms driven by
+//! The contract of the GraphView refactor: algorithms driven by
 //! arena-backed [`CsrView`]s produce **byte-identical artifacts and
 //! Costs** to the same algorithms driven by materialized [`CsrGraph`]s,
-//! across seeds and both execution policies.
+//! across seeds and execution policies.
 //!
 //! Three layers are pinned down:
 //!
@@ -10,14 +10,12 @@
 //!    Δ-stepping, Dijkstra);
 //! 2. the clustering race — `ClusterBuilder` on a view equals
 //!    `ClusterBuilder` on the materialized child, artifact and cost;
-//! 3. the hopset recursion — `SplitStrategy::Arena` (production) and
-//!    `SplitStrategy::Materialize` (legacy reference) build identical
-//!    hopsets under `Sequential` and `Parallel` policies alike, and the
-//!    default builder path equals both.
+//! 3. the hopset recursion, which runs on arena views at every level —
+//!    `Parallel` policies build the same hopset and cost as the
+//!    `Sequential` reference, and the default builder path equals it.
 
 use proptest::prelude::*;
-use psh::core::hopset::unweighted::build_hopset_with_strategy_on;
-use psh::core::hopset::SplitStrategy;
+use psh::core::hopset::unweighted::build_hopset_with_beta0_on;
 use psh::graph::subgraph::split_by_labels;
 use psh::graph::traversal::bfs::parallel_bfs_with;
 use psh::graph::traversal::delta_stepping::delta_stepping_with;
@@ -121,7 +119,7 @@ fn clustering_a_view_equals_clustering_the_materialized_child() {
     }
 }
 
-/// Shared fixed-seed hopset instance for the strategy matrix.
+/// Shared fixed-seed hopset instance for the policy matrix.
 fn hopset_instance(seed: u64, n: usize) -> CsrGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     generators::connected_random(n, 2 * n, &mut rng)
@@ -137,36 +135,40 @@ fn hopset_params() -> HopsetParams {
     }
 }
 
+/// The policies the hopset recursion must reproduce the `Sequential`
+/// reference under.
+fn parallel_policies() -> [ExecutionPolicy; 2] {
+    [
+        ExecutionPolicy::Parallel { threads: 2 },
+        ExecutionPolicy::Parallel { threads: 4 },
+    ]
+}
+
 #[test]
-fn hopset_strategy_matrix_is_byte_identical() {
+fn hopset_policy_matrix_is_byte_identical() {
     let params = hopset_params();
     for seed in [0u64, 9, 20150625] {
         let g = hopset_instance(seed, 600);
         let beta0 = params.beta0(g.n());
-        // reference: sequential, materializing (the legacy pipeline)
-        let reference = build_hopset_with_strategy_on(
+        let reference = build_hopset_with_beta0_on(
             &Executor::sequential(),
             &g,
             &params,
             beta0,
-            SplitStrategy::Materialize,
             &mut StdRng::seed_from_u64(seed),
         );
-        for policy in policies() {
-            for strategy in [SplitStrategy::Arena, SplitStrategy::Materialize] {
-                let got = build_hopset_with_strategy_on(
-                    &Executor::new(policy),
-                    &g,
-                    &params,
-                    beta0,
-                    strategy,
-                    &mut StdRng::seed_from_u64(seed),
-                );
-                assert_eq!(got, reference, "seed {seed} {policy} {strategy:?}");
-            }
+        for policy in parallel_policies() {
+            let got = build_hopset_with_beta0_on(
+                &Executor::new(policy),
+                &g,
+                &params,
+                beta0,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            assert_eq!(got, reference, "seed {seed} {policy}");
         }
-        // the public builder takes the arena path by default and must
-        // land on the same bytes
+        // the public builder, on its default policy, must land on the
+        // same bytes
         let (built, built_cost) = HopsetBuilder::unweighted()
             .params(params)
             .build_with_rng(&g, &mut StdRng::seed_from_u64(seed))
@@ -179,32 +181,30 @@ fn hopset_strategy_matrix_is_byte_identical() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Arbitrary-seed sweep of the tentpole property: the arena recursion
-    /// is indistinguishable from the materializing recursion for both
-    /// execution policies.
+    /// Arbitrary-seed sweep of the policy matrix: the arena recursion
+    /// builds the `Sequential` reference's bytes under every `Parallel`
+    /// policy.
     #[test]
-    fn prop_hopset_arena_equals_materialize(seed in 0u64..5000) {
+    fn prop_hopset_parallel_equals_sequential(seed in 0u64..5000) {
         let g = hopset_instance(seed, 300);
         let params = hopset_params();
         let beta0 = params.beta0(g.n());
-        let reference = build_hopset_with_strategy_on(
+        let reference = build_hopset_with_beta0_on(
             &Executor::sequential(),
             &g,
             &params,
             beta0,
-            SplitStrategy::Materialize,
             &mut StdRng::seed_from_u64(seed),
         );
-        for policy in policies() {
-            let arena = build_hopset_with_strategy_on(
+        for policy in parallel_policies() {
+            let got = build_hopset_with_beta0_on(
                 &Executor::new(policy),
                 &g,
                 &params,
                 beta0,
-                SplitStrategy::Arena,
                 &mut StdRng::seed_from_u64(seed),
             );
-            prop_assert_eq!(&arena, &reference, "{}", policy);
+            prop_assert_eq!(&got, &reference, "{}", policy);
         }
     }
 
