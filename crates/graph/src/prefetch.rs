@@ -1,11 +1,11 @@
-//! Software prefetch for the traversal hot loops.
+//! Software prefetch for the Dial and Δ-stepping hot loops.
 //!
-//! The inner loops of Dial, Δ-stepping, and the hop-limited relaxation
-//! all follow the same pattern: walk a contiguous adjacency slice and,
-//! per neighbor `w`, probe a big per-vertex array (`dist[w]`,
-//! `settled[w]`) at an essentially random index. The adjacency walk is
-//! hardware-prefetch friendly; the probes are not — each one is a
-//! dependent random read that stalls the loop on a cache miss.
+//! The inner loops of Dial and Δ-stepping follow the same pattern: walk a
+//! contiguous adjacency slice and, per neighbor `w`, probe a big
+//! per-vertex array (`settled[w]`, `dist[w]`) at an essentially random
+//! index. The adjacency walk is hardware-prefetch friendly; the probes
+//! are not — each one is a dependent random read that stalls the loop on
+//! a cache miss.
 //!
 //! [`prefetch_read`] issues a non-binding cache hint for one element,
 //! and [`lookahead`] wraps an iterator so every item is *hinted* a fixed
@@ -23,14 +23,11 @@
 /// evicted again.
 pub const LOOKAHEAD: usize = 8;
 
-/// Vertex count below which the traversal loops skip the hint adapter.
-/// The probe targets are per-vertex arrays (8 B/entry or less): under
+/// Vertex count below which Dial and Δ-stepping skip the hint adapter.
+/// Their probe targets are per-vertex arrays (8 B/entry or less): under
 /// ~64k vertices they are L2-resident, the probes all but never miss,
-/// and the ring buffer costs more than the stalls it hides — the
-/// benchsuite serve matrix loses ~40% qps on n=800 cells if the adapter
-/// runs unconditionally. Above the threshold the arrays outgrow L2 and
-/// the hints start paying for themselves (the benchsuite's n≈120k load
-/// row runs the hinted arm).
+/// and the ring buffer costs more than the stalls it hides. Above the
+/// threshold the arrays outgrow L2 and the hinted arm runs.
 pub const PREFETCH_MIN_VERTICES: usize = 1 << 16;
 
 /// True when per-vertex state of `n` entries is big enough that hinted

@@ -8,14 +8,29 @@
 //!
 //! Frontier-based: only vertices whose distance improved in round `r-1`
 //! relax their edges in round `r`, so work on easy instances is far below
-//! the worst-case `h·m`. Relaxations are gathered in parallel and applied
-//! as a deterministic per-target minimum.
+//! the worst-case `h·m`. Each round is a Jacobi round: frontier vertices
+//! relax against the distances the round started with, each target keeps
+//! its best candidate in a per-vertex array, and the round ends by
+//! committing the targets it touched. The improved set — and with it the
+//! answers, the hop counts and the [`Cost`] — depends only on the
+//! start-of-round state, never on the order the frontier is scanned in.
+//!
+//! Sweeps run on a per-thread scratch (distances, settle rounds,
+//! candidates and the two frontier lists) that keeps its buffers from one
+//! sweep to the next, so a steady stream of queries allocates nothing and
+//! no round sorts. Every sweep refills the per-vertex arrays before
+//! reading them: only capacity carries over, never state, so a sweep that
+//! unwound mid-round (the psh-exec pool catches panics and keeps its
+//! threads) leaves nothing a later sweep reads. Memory bound: one scratch
+//! of about 28 B per vertex of the largest graph a thread has swept, per
+//! such thread, freed when the thread exits. In `psh-server` that is at
+//! most one per connection thread (`max_conns`, default 64) plus one per
+//! pool thread.
 
 use crate::csr::{Edge, VertexId, Weight, INF};
-use crate::prefetch::{lookahead, prefetch_pays, prefetch_read};
 use crate::view::GraphView;
 use psh_pram::Cost;
-use rayon::prelude::*;
+use std::cell::RefCell;
 
 /// A set of auxiliary (hopset) edges in CSR form over the same vertex ids
 /// as the base graph. Undirected: both directions are stored. Offsets are
@@ -168,87 +183,17 @@ pub fn hop_limited_sssp_on<G: GraphView>(
     sources: &[VertexId],
     h: usize,
 ) -> (HopQuery, Cost) {
-    let n = g.n();
-    let mut dist = vec![INF; n];
-    let mut hops = vec![u32::MAX; n];
-    let mut frontier: Vec<VertexId> = sources.to_vec();
-    frontier.sort_unstable();
-    frontier.dedup();
-    for &s in &frontier {
-        dist[s as usize] = 0;
-        hops[s as usize] = 0;
-    }
-    let mut cost = Cost::flat(n as u64);
-    let mut rounds = 0usize;
-    while !frontier.is_empty() && rounds < h {
-        rounds += 1;
-        let scanned: u64 = frontier
-            .par_iter()
-            .map(|&v| (g.degree(v) + extra.map_or(0, |e| e.degree(v))) as u64)
-            .sum();
-        let dist_ref = &dist;
-        // the dist[v] probe is the random read in this loop; once dist
-        // outgrows L2 ([`prefetch_pays`]), hint it a few candidates
-        // ahead of the filter. The two arms spell out the same loop body
-        // rather than sharing it through a closure: routing the iterator
-        // construction through a shared closure cost ~30% qps on
-        // cache-resident graphs (n=800), so each arm must stay
-        // independently inlinable.
-        let mut relax: Vec<(VertexId, Weight)> = if prefetch_pays(n) {
-            frontier
-                .par_iter()
-                .flat_map_iter(|&u| {
-                    let du = dist_ref[u as usize];
-                    let base = g.neighbors(u).map(move |(v, w)| (v, du.saturating_add(w)));
-                    let ext = extra
-                        .into_iter()
-                        .flat_map(move |e| e.neighbors(u))
-                        .map(move |(v, w)| (v, du.saturating_add(w)));
-                    lookahead(base.chain(ext), |&(v, _)| {
-                        prefetch_read(dist_ref, v as usize);
-                    })
-                    .filter(|&(v, nd)| nd < dist_ref[v as usize])
-                })
-                .collect()
-        } else {
-            frontier
-                .par_iter()
-                .flat_map_iter(|&u| {
-                    let du = dist_ref[u as usize];
-                    let base = g.neighbors(u).map(move |(v, w)| (v, du.saturating_add(w)));
-                    let ext = extra
-                        .into_iter()
-                        .flat_map(move |e| e.neighbors(u))
-                        .map(move |(v, w)| (v, du.saturating_add(w)));
-                    base.chain(ext).filter(|&(v, nd)| nd < dist_ref[v as usize])
-                })
-                .collect()
-        };
-        relax.par_sort_unstable();
-        let mut next = Vec::new();
-        let mut last = u32::MAX;
-        for (v, nd) in relax {
-            if v == last {
-                continue;
-            }
-            last = v;
-            if nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                hops[v as usize] = rounds as u32;
-                next.push(v);
-            }
-        }
-        cost = cost.then(Cost::flat(scanned + next.len() as u64));
-        frontier = next;
-    }
-    (
-        HopQuery {
-            dist,
-            rounds_run: rounds,
-            hops_settled: hops,
-        },
-        cost,
-    )
+    SCRATCH.with_borrow_mut(|scratch| {
+        let (rounds_run, cost) = scratch.sweep(g, extra, sources, h);
+        (
+            HopQuery {
+                dist: scratch.dist.clone(),
+                rounds_run,
+                hops_settled: scratch.hops.clone(),
+            },
+            cost,
+        )
+    })
 }
 
 /// h-hop-limited `s`–`t` distance. Returns the distance (or [`INF`]) and
@@ -272,18 +217,237 @@ pub fn hop_limited_pair_on<G: GraphView>(
     t: VertexId,
     h: usize,
 ) -> (Weight, u32, Cost) {
-    let (q, cost) = hop_limited_sssp_on(g, extra, &[s], h);
-    (q.dist[t as usize], q.hops_settled[t as usize], cost)
+    SCRATCH.with_borrow_mut(|scratch| {
+        let (_, cost) = scratch.sweep(g, extra, &[s], h);
+        (scratch.dist[t as usize], scratch.hops[t as usize], cost)
+    })
+}
+
+thread_local! {
+    // borrowed for a whole sweep: nothing a sweep calls may sweep again
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// One thread's sweep state. Only the buffers' capacity survives from one
+/// sweep to the next — also past a sweep that unwound, which leaves the
+/// scratch in place: [`Scratch::sweep`] refills every per-vertex array
+/// before it reads it.
+#[derive(Default)]
+struct Scratch {
+    /// Distances as of the start of the current round; final after the
+    /// sweep.
+    dist: Vec<Weight>,
+    /// Round in which each vertex's distance was last set (`u32::MAX` if
+    /// never).
+    hops: Vec<u32>,
+    /// The current round's best candidate per target; [`INF`] where the
+    /// round has not touched the target.
+    cand: Vec<Weight>,
+    /// Vertices improved by the previous round, relaxed by this one.
+    frontier: Vec<VertexId>,
+    /// Targets the current round has touched, in first-touch order.
+    next: Vec<VertexId>,
+}
+
+impl Scratch {
+    /// Relax from `sources` for up to `h` rounds, leaving the answer in
+    /// `dist` and `hops`. Returns the rounds run and the sweep's cost: `n`
+    /// for the start state, then per round one unit per adjacency slot
+    /// scanned plus one per vertex improved.
+    fn sweep<G: GraphView>(
+        &mut self,
+        g: &G,
+        extra: Option<ExtraView<'_>>,
+        sources: &[VertexId],
+        h: usize,
+    ) -> (usize, Cost) {
+        let n = g.n();
+        let Scratch {
+            dist,
+            hops,
+            cand,
+            frontier,
+            next,
+        } = self;
+        dist.clear();
+        dist.resize(n, INF);
+        hops.clear();
+        hops.resize(n, u32::MAX);
+        cand.clear();
+        cand.resize(n, INF);
+        frontier.clear();
+        next.clear();
+        for &s in sources {
+            // a repeated source enters the frontier once
+            if dist[s as usize] != 0 {
+                dist[s as usize] = 0;
+                hops[s as usize] = 0;
+                frontier.push(s);
+            }
+        }
+        let mut cost = Cost::flat(n as u64);
+        let mut rounds = 0usize;
+        while !frontier.is_empty() && rounds < h {
+            rounds += 1;
+            let mut scanned = 0u64;
+            for &u in frontier.iter() {
+                scanned += (g.degree(u) + extra.map_or(0, |e| e.degree(u))) as u64;
+                let du = dist[u as usize];
+                let mut relax = |v: VertexId, w: Weight| {
+                    let nd = du.saturating_add(w);
+                    let c = &mut cand[v as usize];
+                    if nd < dist[v as usize] && nd < *c {
+                        if *c == INF {
+                            next.push(v);
+                        }
+                        *c = nd;
+                    }
+                };
+                for (v, w) in g.neighbors(u) {
+                    relax(v, w);
+                }
+                if let Some(e) = extra {
+                    for (v, w) in e.neighbors(u) {
+                        relax(v, w);
+                    }
+                }
+            }
+            for &v in next.iter() {
+                dist[v as usize] = std::mem::replace(&mut cand[v as usize], INF);
+                hops[v as usize] = rounds as u32;
+            }
+            cost = cost.then(Cost::flat(scanned + next.len() as u64));
+            std::mem::swap(frontier, next);
+            next.clear();
+        }
+        (rounds, cost)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::CsrGraph;
     use crate::generators;
     use crate::traversal::dijkstra::dijkstra;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A deliberately plain Jacobi sweep: copy `dist` every round, relax
+    /// every frontier vertex's base and extra edges against the copy, and
+    /// charge `n` plus, per round, the slots scanned and vertices improved.
+    fn reference(
+        g: &CsrGraph,
+        extra: Option<&ExtraEdges>,
+        sources: &[VertexId],
+        h: usize,
+    ) -> (HopQuery, Cost) {
+        let n = g.n();
+        let mut dist = vec![INF; n];
+        let mut hops = vec![u32::MAX; n];
+        let mut frontier: Vec<usize> = sources.iter().map(|&s| s as usize).collect();
+        frontier.sort_unstable();
+        frontier.dedup();
+        for &s in &frontier {
+            dist[s] = 0;
+            hops[s] = 0;
+        }
+        let mut work = n as u64;
+        let mut rounds = 0;
+        while !frontier.is_empty() && rounds < h {
+            rounds += 1;
+            let before = dist.clone();
+            for &u in &frontier {
+                let mut edges: Vec<(VertexId, Weight)> = g.neighbors(u as VertexId).collect();
+                if let Some(e) = extra {
+                    edges.extend(e.neighbors(u as VertexId));
+                }
+                work += edges.len() as u64;
+                for (v, w) in edges {
+                    let nd = before[u].saturating_add(w);
+                    dist[v as usize] = dist[v as usize].min(nd);
+                }
+            }
+            frontier = (0..n).filter(|&v| dist[v] < before[v]).collect();
+            for &v in &frontier {
+                hops[v] = rounds as u32;
+            }
+            work += frontier.len() as u64;
+        }
+        let q = HopQuery {
+            dist,
+            rounds_run: rounds,
+            hops_settled: hops,
+        };
+        (q, Cost::new(work, 1 + rounds as u64))
+    }
+
+    /// A random weighted graph on `n` vertices (sometimes disconnected)
+    /// and, if `with_extra`, random extra edges over it.
+    fn random_instance(
+        n: usize,
+        with_extra: bool,
+        rng: &mut StdRng,
+    ) -> (CsrGraph, Option<ExtraEdges>) {
+        let base = if rng.random_range(0..2) == 0 {
+            generators::connected_random(n, n, rng)
+        } else {
+            generators::erdos_renyi(n, n - 1, rng)
+        };
+        let g = generators::with_uniform_weights(&base, 1, 20, rng);
+        let extra = with_extra.then(|| {
+            let edges: Vec<Edge> = (0..n / 2 + 1)
+                .map(|_| {
+                    let u = rng.random_range(0..n as VertexId);
+                    let v = (u + rng.random_range(1..n as VertexId)) % n as VertexId;
+                    Edge::new(u, v, rng.random_range(1..60))
+                })
+                .collect();
+            ExtraEdges::from_edges(n, &edges)
+        });
+        (g, extra)
+    }
+
+    /// Delegates to `g`, but panics on the `k`-th call to `neighbors`.
+    struct PanicsOnCall<'a> {
+        g: &'a CsrGraph,
+        k: usize,
+        calls: AtomicUsize,
+    }
+
+    impl GraphView for PanicsOnCall<'_> {
+        fn n(&self) -> usize {
+            self.g.n()
+        }
+
+        fn m(&self) -> usize {
+            self.g.m()
+        }
+
+        fn degree(&self, v: VertexId) -> usize {
+            self.g.degree(v)
+        }
+
+        fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
+            let call = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
+            assert!(call != self.k, "neighbors call {call} panics");
+            self.g.neighbors(v)
+        }
+
+        fn neighbors_with_eid(
+            &self,
+            v: VertexId,
+        ) -> impl Iterator<Item = (VertexId, Weight, u32)> + '_ {
+            self.g.neighbors_with_eid(v)
+        }
+
+        fn edges(&self) -> &[Edge] {
+            self.g.edges()
+        }
+    }
 
     #[test]
     fn unlimited_hops_match_dijkstra() {
@@ -340,7 +504,80 @@ mod tests {
         assert!(ExtraEdges::from_edges(3, &[]).is_empty());
     }
 
+    /// Sweeps on one thread — across graph sizes and after a sweep that
+    /// unwound mid-round — answer exactly as on a fresh thread: the
+    /// thread's scratch carries capacity between sweeps, never state.
+    #[test]
+    fn scratch_carries_no_state_across_graphs_or_unwinds() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let small = generators::with_uniform_weights(&generators::grid(5, 10), 1, 9, &mut rng);
+        let (big, big_extra) = random_instance(500, true, &mut rng);
+        let small_extra = ExtraEdges::from_edges(50, &[Edge::new(0, 49, 40), Edge::new(12, 37, 6)]);
+        let sweeps = [
+            (&small, &small_extra),
+            (&big, big_extra.as_ref().unwrap()),
+            (&small, &small_extra),
+        ];
+        let run = |(g, extra): (&CsrGraph, &ExtraEdges)| {
+            let t = (g.n() - 1) as VertexId;
+            (
+                hop_limited_sssp(g, Some(extra), &[0, 3, 0], g.n()),
+                hop_limited_pair(g, Some(extra), 0, t, g.n()),
+                hop_limited_pair(g, None, 2, t, g.n() / 4),
+            )
+        };
+        let fresh: Vec<_> = sweeps
+            .iter()
+            .map(|&sweep| std::thread::scope(|s| s.spawn(|| run(sweep)).join().unwrap()))
+            .collect();
+        let before: Vec<_> = sweeps.iter().map(|&sweep| run(sweep)).collect();
+        assert_eq!(before, fresh, "sweeps across graph sizes");
+        // round 1 relaxes vertex 0; round 2 first relaxes 1 (touching 2
+        // and 11), then panics on 10 with those candidates uncommitted
+        let bomb = PanicsOnCall {
+            g: &small,
+            k: 3,
+            calls: AtomicUsize::new(0),
+        };
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            hop_limited_pair(&bomb, Some(&small_extra), 0, 49, 50)
+        }));
+        assert!(unwound.is_err(), "the third neighbors call must panic");
+        let after: Vec<_> = sweeps.iter().map(|&sweep| run(sweep)).collect();
+        assert_eq!(after, fresh, "sweeps after an unwind");
+    }
+
     proptest! {
+        /// The scratch-backed sweep matches the plain Jacobi reference
+        /// exactly — distances, settle rounds, rounds run and `Cost` — with
+        /// and without extra edges, from repeated sources, at every hop
+        /// budget from 1 to n; the pair entry point reads the same sweep.
+        #[test]
+        fn prop_matches_plain_reference(
+            seed in 0u64..1_000,
+            n in 2usize..60,
+            h_pick in 0usize..1_000,
+            with_extra in 0u8..2,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (g, extra) = random_instance(n, with_extra == 1, &mut rng);
+            let h = 1 + h_pick % n;
+            let pick = |rng: &mut StdRng| rng.random_range(0..n as VertexId);
+            let (a, b) = (pick(&mut rng), pick(&mut rng));
+            let sources = [a, b, a, pick(&mut rng), b];
+            prop_assert_eq!(
+                hop_limited_sssp(&g, extra.as_ref(), &sources, h),
+                reference(&g, extra.as_ref(), &sources, h)
+            );
+            let (single, cost) = reference(&g, extra.as_ref(), &[a], h);
+            for t in 0..n {
+                prop_assert_eq!(
+                    hop_limited_pair(&g, extra.as_ref(), a, t as VertexId, h),
+                    (single.dist[t], single.hops_settled[t], cost)
+                );
+            }
+        }
+
         /// h-hop distances are monotone nonincreasing in h and never
         /// undershoot the true distance.
         #[test]
