@@ -56,12 +56,6 @@
 //!   bytes, resident adjacency-slab bytes, and mmap-served `query_batch`
 //!   qps for both encodings (answers gated byte-identical to the
 //!   reference either way);
-//! * **sharded-vs-monolithic cells** per build: the same graph
-//!   partitioned into 4 shards by [`psh_core::shard::ShardedOracleBuilder`]
-//!   (per-shard builds fanned across the pool) next to the monolithic
-//!   build — build wall-clock, sequential qps, and the observed
-//!   cross-shard stretch vs exact Dijkstra, gated on the documented 3×
-//!   sandwich and on Sequential/Parallel{4} byte-identity;
 //! * **open-loop sweep**: one loopback wire server driven at a grid of
 //!   seeded Poisson offered-load rates (`psh-client --open-loop`
 //!   semantics, latency measured from each query's *scheduled* arrival
@@ -87,7 +81,7 @@
 //! and a `serve_net` table (one row per wire cell). Rows are
 //! stringly-typed table cells; `meta` carries the numeric knobs. The
 //! `serve_net`, `load`, `serve_cached`, `swap`, `baselines`, `compress`,
-//! `shard`, and `open_loop` tables are
+//! and `open_loop` tables are
 //! additive — documents keep `schema_version` 1, and `bench-compare`
 //! diffs two documents table-by-table (tables present in only one side
 //! are reported as added/removed, so old baselines stay comparable).
@@ -98,10 +92,8 @@ use psh_bench::table::{fmt_f, fmt_u, Table};
 use psh_bench::workloads::{random_pairs, Family};
 use psh_bench::Report;
 use psh_core::api::{OracleBuilder, Seed};
-use psh_core::distance::DistanceOracle;
 use psh_core::oracle::{ApproxShortestPaths, QueryResult};
 use psh_core::service::{CacheConfig, OracleService, ServiceConfig, ServiceStats};
-use psh_core::shard::ShardedOracleBuilder;
 use psh_core::snapshot::{
     inspect_v2, load_oracle, load_oracle_v2, read_oracle, save_oracle_v2, save_oracle_v2_with,
     write_oracle, OracleMeta,
@@ -358,7 +350,7 @@ fn measure_swap(
         .unwrap_or_else(|e| die(format_args!("swap cell: apply_delta: {e}")));
 
     let service = Arc::new(OracleService::from_arc(
-        Arc::clone(base) as Arc<dyn DistanceOracle>,
+        Arc::clone(base),
         ServiceConfig::with_policy(policy),
     ));
     // 0 = steady window, 1 = rebuild window, 2 = stop
@@ -395,7 +387,7 @@ fn measure_swap(
             let rebuild_s = t1.elapsed().as_secs_f64();
             let swapped = Arc::new(rebuilt.artifact);
             let t2 = Instant::now();
-            let epoch = service.swap_oracle(Arc::clone(&swapped) as Arc<dyn DistanceOracle>);
+            let epoch = service.swap_oracle(Arc::clone(&swapped));
             let swap_ms = t2.elapsed().as_secs_f64() * 1e3;
             let rebuild_window_s = t1.elapsed().as_secs_f64();
             phase.store(2, Ordering::Release);
@@ -610,19 +602,6 @@ fn main() {
         "comp qps",
         "identical",
     ]);
-    let mut shard_table = Table::new([
-        "family",
-        "weights",
-        "shards",
-        "boundary",
-        "mono build (s)",
-        "shard build (s)",
-        "mono qps",
-        "shard qps",
-        "max stretch",
-        "mean stretch",
-        "identical",
-    ]);
     let mut open_loop_table = Table::new([
         "offered qps",
         "arrivals",
@@ -699,7 +678,7 @@ fn main() {
                 for &policy in &policies {
                     for &clients in &client_counts {
                         let service = OracleService::from_arc(
-                            Arc::clone(oracle) as Arc<dyn DistanceOracle>,
+                            Arc::clone(oracle),
                             ServiceConfig::with_policy(policy),
                         );
                         let answers = run_clients(&service, &pairs, clients);
@@ -729,7 +708,7 @@ fn main() {
             for &policy in &net_policies {
                 for &clients in &net_clients {
                     let service = Arc::new(OracleService::from_arc(
-                        Arc::clone(&fresh) as Arc<dyn DistanceOracle>,
+                        Arc::clone(&fresh),
                         ServiceConfig::with_policy(policy),
                     ));
                     let mut server = NetServer::bind(
@@ -789,7 +768,7 @@ fn main() {
             // --- cached serving cells -------------------------------------
             for &policy in &net_policies {
                 let service = OracleService::from_arc(
-                    Arc::clone(&fresh) as Arc<dyn DistanceOracle>,
+                    Arc::clone(&fresh),
                     ServiceConfig {
                         policy,
                         max_batch: 256,
@@ -916,79 +895,6 @@ fn main() {
                 fmt_f(max_stretch),
                 fmt_f(mean_stretch),
             ]);
-
-            // --- sharded-vs-monolithic cells ------------------------------
-            // Cross-shard composition scans boundary candidates, so its
-            // per-query cost scales with the cut — a few dozen pairs are
-            // plenty to measure it, and every answer is still gated: the
-            // Sequential and Parallel{4} runs must match bit-for-bit, and
-            // each answer must sit inside the documented [exact, 3×exact]
-            // stretch sandwich.
-            {
-                let spairs = &pairs[..pairs.len().min(32)];
-                let t0 = Instant::now();
-                let srun = ShardedOracleBuilder::new(4)
-                    .params(params)
-                    .seed(Seed(gseed))
-                    .execution(ExecutionPolicy::from_env())
-                    .build(&g)
-                    .unwrap_or_else(|e| die(format_args!("{fname}/{wname}: sharded build: {e}")));
-                let shard_build_s = t0.elapsed().as_secs_f64();
-                let sharded = srun.artifact;
-                let boundary = sharded.plan().boundary_global().len();
-
-                let t0 = Instant::now();
-                let _ = fresh.query_batch(spairs, ExecutionPolicy::Sequential);
-                let mono_qps = spairs.len() as f64 / t0.elapsed().as_secs_f64().max(1e-12);
-                let t0 = Instant::now();
-                let (seq_answers, seq_cost) =
-                    sharded.query_batch(spairs, ExecutionPolicy::Sequential);
-                let shard_qps = spairs.len() as f64 / t0.elapsed().as_secs_f64().max(1e-12);
-                let (par_answers, par_cost) =
-                    sharded.query_batch(spairs, ExecutionPolicy::Parallel { threads: 4 });
-                let identical = seq_answers == par_answers && seq_cost == par_cost;
-
-                let mut shard_max = 1.0f64;
-                let mut stretch_sum = 0.0f64;
-                let mut stretched = 0usize;
-                let mut sound = true;
-                for (&(s, t), a) in spairs.iter().zip(&seq_answers) {
-                    let exact = dijkstra_pair(&g, s, t);
-                    if exact == INF {
-                        sound &= !a.distance.is_finite();
-                        continue;
-                    }
-                    let exact = exact as f64;
-                    sound &= a.distance >= exact - 1e-9 && a.distance <= 3.0 * exact + 1e-9;
-                    if exact > 0.0 {
-                        let r = a.distance / exact;
-                        shard_max = shard_max.max(r);
-                        stretch_sum += r;
-                        stretched += 1;
-                    }
-                }
-                let ok = identical && sound;
-                mismatches += usize::from(!ok);
-                cells += 1;
-                if !ok {
-                    eprintln!(
-                        "shard cell {fname}/{wname}: identical={identical} stretch-sound={sound}"
-                    );
-                }
-                shard_table.row([
-                    fname.to_string(),
-                    wname.to_string(),
-                    fmt_u(sharded.num_shards() as u64),
-                    fmt_u(boundary as u64),
-                    fmt_f(build_s),
-                    fmt_f(shard_build_s),
-                    fmt_f(mono_qps),
-                    fmt_f(shard_qps),
-                    fmt_f(shard_max),
-                    fmt_f(stretch_sum / stretched.max(1) as f64),
-                    if ok { "yes" } else { "NO" }.to_string(),
-                ]);
-            }
         }
     }
 
@@ -1067,7 +973,7 @@ fn main() {
         vec![250.0, 1000.0, 4000.0, 16000.0]
     };
     let ol_service = Arc::new(OracleService::from_arc(
-        Arc::clone(&ol_oracle) as Arc<dyn DistanceOracle>,
+        Arc::clone(&ol_oracle),
         ServiceConfig::with_policy(ExecutionPolicy::Sequential),
     ));
     let mut ol_server = NetServer::bind(
@@ -1135,8 +1041,6 @@ fn main() {
     baselines_table.print();
     println!("\n## compressed adjacency (plain vs delta-gap v2 snapshots)\n");
     compress_table.print();
-    println!("\n## sharded vs monolithic (4 shards, stretch gated at 3×)\n");
-    shard_table.print();
     println!("\n## open-loop latency vs offered load (loopback TCP, sequential)\n");
     open_loop_table.print();
 
@@ -1158,7 +1062,6 @@ fn main() {
     report.push_table("swap", &swap_table);
     report.push_table("baselines", &baselines_table);
     report.push_table("compress", &compress_table);
-    report.push_table("shard", &shard_table);
     report.push_table("open_loop", &open_loop_table);
     report.finish();
 

@@ -39,16 +39,11 @@
 //!                             # precedence over --replay/--clients
 //!   --max-seconds S           # stop issuing batches after S seconds
 //!   --verify-local            # rebuild the same oracle in-process
-//!                             # (--family/--n/--seed/--snapshot/--shards
-//!                             # …) and require byte-identical answers —
-//!                             # pass --shards K when the server serves a
-//!                             # K-shard oracle built from flags
+//!                             # (--family/--n/--seed/--snapshot …)
+//!                             # and require byte-identical answers
 //!   --verify-stretch C        # recompute every answered pair exactly
 //!                             # (Dijkstra on the locally derived graph)
-//!                             # and require exact ≤ wire ≤ C·exact —
-//!                             # the documented stretch bound, checkable
-//!                             # against a *monolithic* ground truth even
-//!                             # when the server serves a sharded oracle
+//!                             # and require exact ≤ wire ≤ C·exact
 //! ```
 //!
 //! Every mode honours `--addr HOST:PORT` (default `$PSH_ADDR`, else
@@ -59,7 +54,7 @@
 //! `OP_ERROR` frames surface as messages, never panics.
 
 use psh_bench::json::{has_flag, parse_flag};
-use psh_bench::serving::{load_graph, obtain_served_oracle, parse_max_seconds};
+use psh_bench::serving::{load_graph, obtain_oracle, parse_max_seconds};
 use psh_bench::table::{fmt_f, fmt_u, Table};
 use psh_bench::workloads::{read_pairs, WorkloadDist};
 use psh_bench::Report;
@@ -391,16 +386,16 @@ fn replay(addr: &str, seed: u64) {
 
     // --- the byte-identity contract, checkable from the CLI ---------------
     if has_flag("--verify-local") {
-        let (served, ..) = obtain_served_oracle(PROG, seed);
-        let local_n = served.descriptor().n;
+        let (oracle, ..) = obtain_oracle(PROG, seed);
+        let local_n = oracle.graph().n();
         if local_n != n {
             die(format_args!(
                 "local oracle has n={local_n} but the server serves n={n} — pass the same \
-                 --family/--n/--seed/--snapshot/--shards flags the server got"
+                 --family/--n/--seed/--snapshot flags the server got"
             ));
         }
         let (reference, _) =
-            served.query_batch(&pairs[..answers.len()], ExecutionPolicy::Sequential);
+            oracle.query_batch(&pairs[..answers.len()], ExecutionPolicy::Sequential);
         for (i, (wire, local)) in answers.iter().zip(&reference).enumerate() {
             if wire.distance.to_bits() != local.distance.to_bits()
                 || wire.upper_bound != local.upper_bound
@@ -414,13 +409,12 @@ fn replay(addr: &str, seed: u64) {
             }
         }
         println!(
-            "verify-local: all {} answers byte-identical to the in-process oracle ({} shard(s))",
-            answers.len(),
-            served.descriptor().shards
+            "verify-local: all {} answers byte-identical to the in-process oracle",
+            answers.len()
         );
     }
 
-    // --- the stretch bound, checked against exact monolithic distances ----
+    // --- the stretch bound, checked against exact distances ---------------
     if let Some(c) = parse_flag("--verify-stretch") {
         let c: f64 = c
             .trim()

@@ -14,15 +14,7 @@
 //! psh-serve [--family random|power-law|rmat|grid|grid2d|path|torus] [--n N]
 //!           [--weights U]            # log-uniform weights of ratio U
 //!           [--graph PATH]           # text edge list instead of --family
-//!           [--shards K]             # build a K-shard ShardedOracle
-//!                                    # (partition + per-shard builds on
-//!                                    # the pool + boundary overlay)
-//!                                    # instead of one monolithic oracle
 //!           [--snapshot PATH]        # load if present, else build + save
-//!                                    # (a sharded build saves a PSHM
-//!                                    # manifest + one v2 file per shard;
-//!                                    # loading sniffs the format, so the
-//!                                    # snapshot decides what is served)
 //!           [--snapshot-version V]   # save format: 2 (zero-copy, default) or 1
 //!           [--load-mode M]          # open v2 snapshots via mmap (default)
 //!                                    # or read (portable aligned-read fallback)
@@ -46,12 +38,11 @@
 //! out-of-range query ids) — never panics on malformed files.
 
 use psh_bench::json::{has_flag, parse_flag};
-use psh_bench::serving::{obtain_served_oracle, parse_max_seconds, parse_policy, ServedOracle};
+use psh_bench::serving::{obtain_oracle, parse_max_seconds, parse_policy};
 use psh_bench::stats::percentile;
 use psh_bench::table::{fmt_f, fmt_u, Table};
 use psh_bench::workloads::{read_pairs, WorkloadDist};
 use psh_bench::Report;
-use psh_core::shard::{overlay_snapshot_path, shard_snapshot_path};
 use psh_pram::Cost;
 use std::io::BufReader;
 use std::path::PathBuf;
@@ -75,9 +66,9 @@ fn main() {
     // preprocessing itself is not interruptible and counts separately).
     let max_seconds = parse_max_seconds(PROG);
 
-    let (served, loaded, prep_s) = obtain_served_oracle(PROG, seed);
-    let desc = served.descriptor();
-    let n = desc.n;
+    let (oracle, meta, loaded, prep_s) = obtain_oracle(PROG, seed);
+    let n = oracle.graph().n();
+    let m = oracle.graph().m();
     if n == 0 {
         die("the graph has no vertices to query");
     }
@@ -119,7 +110,7 @@ fn main() {
             break;
         }
         let start = Instant::now();
-        let (answers, cost) = served.query_batch(chunk, policy);
+        let (answers, cost) = oracle.query_batch(chunk, policy);
         latencies_ms.push(start.elapsed().as_secs_f64() * 1e3);
         answered += answers.len();
         reachable += answers.iter().filter(|a| a.distance.is_finite()).count();
@@ -137,14 +128,7 @@ fn main() {
     let p50 = percentile(&latencies_ms, 50.0);
     let p99 = percentile(&latencies_ms, 99.0);
 
-    println!(
-        "\n# psh-serve — n={} m={} ({} shard{}) | {} queries in batches of {batch} | {policy}\n",
-        n,
-        desc.m,
-        desc.shards,
-        if desc.shards == 1 { "" } else { "s" },
-        answered
-    );
+    println!("\n# psh-serve — n={n} m={m} | {answered} queries in batches of {batch} | {policy}\n");
     let mut t = Table::new([
         "queries",
         "batches",
@@ -171,22 +155,21 @@ fn main() {
         } else {
             "built fresh"
         },
-        served.seed(),
+        meta.seed,
         prep_s,
-        served.build_cost(),
+        meta.build_cost,
     );
 
     report
         .meta("n", n)
-        .meta("m", desc.m)
-        .meta("shards", desc.shards)
+        .meta("m", m)
         .meta("queries", answered)
         .meta("batch", batch)
         .meta("policy", policy.to_string())
         .meta("workload_dist", dist.name())
         .meta("loaded_snapshot", loaded)
         .meta("truncated", truncated)
-        .meta("seed", served.seed().0)
+        .meta("seed", meta.seed.0)
         .meta("preprocess_s", prep_s)
         .meta("qps", qps)
         .meta("p50_ms", p50)
@@ -196,14 +179,6 @@ fn main() {
 
     if has_flag("--cleanup-snapshot") {
         if let Some(path) = parse_flag("--snapshot").map(PathBuf::from) {
-            // a sharded manifest names component snapshots — remove those
-            // too, so the smoke leaves nothing behind
-            if let ServedOracle::Sharded { oracle, .. } = &served {
-                for s in 0..oracle.num_shards() {
-                    let _ = std::fs::remove_file(shard_snapshot_path(&path, s));
-                }
-                let _ = std::fs::remove_file(overlay_snapshot_path(&path));
-            }
             match std::fs::remove_file(&path) {
                 Ok(()) => println!("snapshot {} removed (--cleanup-snapshot)", path.display()),
                 Err(e) => die(format_args!("cannot remove {}: {e}", path.display())),

@@ -11,10 +11,6 @@
 //! Usage:
 //! ```text
 //! psh-server [--family F] [--n N] [--weights U] [--graph PATH]
-//!            [--shards K]            # serve a K-shard ShardedOracle
-//!                                    # (an existing sharded --snapshot
-//!                                    # is detected and served sharded
-//!                                    # with or without the flag)
 //!            [--snapshot PATH] [--fresh-snapshot]
 //!            [--watch-journal]       # hot-swap on journal growth
 //!                                    # (requires --snapshot; see below)
@@ -36,11 +32,7 @@
 //! background, and the service hot-swaps it at a batch boundary — the
 //! old epoch keeps answering until the instant the new one takes over
 //! (zero downtime, no torn batches). A corrupt or mismatched journal is
-//! logged and the previous epoch keeps serving. A sharded oracle watches
-//! one journal per shard (`<snapshot>.shardS.journal`, ops in
-//! shard-local ids); a poll rebuilds only the touched shards plus the
-//! boundary overlay and swaps the whole stitched generation at once, so
-//! no answer ever mixes shard epochs.
+//! logged and the previous epoch keeps serving.
 //!
 //! The server stops when any of these fires, then drains and exits 0:
 //! a client sends the shutdown op (`psh-client --shutdown`), stdin
@@ -50,17 +42,15 @@
 //! vocabulary as `psh-serve`).
 
 use psh_bench::json::{has_flag, parse_flag};
-use psh_bench::serving::{obtain_served_oracle, parse_max_seconds, parse_policy, ServedOracle};
+use psh_bench::serving::{obtain_oracle, parse_max_seconds, parse_policy};
 use psh_bench::table::{fmt_f, fmt_u, Table};
 use psh_bench::Report;
-use psh_core::distance::DistanceOracle;
 use psh_core::service::{CacheConfig, OracleService, ServiceConfig};
-use psh_core::shard::ShardedReloader;
-use psh_core::snapshot::{owned_base_graph, JournalReloader, ReloadReport};
+use psh_core::snapshot::{owned_base_graph, JournalReloader};
 use psh_net::server::env_addr;
 use psh_net::{NetServer, ServerConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 const PROG: &str = "psh-server";
@@ -76,36 +66,6 @@ fn parse_u64_flag(name: &str, default: u64) -> u64 {
             .trim()
             .parse()
             .unwrap_or_else(|_| die(format_args!("bad {name} '{s}' (want a count)"))),
-    }
-}
-
-/// One journal-watching face over both oracle shapes. Either way a poll
-/// yields the wire-level [`ReloadReport`] (`None`: nothing new); the
-/// sharded report is translated using the freshly swapped generation's
-/// descriptor, so the wire sees the stitched n/m it is now serving.
-enum Reloader {
-    Mono(JournalReloader),
-    Sharded(ShardedReloader),
-}
-
-impl Reloader {
-    fn poll(&mut self, service: &OracleService) -> Result<Option<ReloadReport>, String> {
-        match self {
-            Reloader::Mono(rl) => rl.poll(service).map_err(|e| e.to_string()),
-            Reloader::Sharded(rl) => {
-                let polled = rl.poll(service).map_err(|e| e.to_string())?;
-                Ok(polled.map(|r| {
-                    let d = rl.current().descriptor();
-                    ReloadReport {
-                        epoch: r.epoch,
-                        records: r.records,
-                        ops: r.ops,
-                        n: d.n as u64,
-                        m: d.m as u64,
-                    }
-                }))
-            }
-        }
     }
 }
 
@@ -144,32 +104,27 @@ fn main() {
         die("--watch-journal needs --snapshot PATH (the journal lives at <snapshot>.journal)");
     }
 
-    let (served, loaded, prep_s) = obtain_served_oracle(PROG, seed);
-    let desc = served.descriptor();
-    let (n, m) = (desc.n, desc.m);
+    let (oracle, meta, loaded, prep_s) = obtain_oracle(PROG, seed);
+    let n = oracle.graph().n();
+    let m = oracle.graph().m();
     if n == 0 {
         die("the graph has no vertices to serve");
     }
 
-    // The monolithic reloader wants an owned copy of the served graph
-    // (hot-swap rebuilds mutate it); the sharded one derives its shard
-    // graphs from the oracle it tracks.
+    // The reloader wants an owned copy of the served graph (hot-swap
+    // rebuilds mutate it); take it before the oracle moves into the
+    // service.
     let reloader = watch_journal.then(|| {
         let base = snapshot_path.as_deref().expect("checked above");
-        Arc::new(Mutex::new(match &served {
-            ServedOracle::Monolithic { oracle, meta } => {
-                Reloader::Mono(JournalReloader::new(base, owned_base_graph(oracle), *meta))
-            }
-            ServedOracle::Sharded { oracle, parts } => Reloader::Sharded(ShardedReloader::new(
-                base,
-                Arc::clone(oracle),
-                parts.clone(),
-            )),
-        }))
+        Arc::new(Mutex::new(JournalReloader::new(
+            base,
+            owned_base_graph(&oracle),
+            meta,
+        )))
     });
 
-    let service = Arc::new(OracleService::from_arc(
-        served.as_dyn(),
+    let service = Arc::new(OracleService::new(
+        oracle,
         ServiceConfig {
             policy,
             max_batch,
@@ -183,14 +138,12 @@ fn main() {
         // (and its cursor) with the 25 ms poll below
         let rl = Arc::clone(rl);
         let svc = Arc::clone(&service);
-        server.set_reload_hook(Box::new(move || rl.lock().unwrap().poll(&svc)));
+        server.set_reload_hook(Box::new(move || {
+            lock_reloader(&rl).poll(&svc).map_err(|e| e.to_string())
+        }));
     }
     let bound = server.local_addr();
-    println!(
-        "serving n={n} m={m} ({} shard{}) on {bound} | {policy} | batches of ≤{max_batch}",
-        desc.shards,
-        if desc.shards == 1 { "" } else { "s" }
-    );
+    println!("serving n={n} m={m} on {bound} | {policy} | batches of ≤{max_batch}");
 
     if let Some(path) = parse_flag("--port-file") {
         std::fs::write(&path, format!("{bound}\n"))
@@ -226,7 +179,7 @@ fn main() {
             break "--max-seconds elapsed";
         }
         if let Some(rl) = &reloader {
-            match rl.lock().unwrap().poll(&service) {
+            match lock_reloader(rl).poll(&service) {
                 Ok(Some(r)) => {
                     swaps += 1;
                     println!(
@@ -271,19 +224,18 @@ fn main() {
         } else {
             "built fresh"
         },
-        served.seed(),
+        meta.seed,
         prep_s,
     );
 
     report
         .meta("n", n)
         .meta("m", m)
-        .meta("shards", desc.shards)
         .meta("addr", bound.to_string())
         .meta("stop_reason", why)
         .meta("policy", policy.to_string())
         .meta("loaded_snapshot", loaded)
-        .meta("seed", served.seed().0)
+        .meta("seed", meta.seed.0)
         .meta("preprocess_s", prep_s)
         .meta("conns_accepted", server_stats.conns_accepted)
         .meta("conns_rejected", server_stats.conns_rejected)
@@ -299,4 +251,12 @@ fn main() {
         .meta("p99_ms", stats.p99_ms);
     report.push_table("server", &t);
     report.finish();
+}
+
+/// The shared reloader, also after a poll panicked while holding it (the
+/// wire server catches a panicking reload hook). `JournalReloader::poll`
+/// changes its state only after a completed swap, so the state a panic
+/// leaves behind is the last consistent one and the next poll retries.
+fn lock_reloader(rl: &Mutex<JournalReloader>) -> std::sync::MutexGuard<'_, JournalReloader> {
+    rl.lock().unwrap_or_else(PoisonError::into_inner)
 }

@@ -11,18 +11,6 @@
 //! psh-snap compact PATH            # fold PATH.journal into the base
 //! ```
 //!
-//! `inspect` and `compact` also understand sharded `PSHM` manifests
-//! (written by `psh-serve --shards K --snapshot PATH`): `inspect`
-//! summarizes the partition (shard count, per-shard n/m/epoch/cliques,
-//! boundary and quotient sizes, pending journal records) from the
-//! manifest alone, and `compact` folds each shard's journal into its
-//! own `PATH.shardS` snapshot — shards without a journal are untouched
-//! on disk — then rewrites the overlay and the manifest once. Per-shard
-//! journals hold **shard-local** vertex ids; append to them by running
-//! `journal` against the component file itself
-//! (`psh-snap journal PATH.shardS --apply F`), which is a plain v2
-//! snapshot.
-//!
 //! `journal --apply` reads edge updates from file `F` (one op per line:
 //! `add U V W` or `del U V`; blank lines and `#` comments ignored),
 //! validates them against the base snapshot's vertex count, and appends
@@ -51,9 +39,8 @@
 //! on malformed files.
 
 use psh_core::snapshot::{
-    append_journal, compact_oracle, compact_sharded, inspect_sharded, inspect_v2,
-    is_sharded_manifest, journal_path, load_journal, load_oracle, migrate_oracle_file_with,
-    snapshot_version, verify_oracle_v2, OracleSections,
+    append_journal, compact_oracle, inspect_v2, journal_path, load_journal, load_oracle,
+    migrate_oracle_file_with, snapshot_version, verify_oracle_v2, OracleSections,
 };
 use psh_graph::{DeltaOp, GraphDelta, LoadMode};
 
@@ -82,44 +69,7 @@ fn human(len: u64) -> String {
     }
 }
 
-fn inspect_manifest(path: &str) {
-    let info =
-        inspect_sharded(path).unwrap_or_else(|e| die(format_args!("bad manifest {path}: {e}")));
-    println!(
-        "{path}: sharded oracle manifest (PSHM, {} shard(s), one v2 snapshot each)",
-        info.shards.len()
-    );
-    println!(
-        "  n={} | boundary {} vertex(es) | {} cut edge(s) | quotient m={} | β={} | η={} | seed {}",
-        info.n, info.boundary, info.cut_edges, info.quotient_m, info.beta, info.eta, info.seed
-    );
-    match info.overlay {
-        Some((on, om)) => println!("  overlay: n={on} m={om} ({path}.overlay)"),
-        None => println!("  overlay: none (no boundary)"),
-    }
-    if let Some(cap) = info.max_candidates {
-        println!("  candidate cap: {cap} (sound upper bounds; stretch bound holds uncapped)");
-    }
-    println!(
-        "  {:>6} {:>8} {:>10} {:>10} {:>9} {:>9}",
-        "shard", "epoch", "n", "m", "cliques", "journal"
-    );
-    for (s, row) in info.shards.iter().enumerate() {
-        println!(
-            "  {s:>6} {:>8} {:>10} {:>10} {:>9} {:>9}",
-            row.epoch, row.n, row.m, row.cliques, row.journal_records
-        );
-    }
-    let pending: u64 = info.shards.iter().map(|r| r.journal_records).sum();
-    if pending > 0 {
-        println!("  ({pending} pending journal record(s) — run `{PROG} compact {path}`)");
-    }
-}
-
 fn inspect(path: &str) {
-    if is_sharded_manifest(path) {
-        return inspect_manifest(path);
-    }
     let version =
         snapshot_version(path).unwrap_or_else(|e| die(format_args!("cannot read {path}: {e}")));
     match version {
@@ -234,12 +184,6 @@ fn parse_ops_file(path: &str, n: usize) -> GraphDelta {
 }
 
 fn journal_cmd(base: &str, apply: Option<&str>) {
-    if is_sharded_manifest(base) {
-        die(format_args!(
-            "{base} is a sharded manifest — per-shard journals hold shard-local ids; \
-             target a component instead: `{PROG} journal {base}.shardS [--apply F]`"
-        ));
-    }
     let jpath = journal_path(base);
     if let Some(ops_file) = apply {
         let delta = parse_ops_file(ops_file, base_n(base));
@@ -275,26 +219,6 @@ fn journal_cmd(base: &str, apply: Option<&str>) {
 }
 
 fn compact(path: &str) {
-    if is_sharded_manifest(path) {
-        let report = compact_sharded(path)
-            .unwrap_or_else(|e| die(format_args!("cannot compact {path}: {e}")));
-        if report.shards.is_empty() {
-            println!("{path}: no shard has a journal — nothing to fold");
-            return;
-        }
-        for f in &report.shards {
-            println!(
-                "shard {}: folded {} record(s) ({} ops) into {path}.shard{} | m {} -> {} | journal removed",
-                f.shard, f.records, f.ops, f.shard, f.m_before, f.m_after
-            );
-        }
-        let untouched = report.epochs.len() - report.shards.len();
-        println!(
-            "overlay + manifest rewritten | shard epochs now {:?} | {untouched} shard snapshot(s) untouched",
-            report.epochs
-        );
-        return;
-    }
     let report =
         compact_oracle(path).unwrap_or_else(|e| die(format_args!("cannot compact {path}: {e}")));
     println!(

@@ -10,20 +10,12 @@
 use crate::json::{has_flag, parse_flag};
 use crate::workloads::Family;
 use psh_core::api::{OracleBuilder, Seed};
-use psh_core::distance::{DistanceOracle, OracleDescriptor};
-use psh_core::oracle::{ApproxShortestPaths, QueryResult};
-use psh_core::shard::{ShardedOracle, ShardedOracleBuilder, ShardedParts};
-use psh_core::snapshot::{
-    is_sharded_manifest, load_oracle_auto, load_sharded, save_oracle, save_oracle_v2, save_sharded,
-    OracleMeta,
-};
+use psh_core::oracle::ApproxShortestPaths;
+use psh_core::snapshot::{load_oracle_auto, save_oracle, save_oracle_v2, OracleMeta};
 use psh_core::HopsetParams;
-use psh_exec::ExecutionPolicy;
 use psh_graph::{CsrGraph, LoadMode};
-use psh_pram::Cost;
 use std::io::BufReader;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Exit with a `prog: msg` line on stderr — the serving binaries' shared
@@ -119,195 +111,6 @@ pub fn obtain_oracle(prog: &str, seed: u64) -> (ApproxShortestPaths, OracleMeta,
     // doesn't carry O(n + m) recursion buffers into its steady state.
     psh_graph::view::drain_arena_pool();
     (run.artifact, meta, false, secs)
-}
-
-/// Whatever the serving binaries stood up from argv: a monolithic
-/// [`ApproxShortestPaths`] or a [`ShardedOracle`], each with the
-/// provenance it persists. Both faces serve through the
-/// [`DistanceOracle`] trait; this enum only survives where a binary
-/// genuinely needs the concrete side (journal reloaders, snapshot
-/// cleanup).
-pub enum ServedOracle {
-    /// One oracle over the whole graph.
-    Monolithic {
-        /// The oracle itself.
-        oracle: Arc<ApproxShortestPaths>,
-        /// Snapshot meta (seed, params, build cost).
-        meta: OracleMeta,
-    },
-    /// A stitched [`ShardedOracle`] with its rebuild provenance.
-    Sharded {
-        /// The stitched oracle.
-        oracle: Arc<ShardedOracle>,
-        /// Per-component metas + cliques, as a manifest persists them.
-        parts: ShardedParts,
-    },
-}
-
-impl ServedOracle {
-    /// The trait object the serving stack is generic over.
-    pub fn as_dyn(&self) -> Arc<dyn DistanceOracle> {
-        match self {
-            ServedOracle::Monolithic { oracle, .. } => {
-                Arc::clone(oracle) as Arc<dyn DistanceOracle>
-            }
-            ServedOracle::Sharded { oracle, .. } => Arc::clone(oracle) as Arc<dyn DistanceOracle>,
-        }
-    }
-
-    /// Shape of what is served (n, m, hopset size, shard epochs).
-    pub fn descriptor(&self) -> OracleDescriptor {
-        match self {
-            ServedOracle::Monolithic { oracle, .. } => oracle.descriptor(),
-            ServedOracle::Sharded { oracle, .. } => oracle.descriptor(),
-        }
-    }
-
-    /// The build seed (root seed for a sharded build).
-    pub fn seed(&self) -> Seed {
-        match self {
-            ServedOracle::Monolithic { meta, .. } => meta.seed,
-            ServedOracle::Sharded { oracle, .. } => oracle.plan().seed(),
-        }
-    }
-
-    /// Preprocessing cost: the build cost, or for a sharded oracle the
-    /// parallel composition of its component builds.
-    pub fn build_cost(&self) -> Cost {
-        match self {
-            ServedOracle::Monolithic { meta, .. } => meta.build_cost,
-            ServedOracle::Sharded { parts, .. } => {
-                let overlay = parts
-                    .overlay_meta
-                    .as_ref()
-                    .map_or(Cost::ZERO, |m| m.build_cost);
-                Cost::par_all(parts.shard_metas.iter().map(|m| m.build_cost)).then(overlay)
-            }
-        }
-    }
-
-    /// True for the sharded face.
-    pub fn is_sharded(&self) -> bool {
-        matches!(self, ServedOracle::Sharded { .. })
-    }
-
-    /// Answer a batch under `policy` — identical answers either face,
-    /// any policy.
-    pub fn query_batch(
-        &self,
-        pairs: &[(u32, u32)],
-        policy: ExecutionPolicy,
-    ) -> (Vec<QueryResult>, Cost) {
-        match self {
-            ServedOracle::Monolithic { oracle, .. } => oracle.query_batch(pairs, policy),
-            ServedOracle::Sharded { oracle, .. } => oracle.query_batch(pairs, policy),
-        }
-    }
-}
-
-/// Parse `--shards K`: `None` (absent or `K<=1`) builds/loads the
-/// monolithic oracle, `Some(K)` a sharded one. Only consulted when an
-/// oracle is *built* — loading sniffs the snapshot format instead, so a
-/// sharded manifest is served sharded whatever the flag says.
-pub fn parse_shards(prog: &str) -> Option<usize> {
-    match parse_flag("--shards") {
-        None => None,
-        Some(s) => match s.trim().parse::<usize>() {
-            Ok(0 | 1) => None,
-            Ok(k) => Some(k),
-            Err(_) => die(
-                prog,
-                format_args!("bad --shards '{s}' (want a shard count, e.g. 4)"),
-            ),
-        },
-    }
-}
-
-/// [`obtain_oracle`] generalized over both oracle faces: load whatever
-/// the snapshot actually is (a `PSHM` sharded manifest or a v1/v2
-/// monolithic snapshot), else build what `--shards` asks for and save
-/// it in the matching format. Returns the oracle, whether a snapshot
-/// was loaded, and the preprocessing/load seconds.
-pub fn obtain_served_oracle(prog: &str, seed: u64) -> (ServedOracle, bool, f64) {
-    let snapshot: Option<PathBuf> = parse_flag("--snapshot").map(PathBuf::from);
-    let fresh_requested = has_flag("--fresh-snapshot");
-    if let Some(path) = snapshot
-        .as_ref()
-        .filter(|p| !fresh_requested && p.exists() && is_sharded_manifest(p))
-    {
-        let start = Instant::now();
-        let (oracle, parts) = load_sharded(path, parse_load_mode(prog))
-            .unwrap_or_else(|e| die(prog, format_args!("cannot load {}: {e}", path.display())));
-        let secs = start.elapsed().as_secs_f64();
-        let d = oracle.descriptor();
-        println!(
-            "loaded sharded manifest {} ({} shards, n={}, epochs {:?}, {}) in {:.3}s",
-            path.display(),
-            oracle.num_shards(),
-            d.n,
-            d.epochs,
-            if d.mapped {
-                "served in place"
-            } else {
-                "decoded"
-            },
-            secs
-        );
-        return (
-            ServedOracle::Sharded {
-                oracle: Arc::new(oracle),
-                parts,
-            },
-            true,
-            secs,
-        );
-    }
-    let shards = parse_shards(prog);
-    let building_fresh = shards.is_some()
-        && !snapshot
-            .as_ref()
-            .is_some_and(|p| !fresh_requested && p.exists());
-    if let Some(k) = shards.filter(|_| building_fresh) {
-        let g = load_graph(prog, seed);
-        let start = Instant::now();
-        let (run, parts) = ShardedOracleBuilder::new(k)
-            .params(HopsetParams::default())
-            .seed(Seed(seed))
-            .execution(parse_policy(prog))
-            .build_with_parts(&g)
-            .unwrap_or_else(|e| die(prog, format_args!("sharded preprocessing failed: {e}")));
-        let secs = start.elapsed().as_secs_f64();
-        println!(
-            "preprocessed n={} m={} into {} shards ({} boundary vertices, {}) in {:.3}s",
-            g.n(),
-            g.m(),
-            run.artifact.num_shards(),
-            run.artifact.plan().boundary_global().len(),
-            run.cost,
-            secs
-        );
-        let oracle = Arc::new(run.artifact);
-        if let Some(path) = snapshot {
-            save_sharded(&path, &oracle, &parts)
-                .unwrap_or_else(|e| die(prog, format_args!("cannot save {}: {e}", path.display())));
-            println!(
-                "sharded manifest saved to {} (+ {} shard snapshot(s))",
-                path.display(),
-                oracle.num_shards()
-            );
-        }
-        psh_graph::view::drain_arena_pool();
-        return (ServedOracle::Sharded { oracle, parts }, false, secs);
-    }
-    let (oracle, meta, loaded, secs) = obtain_oracle(prog, seed);
-    (
-        ServedOracle::Monolithic {
-            oracle: Arc::new(oracle),
-            meta,
-        },
-        loaded,
-        secs,
-    )
 }
 
 /// Parse `--snapshot-version {1,2}` — the format `obtain_oracle` *saves*

@@ -47,20 +47,6 @@ pub enum PshError {
     /// [`crate::hopset::WeightClassDecomposition`] first, or opt out with
     /// `allow_large_weights(true)`.
     WeightRangeTooLarge { ratio: f64, bound: f64 },
-    /// A sharded oracle needs at least one shard.
-    InvalidShardCount { shards: usize },
-    /// A component handed to [`crate::shard::ShardedOracle::assemble`]
-    /// does not match the plan's shape (shard count, per-shard vertex
-    /// count, overlay vertex count, epoch-vector length).
-    ShardShapeMismatch {
-        what: &'static str,
-        expected: usize,
-        found: usize,
-    },
-    /// The overlay was computed from a different per-shard epoch vector
-    /// than the shard oracles being stitched — a mixed-epoch stitch,
-    /// rejected at assembly so it can never serve an answer.
-    ShardEpochMismatch { expected: Vec<u64>, found: Vec<u64> },
 }
 
 impl fmt::Display for PshError {
@@ -105,26 +91,6 @@ impl fmt::Display for PshError {
                     f,
                     "weight ratio {ratio:.3e} exceeds the polynomial bound {bound:.3e}; \
                      apply the Appendix B weight-class decomposition first"
-                )
-            }
-            PshError::InvalidShardCount { shards } => {
-                write!(f, "shard count must be >= 1, got {shards}")
-            }
-            PshError::ShardShapeMismatch {
-                what,
-                expected,
-                found,
-            } => {
-                write!(
-                    f,
-                    "sharded assembly: {what} expected {expected}, got {found}"
-                )
-            }
-            PshError::ShardEpochMismatch { expected, found } => {
-                write!(
-                    f,
-                    "mixed-epoch stitch rejected: shard epochs are {expected:?} \
-                     but the overlay was built from {found:?}"
                 )
             }
         }

@@ -31,12 +31,10 @@
 //! and is deterministic given an RNG seed.
 
 pub mod api;
-pub mod distance;
 pub mod error;
 pub mod hopset;
 pub mod oracle;
 pub mod service;
-pub mod shard;
 pub mod snapshot;
 pub mod spanner;
 
@@ -44,13 +42,8 @@ pub use api::{
     HopsetArtifact, HopsetBuilder, HopsetKind, OracleBuilder, OracleMode, Run, Seed,
     SpannerBuilder, SpannerKind,
 };
-pub use distance::{DistanceOracle, OracleDescriptor};
 pub use error::PshError;
 pub use hopset::{Hopset, HopsetParams};
 pub use oracle::ApproxShortestPaths;
 pub use service::{CacheConfig, OracleService, ServiceConfig, ServiceStats};
-pub use shard::{
-    OverlayPart, ShardPlan, ShardedOracle, ShardedOracleBuilder, ShardedParts, ShardedReloadReport,
-    ShardedReloader,
-};
 pub use spanner::Spanner;

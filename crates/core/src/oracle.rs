@@ -410,7 +410,11 @@ impl ApproxShortestPaths {
     /// [`ExecutionPolicy`] (the pool's determinism contract); the returned
     /// [`Cost`] composes the per-pair costs in parallel — work is the
     /// *sum* over all pairs, depth the maximum — and is likewise identical
-    /// for every policy. Out-of-range vertex ids panic, exactly as
+    /// for every policy. Every answer is a sound upper bound on the exact
+    /// `s`–`t` distance (`upper_bound` is always `true`). An oracle never
+    /// changes after construction; serving replaces it only as a whole
+    /// `Arc` (see [`crate::service::OracleService::swap_oracle`]).
+    /// Out-of-range vertex ids panic, exactly as
     /// [`ApproxShortestPaths::query`] does; validate untrusted workloads
     /// against [`CsrGraph::n`] first.
     pub fn query_batch(

@@ -1,15 +1,26 @@
 //! Concurrent query serving: many clients, one shared oracle.
 //!
-//! Every [`DistanceOracle`] — the monolithic [`ApproxShortestPaths`], the
-//! partitioned [`crate::shard::ShardedOracle`] — is immutable after
-//! preprocessing, so any number of threads may query it simultaneously;
-//! but a thread-per-query free-for-all wastes the batch fan-out that
-//! [`DistanceOracle::query_batch`] already provides. [`OracleService`]
-//! closes that gap with an **admission queue**: concurrently-arriving
-//! queries are coalesced into batches and served together through
-//! `query_batch` on the psh-exec pool. The service holds its oracle as an
-//! `Arc<dyn DistanceOracle>`, so one serving stack (this type, the
-//! `psh-net` wire tier, the bins) covers every oracle shape.
+//! An [`ApproxShortestPaths`] is immutable after preprocessing, so any
+//! number of threads may query it simultaneously; but a thread-per-query
+//! free-for-all wastes the batch fan-out that
+//! [`ApproxShortestPaths::query_batch`] already provides.
+//! [`OracleService`] closes that gap with an **admission queue**:
+//! concurrently-arriving queries are coalesced into batches and served
+//! together through `query_batch` on the psh-exec pool. The service holds
+//! its oracle as an `Arc<ApproxShortestPaths>`; the `psh-net` wire tier
+//! and the bins serve through it.
+//!
+//! The service relies on three properties of the oracle it holds:
+//!
+//! * **Soundness** — every answer is an upper bound on the exact `s`–`t`
+//!   distance of the served graph (`QueryResult::upper_bound` is always
+//!   `true`).
+//! * **Determinism** — answers *and costs* are byte-identical for every
+//!   [`ExecutionPolicy`] and thread count, and `query_batch` returns
+//!   exactly the per-pair `query` answers in input order.
+//! * **Immutability** — an oracle never changes after construction; a hot
+//!   swap replaces the whole `Arc` ([`OracleService::swap_oracle`]), which
+//!   is what makes a batch's answers attributable to one epoch.
 //!
 //! ## The leader–follower protocol
 //!
@@ -25,7 +36,7 @@
 //!
 //! Batch boundaries therefore depend on arrival timing — but **answers do
 //! not**: `query_batch` maps every pair independently through
-//! [`DistanceOracle::query`], so each answer is byte-identical to a
+//! [`ApproxShortestPaths::query`], so each answer is byte-identical to a
 //! single-threaded `query(s, t)` no matter how requests were coalesced,
 //! which thread served them, or which [`ExecutionPolicy`] fanned the batch
 //! out (the `service_stress` integration suite pins this at 32 client
@@ -106,7 +117,6 @@
 //! assert_eq!(stats.served, 2);
 //! ```
 
-use crate::distance::DistanceOracle;
 use crate::hopset::weighted::{EstimateBand, WeightedHopsets};
 use crate::hopset::{Hopset, HopsetParams};
 use crate::oracle::{ApproxShortestPaths, QueryResult};
@@ -298,7 +308,7 @@ struct Shared {
     /// The oracle answering the current epoch's batches. Swapped whole
     /// by [`OracleService::swap_oracle`]; leaders clone the `Arc` (and
     /// record the epoch) at drain time, so a swap never tears a batch.
-    oracle: Arc<dyn DistanceOracle>,
+    oracle: Arc<ApproxShortestPaths>,
     /// Bumped by every swap. Answers are attributed to the epoch whose
     /// oracle computed them.
     epoch: u64,
@@ -331,7 +341,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(oracle: Arc<dyn DistanceOracle>, cache_slots: usize) -> Shared {
+    fn new(oracle: Arc<ApproxShortestPaths>, cache_slots: usize) -> Shared {
         Shared {
             oracle,
             epoch: 0,
@@ -381,7 +391,7 @@ pub struct OracleService {
 impl std::fmt::Debug for OracleService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OracleService")
-            .field("oracle", &self.oracle().descriptor())
+            .field("oracle", &self.oracle())
             .field("epoch", &self.epoch())
             .field("config", &self.config)
             .finish_non_exhaustive()
@@ -389,16 +399,14 @@ impl std::fmt::Debug for OracleService {
 }
 
 impl OracleService {
-    /// Wrap a preprocessed oracle — any [`DistanceOracle`] shape — for
-    /// concurrent serving. This is the one way to stand up a serving
-    /// stack; everything above it (wire tier, bins) is oracle-agnostic.
-    pub fn new<O: DistanceOracle + 'static>(oracle: O, config: ServiceConfig) -> OracleService {
+    /// Wrap a preprocessed oracle for concurrent serving.
+    pub fn new(oracle: ApproxShortestPaths, config: ServiceConfig) -> OracleService {
         OracleService::from_arc(Arc::new(oracle), config)
     }
 
     /// Wrap an oracle that is already shared (e.g. also referenced by a
     /// snapshot writer or a second service with a different policy).
-    pub fn from_arc(oracle: Arc<dyn DistanceOracle>, config: ServiceConfig) -> OracleService {
+    pub fn from_arc(oracle: Arc<ApproxShortestPaths>, config: ServiceConfig) -> OracleService {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
         if let Some(cache) = &config.cache {
             assert!(cache.capacity >= 1, "cache capacity must be at least 1");
@@ -414,7 +422,7 @@ impl OracleService {
     /// The oracle answering the current epoch. The returned handle stays
     /// valid (and keeps answering consistently) even if the service swaps
     /// to a newer oracle afterwards — it just stops being "current".
-    pub fn oracle(&self) -> Arc<dyn DistanceOracle> {
+    pub fn oracle(&self) -> Arc<ApproxShortestPaths> {
         Arc::clone(&self.shared.lock().unwrap().oracle)
     }
 
@@ -434,7 +442,7 @@ impl OracleService {
     /// on the oracle it captured and skips cache publication. The answer
     /// cache is flushed here — see the module docs for why that rule is
     /// mandatory. Returns the new epoch.
-    pub fn swap_oracle(&self, oracle: Arc<dyn DistanceOracle>) -> u64 {
+    pub fn swap_oracle(&self, oracle: Arc<ApproxShortestPaths>) -> u64 {
         let mut sh = self.shared.lock().unwrap();
         sh.oracle = oracle;
         sh.epoch += 1;
@@ -783,12 +791,6 @@ const _: () = {
     // between the rebuild thread and the serving threads
     assert_send_sync::<psh_graph::GraphDelta>();
     assert_send_sync::<Arc<ApproxShortestPaths>>();
-    // the trait-object serving surface and the sharded implementation
-    assert_send_sync::<Arc<dyn DistanceOracle>>();
-    assert_send_sync::<crate::distance::OracleDescriptor>();
-    assert_send_sync::<crate::shard::ShardPlan>();
-    assert_send_sync::<crate::shard::ShardedOracle>();
-    assert_send_sync::<Arc<crate::shard::ShardedOracle>>();
 };
 
 #[cfg(test)]

@@ -73,18 +73,12 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 pub mod journal;
-pub mod manifest;
 pub mod v2;
 
 pub use journal::{
     append_journal, apply_deltas, compact_oracle, journal_path, load_journal, owned_base_graph,
     read_journal, rebuild_oracle, CompactReport, JournalReloader, ReloadReport, JOURNAL_MAGIC,
     JOURNAL_VERSION,
-};
-pub use manifest::{
-    compact_sharded, inspect_sharded, is_sharded_manifest, load_sharded, save_sharded,
-    ShardCompact, ShardInspectRow, ShardedCompactReport, ShardedInspect, MANIFEST_MAGIC,
-    MANIFEST_VERSION,
 };
 pub use psh_graph::io::SnapshotError;
 pub use psh_graph::Verify;

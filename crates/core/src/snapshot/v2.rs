@@ -1121,9 +1121,18 @@ mod tests {
         assert!(!via_auto.is_mapped());
         let (via_auto, _) = load_oracle_auto(&v2_path, LoadMode::Mmap).unwrap();
         assert!(via_auto.is_mapped());
+        // ... and refuses a file with any other magic, such as a `PSHM`
+        // sharded manifest left behind by older builds
+        let pshm_path = dir.join("psh_v2_unit_migrate.pshm");
+        std::fs::write(&pshm_path, b"PSHM\x01\x00\x00\x00\x04\x00\x00\x00").unwrap();
+        assert!(matches!(
+            load_oracle_auto(&pshm_path, LoadMode::Mmap),
+            Err(SnapshotError::BadMagic { found }) if found == *b"PSHM"
+        ));
 
         std::fs::remove_file(&v1_path).ok();
         std::fs::remove_file(&v2_path).ok();
+        std::fs::remove_file(&pshm_path).ok();
     }
 
     #[test]

@@ -38,8 +38,7 @@
 //!   arenas, so Algorithm 4's recursion never materializes a `CsrGraph`
 //!   per cluster per level.
 //! * [`subgraph`] — the materializing split (per-cluster owned
-//!   subgraphs), for callers that need owned children, such as the shard
-//!   planner.
+//!   subgraphs): the reference the arena split is tested against.
 //!
 //! All traversals are instrumented with the [`psh_pram::Cost`] work/depth
 //! model: work counts edge scans / relaxations, depth counts synchronous

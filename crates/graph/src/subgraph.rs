@@ -13,8 +13,8 @@
 //!   children come back as borrowed [`crate::view::CsrView`]s over one
 //!   reused arena, with no per-child allocation.
 //! * [`split_by_labels`] (here) — children are owned [`CsrGraph`]s that
-//!   outlive the parent. The shard planner uses it, and the `view` tests
-//!   compare the arena path against it.
+//!   outlive the parent. It is the reference the `view` tests compare
+//!   the arena path against.
 
 use crate::csr::{CsrGraph, Edge, VertexId};
 use crate::view::GraphView;

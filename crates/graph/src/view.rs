@@ -12,7 +12,8 @@
 //!   clustering race, the spanner selection, and the hopset recursion are
 //!   generic over: vertex/edge counts, degrees, neighbor iteration (with
 //!   weights and canonical edge ids), and canonical edge access. It is
-//!   the seam future storage backends (sharded, mmap-backed) plug into.
+//!   the seam storage backends plug into, such as the mmap-backed and
+//!   delta-compressed snapshot views.
 //! * [`CsrView`] is a borrowed CSR graph — five slices into someone
 //!   else's storage. It is `Copy`, costs nothing to hand to a recursive
 //!   call, and iterates exactly like the [`CsrGraph`] it was carved from

@@ -49,10 +49,12 @@ use crate::protocol::{
 };
 use psh_core::service::OracleService;
 use psh_core::snapshot::ReloadReport;
+use std::any::Any;
 use std::io::{BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -151,6 +153,12 @@ struct Counters {
 /// requests serialize: at most one rebuild is in flight at a time, and
 /// queries keep flowing on the current epoch throughout. Typically a
 /// [`psh_core::snapshot::JournalReloader`] wrapped in a closure.
+///
+/// A hook that returns `Err` or panics answers that request with
+/// [`ERR_RELOAD_FAILED`] (a panic's message included); the connection
+/// stays open and the same hook is called again on the next reload.
+/// `JournalReloader::poll` changes its state only after a completed
+/// swap, so retrying it is safe.
 pub type ReloadHook = Box<dyn FnMut() -> Result<Option<ReloadReport>, String> + Send>;
 
 struct Shared {
@@ -193,7 +201,30 @@ impl Shared {
     /// Forget connection `id`'s registered socket clone (its serving
     /// thread is done; the clone must not keep the peer's socket alive).
     fn deregister(&self, id: u64) {
-        self.conns.lock().unwrap().retain(|(cid, _)| *cid != id);
+        self.conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain(|(cid, _)| *cid != id);
+    }
+}
+
+/// Ends one connection when its serving thread exits, whether
+/// `serve_connection` returned or unwound: a panic there must not leave
+/// the socket open or the slot counted against `max_conns`.
+struct ConnCleanup<'a> {
+    stream: &'a TcpStream,
+    shared: &'a Shared,
+    id: u64,
+}
+
+impl Drop for ConnCleanup<'_> {
+    fn drop(&mut self) {
+        // close the underlying socket, not just this handle: the
+        // registered clone would otherwise hold the connection open and
+        // the peer would never observe the drop
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.shared.deregister(self.id);
+        self.shared.active_conns.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -390,13 +421,12 @@ fn accept_loop(
         let handle = std::thread::Builder::new()
             .name("psh-net-conn".into())
             .spawn(move || {
+                let _cleanup = ConnCleanup {
+                    stream: &stream,
+                    shared: &conn_shared,
+                    id: conn_id,
+                };
                 serve_connection(&stream, &conn_shared);
-                // close the underlying socket, not just this handle: the
-                // registered clone would otherwise hold the connection
-                // open and the peer would never observe the drop
-                let _ = stream.shutdown(Shutdown::Both);
-                conn_shared.deregister(conn_id);
-                conn_shared.active_conns.fetch_sub(1, Ordering::Relaxed);
             })
             .expect("spawn connection thread");
         // reap finished serving threads so a long-lived server doesn't
@@ -487,11 +517,11 @@ fn serve_connection(stream: &TcpStream, shared: &Shared) {
 
         match request {
             Request::Info => {
-                let desc = shared.service.oracle().descriptor();
+                let oracle = shared.service.oracle();
                 let info = ServerInfo {
-                    n: desc.n as u64,
-                    m: desc.m as u64,
-                    hopset: desc.hopset_edges as u64,
+                    n: oracle.graph().n() as u64,
+                    m: oracle.graph().m() as u64,
+                    hopset: oracle.hopset_size() as u64,
                     seed: shared.config.seed,
                 };
                 if !send(&mut writer, &Response::Info(info)) {
@@ -545,7 +575,8 @@ fn serve_connection(stream: &TcpStream, shared: &Shared) {
 /// by its mutex — concurrent reload requests queue, queries do not) and
 /// report the outcome. A missing hook or a failed reload is a typed
 /// error frame and the connection stays open; only a dead socket closes
-/// it (returns false).
+/// it (returns false). A panicking hook is caught while the mutex is
+/// held, so the mutex is not poisoned and later reloads still run.
 fn serve_reload(
     shared: &Shared,
     writer: &mut BufWriter<&TcpStream>,
@@ -558,7 +589,13 @@ fn serve_reload(
                 ERR_NO_RELOAD,
                 "server has no reload source (start it with --watch-journal)".to_string(),
             )),
-            Some(h) => h().map_err(|msg| (ERR_RELOAD_FAILED, msg)),
+            Some(h) => match catch_unwind(AssertUnwindSafe(h)) {
+                Ok(result) => result.map_err(|msg| (ERR_RELOAD_FAILED, msg)),
+                Err(panic) => Err((
+                    ERR_RELOAD_FAILED,
+                    format!("reload hook panicked: {}", panic_message(&*panic)),
+                )),
+            },
         }
     };
     let resp = match outcome {
@@ -572,19 +609,31 @@ fn serve_reload(
         }),
         Ok(None) => {
             // nothing new: report the epoch and shape still being served
-            let desc = shared.service.oracle().descriptor();
+            let oracle = shared.service.oracle();
             Response::Reloaded(ReloadSummary {
                 swapped: false,
                 epoch: shared.service.epoch(),
                 records: 0,
                 ops: 0,
-                n: desc.n as u64,
-                m: desc.m as u64,
+                n: oracle.graph().n() as u64,
+                m: oracle.graph().m() as u64,
             })
         }
         Err((code, message)) => Response::Error { code, message },
     };
     send(writer, &resp)
+}
+
+/// The text of a caught panic payload (`panic!` with a literal or a
+/// formatted message); other payloads get a placeholder.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string panic payload"
+    }
 }
 
 /// Validate, admit, and answer one request's pairs. `stream_chunk:
@@ -610,7 +659,7 @@ fn serve_pairs(
     // out-of-range ids would panic inside the service's coalesced batch
     // (poisoning innocent co-batched requests), so they are rejected at
     // the door with a typed error — the connection stays usable.
-    let n = shared.service.oracle().descriptor().n as u64;
+    let n = shared.service.oracle().graph().n() as u64;
     if let Some(&(s, t)) = pairs
         .iter()
         .find(|&&(s, t)| u64::from(s) >= n || u64::from(t) >= n)

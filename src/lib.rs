@@ -57,14 +57,9 @@ pub mod prelude {
         OracleMode, PshError, Run, Seed, SpannerBuilder, SpannerKind,
     };
     pub use psh_cluster::{Clustering, ExponentialShifts};
-    pub use psh_core::distance::{DistanceOracle, OracleDescriptor};
     pub use psh_core::hopset::{Hopset, HopsetParams, WeightClassDecomposition};
     pub use psh_core::oracle::{ApproxShortestPaths, QueryResult};
     pub use psh_core::service::{OracleService, ServiceConfig, ServiceStats};
-    pub use psh_core::shard::{
-        OverlayPart, ShardPlan, ShardedOracle, ShardedOracleBuilder, ShardedParts,
-        ShardedReloadReport, ShardedReloader,
-    };
     pub use psh_core::snapshot::{self, OracleMeta, SnapshotError};
     pub use psh_core::spanner::Spanner;
     pub use psh_exec::{ExecutionPolicy, Executor};

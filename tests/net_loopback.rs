@@ -204,7 +204,7 @@ fn out_of_range_ids_get_a_typed_error_and_the_connection_survives() {
         ExecutionPolicy::Sequential,
         ServerConfig::default(),
     );
-    let n = server.service().oracle().descriptor().n as u32;
+    let n = server.service().oracle().graph().n() as u32;
     let mut client = NetClient::connect(server.local_addr()).expect("connect");
 
     match client.query(n, 0) {
@@ -472,4 +472,57 @@ fn reload_without_a_hook_is_a_typed_error_and_keeps_the_connection() {
     }
     // the connection is still usable afterwards
     client.query(0, 5).expect("connection survived the error");
+}
+
+/// A reload hook that panics is answered with a typed error, keeps the
+/// connection serving, and leaves no connection slot or socket behind:
+/// with `max_conns: 2`, three sequential connections all get through,
+/// each one's slot is freed after it closes, and a fresh connection is
+/// served at the end.
+#[test]
+fn a_panicking_reload_hook_is_a_typed_error_and_frees_its_connection() {
+    use psh::net::protocol::ERR_RELOAD_FAILED;
+    let server = bind(
+        build_oracle(false, 9),
+        ExecutionPolicy::Sequential,
+        ServerConfig {
+            max_conns: 2,
+            ..ServerConfig::default()
+        },
+    );
+    server.set_reload_hook(Box::new(|| panic!("journal source exploded")));
+    for round in 0..3 {
+        let mut client = NetClient::connect(server.local_addr()).expect("connect");
+        // a server that wedges on the panic must fail the test, not hang it
+        client
+            .set_timeouts(Some(Duration::from_secs(5)), Some(Duration::from_secs(5)))
+            .expect("set timeouts");
+        match client.reload() {
+            Err(ProtocolError::Remote { code, message }) => {
+                assert_eq!(code, ERR_RELOAD_FAILED, "round {round}");
+                assert!(
+                    message.contains("journal source exploded"),
+                    "round {round}: the panic message is reported, got {message:?}"
+                );
+            }
+            other => panic!("round {round}: expected ERR_RELOAD_FAILED, got {other:?}"),
+        }
+        client
+            .query(0, 5)
+            .unwrap_or_else(|e| panic!("round {round}: connection survived the panic: {e}"));
+        drop(client);
+        // the slot frees once the server's connection thread has seen
+        // the close, shortly after the drop rather than at once
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while server.stats().active_conns > 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "round {round}: closed connection still counted: {:?}",
+                server.stats()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    let mut fresh = NetClient::connect(server.local_addr()).expect("connect");
+    fresh.query(0, 5).expect("a fresh connection is served");
 }

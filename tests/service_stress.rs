@@ -118,10 +118,8 @@ fn thirty_two_clients_serve_byte_identically() {
 
         let shared = Arc::new(oracle);
         for policy in service_policies() {
-            let service = OracleService::from_arc(
-                Arc::clone(&shared) as Arc<dyn DistanceOracle>,
-                ServiceConfig::with_policy(policy),
-            );
+            let service =
+                OracleService::from_arc(Arc::clone(&shared), ServiceConfig::with_policy(policy));
             let answers = hammer(&service, &pairs);
             assert_eq!(
                 answers, reference,
@@ -193,7 +191,7 @@ fn tiny_batch_cap_under_contention_is_still_identical() {
     let shared = Arc::new(oracle);
     for policy in service_policies() {
         let service = OracleService::from_arc(
-            Arc::clone(&shared) as Arc<dyn DistanceOracle>,
+            Arc::clone(&shared),
             ServiceConfig {
                 policy,
                 max_batch: 3,
@@ -272,7 +270,7 @@ fn swap_storm_attributes_every_answer_to_a_valid_epoch() {
         // the cache is on so the storm also exercises flush-on-swap:
         // a stale hit would surface as a byte mismatch below
         let service = OracleService::from_arc(
-            Arc::clone(&oracles[0]) as Arc<dyn DistanceOracle>,
+            Arc::clone(&oracles[0]),
             ServiceConfig {
                 policy,
                 max_batch: 64,
@@ -327,7 +325,7 @@ fn swap_storm_attributes_every_answer_to_a_valid_epoch() {
             // the swap storm, riding on the main thread
             for (e, oracle) in oracles.iter().enumerate().skip(1) {
                 std::thread::sleep(Duration::from_millis(5));
-                let entered = service.swap_oracle(Arc::clone(oracle) as Arc<dyn DistanceOracle>);
+                let entered = service.swap_oracle(Arc::clone(oracle));
                 assert_eq!(entered, e as u64, "epochs must advance by one per swap");
             }
             done.store(true, Ordering::SeqCst);
@@ -352,11 +350,11 @@ fn two_services_one_oracle_agree() {
     let pairs = workload(shared.graph().n(), 192, 23);
     let reference: Vec<QueryResult> = pairs.iter().map(|&(s, t)| shared.query(s, t).0).collect();
     let seq = OracleService::from_arc(
-        Arc::clone(&shared) as Arc<dyn DistanceOracle>,
+        Arc::clone(&shared),
         ServiceConfig::with_policy(ExecutionPolicy::Sequential),
     );
     let par = OracleService::from_arc(
-        Arc::clone(&shared) as Arc<dyn DistanceOracle>,
+        Arc::clone(&shared),
         ServiceConfig::with_policy(ExecutionPolicy::Parallel { threads: 4 }),
     );
     std::thread::scope(|scope| {
