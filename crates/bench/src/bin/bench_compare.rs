@@ -16,9 +16,14 @@
 //! recognized metric) and each metric is compared:
 //!
 //! * columns named `qps`/`*speedup*` are **higher-is-better** — a drop
-//!   below `baseline × (1 − noise)` is beyond the band;
+//!   below `baseline × (1 − noise)` is beyond the band — except
+//!   `offered qps`, the open-loop input rate, which is a key;
 //! * columns ending in `(s)` or `(ms)` are **lower-is-better** — a rise
 //!   above `baseline × (1 + noise)` is beyond the band;
+//! * the observed columns — `peak bytes`, `batches`, `largest`,
+//!   `coalesced`, `hits` and `behind` — record what a run saw, not what
+//!   it was asked to run, so they move between runs of one binary; each
+//!   has a direction (`OBSERVED`) and is compared as a metric;
 //! * every other column is part of the join key.
 //!
 //! ## What actually fails the gate
@@ -30,9 +35,8 @@
 //! every run. So cells are split into two classes:
 //!
 //! * **informational** — tail percentiles (`p99`, `p999`), ratio
-//!   columns (`*speedup*`), and `qps rebuild` (its sampling window is
-//!   the rebuild duration itself, which legitimately shrinks when
-//!   builds speed up). Reported when beyond the band, never fatal.
+//!   columns (`*speedup*`), and the observed columns. Reported when
+//!   beyond the band, never fatal.
 //! * **gated** — everything else (`qps`, `p50`, absolute timings).
 //!   Beyond the band they count as violations; the gate fails when a
 //!   violation is **severe** (a single cell worse than the `--severe`
@@ -75,10 +79,34 @@ enum Direction {
     LowerIsBetter,
 }
 
+/// Columns that record what a run observed rather than what it was
+/// asked to run, with the direction a note reports against. They differ
+/// between runs of one binary, so as join keys they would leave rows
+/// unjoined; they are informational metrics instead.
+const OBSERVED: [(&str, Direction); 6] = [
+    ("peak bytes", Direction::LowerIsBetter),
+    ("batches", Direction::LowerIsBetter),
+    ("largest", Direction::HigherIsBetter),
+    ("coalesced", Direction::HigherIsBetter),
+    ("hits", Direction::HigherIsBetter),
+    ("behind", Direction::LowerIsBetter),
+];
+
+fn observed(column: &str) -> Option<Direction> {
+    OBSERVED
+        .iter()
+        .find(|(name, _)| *name == column)
+        .map(|&(_, dir)| dir)
+}
+
 /// Classify a column header: a metric with a direction, or a join key.
 fn direction(column: &str) -> Option<Direction> {
     let c = column.to_ascii_lowercase();
-    if c.contains("qps") || c.contains("speedup") {
+    if let Some(dir) = observed(&c) {
+        Some(dir)
+    } else if c == "offered qps" {
+        None
+    } else if c.contains("qps") || c.contains("speedup") {
         Some(Direction::HigherIsBetter)
     } else if c.ends_with("(s)") || c.ends_with("(ms)") {
         Some(Direction::LowerIsBetter)
@@ -88,17 +116,12 @@ fn direction(column: &str) -> Option<Direction> {
 }
 
 /// True when a metric participates in the pass/fail decision. Tail
-/// percentiles and measurement ratios are reported but never gate: their
-/// single-run variance is larger than any band worth alerting on.
+/// percentiles, measurement ratios and observed columns are reported but
+/// never gate: their single-run variance is larger than any band worth
+/// alerting on.
 fn gates(column: &str) -> bool {
     let c = column.to_ascii_lowercase();
-    // `qps rebuild` counts queries completed inside the rebuild window,
-    // and that window is itself a measured quantity: when builds get
-    // faster the window shrinks below one batch completion and the cell
-    // honestly reads 0. A shrinking denominator is not an independent
-    // regression signal, so the cell is informational; `rebuild (s)`
-    // and `swap (ms)` stay gated.
-    !(c.contains("p99") || c.contains("speedup") || c == "qps rebuild")
+    !(c.contains("p99") || c.contains("speedup") || observed(&c).is_some())
 }
 
 /// Parse a table cell as a number (the writer's `fmt_u` inserts
@@ -362,4 +385,69 @@ fn main() {
         std::process::exit(1);
     }
     println!("OK: no severe or systemic regression");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(json: &str) -> JsonValue {
+        JsonValue::parse(json).unwrap()
+    }
+
+    #[test]
+    fn decompose_keys_rows_on_what_a_run_was_asked_to_run() {
+        // two runs of one binary: same scenario, different observations
+        let a = row(
+            r#"{"family":"gnp","weights":"weighted","build (s)":"0.41","work":"1,234","peak bytes":"288,188"}"#,
+        );
+        let b = row(
+            r#"{"family":"gnp","weights":"weighted","build (s)":"0.39","work":"1,234","peak bytes":"297,228"}"#,
+        );
+        let (a, b) = (decompose(&a).unwrap(), decompose(&b).unwrap());
+        assert_eq!(a.key, b.key);
+        assert_eq!(a.key, "family=gnp|weights=weighted|work=1,234|");
+        assert_eq!(
+            a.metrics,
+            [
+                ("build (s)", Direction::LowerIsBetter, 0.41),
+                ("peak bytes", Direction::LowerIsBetter, 288188.0),
+            ]
+        );
+        for (column, _) in OBSERVED {
+            assert!(direction(column).is_some(), "{column}");
+            assert!(!gates(column), "{column}");
+        }
+        assert!(gates("build (s)") && gates("qps") && gates("p50 (ms)"));
+
+        let serve = row(
+            r#"{"policy":"seq","clients":"8","qps":"900.5","batches":"70","largest":"8","identical":"yes"}"#,
+        );
+        let serve = decompose(&serve).unwrap();
+        assert_eq!(serve.key, "policy=seq|clients=8|identical=yes|");
+        assert_eq!(
+            serve.metrics,
+            [
+                ("qps", Direction::HigherIsBetter, 900.5),
+                ("batches", Direction::LowerIsBetter, 70.0),
+                ("largest", Direction::HigherIsBetter, 8.0),
+            ]
+        );
+
+        // the open-loop input rate is a key, the achieved rate a metric
+        let r = row(
+            r#"{"offered qps":"4,000.00","arrivals":"400","behind":"3","achieved qps":"3,950.10"}"#,
+        );
+        let r = decompose(&r).unwrap();
+        assert_eq!(r.key, "offered qps=4,000.00|arrivals=400|");
+        assert_eq!(
+            r.metrics,
+            [
+                ("behind", Direction::LowerIsBetter, 3.0),
+                ("achieved qps", Direction::HigherIsBetter, 3950.1),
+            ]
+        );
+        assert!(!gates("behind"));
+        assert!(gates("achieved qps"));
+    }
 }

@@ -42,20 +42,15 @@
 //!   policies with 8 client threads hammering the service without pause
 //!   while the main thread first idles (a 200 ms steady window), then
 //!   rebuilds an oracle for a one-edge mutation of the graph and swaps
-//!   it in via [`psh_core::service::OracleService::swap_oracle`] — the
-//!   row records qps in both windows (the zero-downtime claim: serving
-//!   never stops during the rebuild), the rebuild wall-clock, the pause
-//!   the swap call itself imposes, the resulting epoch, and whether the
-//!   settled answers are byte-identical to the swapped-in oracle;
+//!   it in via [`psh_core::service::OracleService::swap_oracle`] while
+//!   the clients keep querying — the row records the steady-window qps,
+//!   the rebuild wall-clock, the pause the swap call itself imposes, the
+//!   resulting epoch, and whether the settled answers are
+//!   byte-identical to the swapped-in oracle;
 //! * **baseline head-to-head** per build: the oracle's `query_batch`
 //!   against exact per-pair Dijkstra on the same pairs (both
 //!   sequential), reporting both throughputs and the observed stretch
 //!   (max and mean of approx/exact over reachable pairs);
-//! * **compressed-adjacency cells** per build: the same oracle staged
-//!   as plain and delta-compressed v2 snapshots, reporting on-disk
-//!   bytes, resident adjacency-slab bytes, and mmap-served `query_batch`
-//!   qps for both encodings (answers gated byte-identical to the
-//!   reference either way);
 //! * **open-loop sweep**: one loopback wire server driven at a grid of
 //!   seeded Poisson offered-load rates (`psh-client --open-loop`
 //!   semantics, latency measured from each query's *scheduled* arrival
@@ -80,11 +75,11 @@
 //! weighting), a `serve` table (one row per in-process scenario cell),
 //! and a `serve_net` table (one row per wire cell). Rows are
 //! stringly-typed table cells; `meta` carries the numeric knobs. The
-//! `serve_net`, `load`, `serve_cached`, `swap`, `baselines`, `compress`,
-//! and `open_loop` tables are
-//! additive — documents keep `schema_version` 1, and `bench-compare`
-//! diffs two documents table-by-table (tables present in only one side
-//! are reported as added/removed, so old baselines stay comparable).
+//! `serve_net`, `load`, `serve_cached`, `swap`, `baselines` and
+//! `open_loop` tables are additive — documents keep `schema_version` 1,
+//! and `bench-compare` diffs two documents table-by-table (tables
+//! present in only one side are reported as added/removed, so old
+//! baselines stay comparable).
 
 use psh_bench::alloc::{live_bytes, peak_above, reset_peak, CountingAlloc};
 use psh_bench::json::{has_flag, parse_flag};
@@ -95,8 +90,7 @@ use psh_core::api::{OracleBuilder, Seed};
 use psh_core::oracle::{ApproxShortestPaths, QueryResult};
 use psh_core::service::{CacheConfig, OracleService, ServiceConfig, ServiceStats};
 use psh_core::snapshot::{
-    inspect_v2, load_oracle, load_oracle_v2, read_oracle, save_oracle_v2, save_oracle_v2_with,
-    write_oracle, OracleMeta,
+    load_oracle, load_oracle_v2, read_oracle, save_oracle_v2, write_oracle, OracleMeta,
 };
 use psh_core::HopsetParams;
 use psh_exec::ExecutionPolicy;
@@ -307,14 +301,13 @@ fn measure_loads(
 }
 
 /// One hot-swap cell's measurements: client-observed throughput while
-/// the service is steady vs while a full oracle rebuild of the mutated
-/// graph runs on a sibling thread, the rebuild wall-clock, the pause the
+/// the service is steady, the wall-clock of a full oracle rebuild of the
+/// mutated graph (clients keep querying throughout), the pause the
 /// [`OracleService::swap_oracle`] call itself imposes, and whether the
 /// settled post-swap answers are byte-identical to a direct query of the
 /// swapped-in oracle.
 struct SwapCell {
     qps_steady: f64,
-    qps_rebuild: f64,
     rebuild_s: f64,
     swap_ms: f64,
     epoch: u64,
@@ -324,7 +317,7 @@ struct SwapCell {
 /// Hammer one shared service from `clients` threads without pause while
 /// the main thread first idles (the steady window), then rebuilds an
 /// oracle for the graph-plus-one-edge mutation and hot-swaps it in.
-/// Queries are attributed to whichever window they *complete* in; the
+/// Queries count toward the steady window if they *complete* in it; the
 /// swap pause is timed around the `swap_oracle` call alone.
 fn measure_swap(
     g: &CsrGraph,
@@ -353,60 +346,52 @@ fn measure_swap(
         Arc::clone(base),
         ServiceConfig::with_policy(policy),
     ));
-    // 0 = steady window, 1 = rebuild window, 2 = stop
+    // 0 = steady window, 1 = rebuild and swap, 2 = stop
     let phase = AtomicU64::new(0);
-    let counts = [AtomicU64::new(0), AtomicU64::new(0)];
-    let (steady_s, rebuild_window_s, rebuild_s, swap_ms, epoch, swapped) =
-        std::thread::scope(|scope| {
-            for k in 0..clients {
-                let (service, phase, counts) = (&service, &phase, &counts);
-                scope.spawn(move || {
-                    let mut i = k;
-                    loop {
-                        let (s, t) = pairs[i % pairs.len()];
-                        let _ = service.query(s, t);
-                        let ph = phase.load(Ordering::Acquire);
-                        if ph >= 2 {
-                            break;
-                        }
-                        counts[ph as usize].fetch_add(1, Ordering::Relaxed);
-                        i += clients;
+    let steady = AtomicU64::new(0);
+    let (steady_s, rebuild_s, swap_ms, epoch, swapped) = std::thread::scope(|scope| {
+        for k in 0..clients {
+            let (service, phase, steady) = (&service, &phase, &steady);
+            scope.spawn(move || {
+                let mut i = k;
+                loop {
+                    let (s, t) = pairs[i % pairs.len()];
+                    let _ = service.query(s, t);
+                    let ph = phase.load(Ordering::Acquire);
+                    if ph >= 2 {
+                        break;
                     }
-                });
-            }
-            let t0 = Instant::now();
-            std::thread::sleep(std::time::Duration::from_millis(200));
-            let steady_s = t0.elapsed().as_secs_f64();
-            phase.store(1, Ordering::Release);
-            let t1 = Instant::now();
-            let rebuilt = OracleBuilder::new()
-                .params(params)
-                .seed(Seed(gseed))
-                .build(&g2)
-                .unwrap_or_else(|e| die(format_args!("swap cell: rebuild failed: {e}")));
-            let rebuild_s = t1.elapsed().as_secs_f64();
-            let swapped = Arc::new(rebuilt.artifact);
-            let t2 = Instant::now();
-            let epoch = service.swap_oracle(Arc::clone(&swapped));
-            let swap_ms = t2.elapsed().as_secs_f64() * 1e3;
-            let rebuild_window_s = t1.elapsed().as_secs_f64();
-            phase.store(2, Ordering::Release);
-            (
-                steady_s,
-                rebuild_window_s,
-                rebuild_s,
-                swap_ms,
-                epoch,
-                swapped,
-            )
-        });
+                    if ph == 0 {
+                        steady.fetch_add(1, Ordering::Relaxed);
+                    }
+                    i += clients;
+                }
+            });
+        }
+        let t0 = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        let steady_s = t0.elapsed().as_secs_f64();
+        phase.store(1, Ordering::Release);
+        let t1 = Instant::now();
+        let rebuilt = OracleBuilder::new()
+            .params(params)
+            .seed(Seed(gseed))
+            .build(&g2)
+            .unwrap_or_else(|e| die(format_args!("swap cell: rebuild failed: {e}")));
+        let rebuild_s = t1.elapsed().as_secs_f64();
+        let swapped = Arc::new(rebuilt.artifact);
+        let t2 = Instant::now();
+        let epoch = service.swap_oracle(Arc::clone(&swapped));
+        let swap_ms = t2.elapsed().as_secs_f64() * 1e3;
+        phase.store(2, Ordering::Release);
+        (steady_s, rebuild_s, swap_ms, epoch, swapped)
+    });
 
     // settled: every answer must now come bitwise from the new oracle
     let settled = run_clients(&service, pairs, clients);
     let reference: Vec<QueryResult> = pairs.iter().map(|&(s, t)| swapped.query(s, t).0).collect();
     SwapCell {
-        qps_steady: counts[0].load(Ordering::Relaxed) as f64 / steady_s.max(1e-12),
-        qps_rebuild: counts[1].load(Ordering::Relaxed) as f64 / rebuild_window_s.max(1e-12),
+        qps_steady: steady.load(Ordering::Relaxed) as f64 / steady_s.max(1e-12),
         rebuild_s,
         swap_ms,
         epoch,
@@ -576,7 +561,6 @@ fn main() {
         "policy",
         "clients",
         "qps steady",
-        "qps rebuild",
         "rebuild (s)",
         "swap (ms)",
         "epoch",
@@ -590,17 +574,6 @@ fn main() {
         "speedup",
         "max stretch",
         "mean stretch",
-    ]);
-    let mut compress_table = Table::new([
-        "family",
-        "weights",
-        "disk plain",
-        "disk comp",
-        "adj plain",
-        "adj comp",
-        "plain qps",
-        "comp qps",
-        "identical",
     ]);
     let mut open_loop_table = Table::new([
         "offered qps",
@@ -809,78 +782,11 @@ fn main() {
                     policy.to_string(),
                     fmt_u(8),
                     fmt_f(cell.qps_steady),
-                    fmt_f(cell.qps_rebuild),
                     fmt_s(cell.rebuild_s),
                     fmt_s(cell.swap_ms),
                     fmt_u(cell.epoch),
                     if cell.identical { "yes" } else { "NO" }.to_string(),
                 ]);
-            }
-
-            // --- compressed-adjacency cells: disk, resident, and qps ------
-            {
-                let dir = std::env::temp_dir();
-                let pid = std::process::id();
-                let plain_path = dir.join(format!("psh_bench_{fname}_{wname}.{pid}.plain.snap"));
-                let comp_path = dir.join(format!("psh_bench_{fname}_{wname}.{pid}.comp.snap"));
-                save_oracle_v2(&plain_path, &fresh, &meta)
-                    .unwrap_or_else(|e| die(format_args!("{fname}/{wname}: stage plain v2: {e}")));
-                save_oracle_v2_with(&comp_path, &fresh, &meta, true)
-                    .unwrap_or_else(|e| die(format_args!("{fname}/{wname}: stage comp v2: {e}")));
-                let disk = |p: &Path| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
-                // resident adjacency structure: the slabs queries touch
-                // per neighbor visit (weights/edges are shared by both
-                // encodings, so they cancel out of the comparison)
-                let adjacency_bytes = |p: &Path| -> u64 {
-                    let bytes = std::fs::read(p)
-                        .unwrap_or_else(|e| die(format_args!("{fname}/{wname}: read staged: {e}")));
-                    inspect_v2(&bytes)
-                        .unwrap_or_else(|e| die(format_args!("{fname}/{wname}: inspect: {e}")))
-                        .sections
-                        .iter()
-                        .filter(|(_, name, ..)| {
-                            matches!(
-                                name.as_str(),
-                                "graph.targets"
-                                    | "graph.eids"
-                                    | "graph.comp_offsets"
-                                    | "graph.comp_data"
-                            )
-                        })
-                        .map(|s| s.3)
-                        .sum()
-                };
-                let serve_qps = |p: &Path| -> (f64, Vec<QueryResult>) {
-                    let (oracle, _) = load_oracle_v2(p, LoadMode::Mmap)
-                        .unwrap_or_else(|e| die(format_args!("{fname}/{wname}: mmap load: {e}")));
-                    let mut best = f64::INFINITY;
-                    let mut answers = Vec::new();
-                    for _ in 0..3 {
-                        let t0 = Instant::now();
-                        let (a, _) = oracle.query_batch(&pairs, ExecutionPolicy::Sequential);
-                        best = best.min(t0.elapsed().as_secs_f64());
-                        answers = a;
-                    }
-                    (pairs.len() as f64 / best.max(1e-12), answers)
-                };
-                let (plain_qps, plain_answers) = serve_qps(&plain_path);
-                let (comp_qps, comp_answers) = serve_qps(&comp_path);
-                let identical = plain_answers == reference && comp_answers == reference;
-                mismatches += usize::from(!identical);
-                cells += 1;
-                compress_table.row([
-                    fname.to_string(),
-                    wname.to_string(),
-                    fmt_u(disk(&plain_path)),
-                    fmt_u(disk(&comp_path)),
-                    fmt_u(adjacency_bytes(&plain_path)),
-                    fmt_u(adjacency_bytes(&comp_path)),
-                    fmt_f(plain_qps),
-                    fmt_f(comp_qps),
-                    if identical { "yes" } else { "NO" }.to_string(),
-                ]);
-                let _ = std::fs::remove_file(&plain_path);
-                let _ = std::fs::remove_file(&comp_path);
             }
 
             // --- exact-baseline head-to-head ------------------------------
@@ -1039,8 +945,6 @@ fn main() {
     swap_table.print();
     println!("\n## exact-baseline head-to-head (sequential)\n");
     baselines_table.print();
-    println!("\n## compressed adjacency (plain vs delta-gap v2 snapshots)\n");
-    compress_table.print();
     println!("\n## open-loop latency vs offered load (loopback TCP, sequential)\n");
     open_loop_table.print();
 
@@ -1061,7 +965,6 @@ fn main() {
     report.push_table("serve_cached", &cached_table);
     report.push_table("swap", &swap_table);
     report.push_table("baselines", &baselines_table);
-    report.push_table("compress", &compress_table);
     report.push_table("open_loop", &open_loop_table);
     report.finish();
 

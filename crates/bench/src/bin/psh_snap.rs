@@ -5,7 +5,6 @@
 //! ```text
 //! psh-snap inspect PATH            # version, kind, scalars, section map
 //! psh-snap migrate SRC DST         # re-encode any oracle snapshot as v2
-//! psh-snap migrate SRC DST --compress  # … with delta-compressed adjacency
 //! psh-snap journal PATH            # inspect PATH.journal (records, ops)
 //! psh-snap journal PATH --apply F  # append one record of edge updates
 //! psh-snap compact PATH            # fold PATH.journal into the base
@@ -28,19 +27,14 @@
 //! zero-copy v2 layout (or normalizes an existing v2 file); the logical
 //! content is preserved exactly — re-saving the migrated oracle as v1
 //! reproduces the original bytes, and `psh-serve`/`psh-server` answer
-//! byte-identically from either version. With `--compress` the output
-//! stores the adjacency as a varint delta-gap stream
-//! (`graph.comp_offsets`/`graph.comp_data` sections) instead of the
-//! plain target/edge-id slabs — smaller on disk and resident, still
-//! mmap-served, still answer-identical; migrate again without the flag
-//! to get the plain layout back, byte-for-byte.
+//! byte-identically from either version.
 //!
 //! Exits non-zero with a one-line error on unusable input; never panics
 //! on malformed files.
 
 use psh_core::snapshot::{
     append_journal, compact_oracle, inspect_v2, journal_path, load_journal, load_oracle,
-    migrate_oracle_file_with, snapshot_version, verify_oracle_v2, OracleSections,
+    migrate_oracle_file, snapshot_version, verify_oracle_v2, OracleSections,
 };
 use psh_graph::{DeltaOp, GraphDelta, LoadMode};
 
@@ -53,7 +47,7 @@ fn die(msg: impl std::fmt::Display) -> ! {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: {PROG} inspect PATH | {PROG} migrate SRC DST [--compress] | \
+        "usage: {PROG} inspect PATH | {PROG} migrate SRC DST | \
          {PROG} journal PATH [--apply OPSFILE] | {PROG} compact PATH"
     );
     std::process::exit(2);
@@ -246,18 +240,14 @@ fn main() {
             _ => usage(),
         },
         Some("migrate") => match (args.get(1), args.get(2)) {
-            (Some(src), Some(dst))
-                if args.len() == 3 || (args.len() == 4 && args[3] == "--compress") =>
-            {
-                let compress = args.len() == 4;
-                let (from, meta) = migrate_oracle_file_with(src, dst, compress)
+            (Some(src), Some(dst)) if args.len() == 3 => {
+                let (from, meta) = migrate_oracle_file(src, dst)
                     .unwrap_or_else(|e| die(format_args!("cannot migrate {src}: {e}")));
                 let src_len = std::fs::metadata(src).map(|m| m.len()).unwrap_or(0);
                 let dst_len = std::fs::metadata(dst).map(|m| m.len()).unwrap_or(0);
                 println!(
-                    "{src} (v{from}, {}) -> {dst} (v2{}, {}) | seed {} | build cost {}",
+                    "{src} (v{from}, {}) -> {dst} (v2, {}) | seed {} | build cost {}",
                     human(src_len),
-                    if compress { ", compressed" } else { "" },
                     human(dst_len),
                     meta.seed,
                     meta.build_cost

@@ -19,7 +19,9 @@
 //! what a fresh build or a v1 snapshot decode produces) or **mapped**
 //! (every slab borrowed straight out of a `SNAPSHOT_VERSION = 2` region
 //! opened through [`psh_graph::SnapshotSource`] — see
-//! [`crate::snapshot::load_oracle_v2`]). The two representations answer
+//! [`crate::snapshot::load_oracle_v2`]; the base graph and every weighted
+//! band are [`MmapView`]s sharing one set of offset, target and edge-id
+//! slabs). The two representations answer
 //! every query byte-identically, **costs included**, under every
 //! [`ExecutionPolicy`]: both route through the same generic hop-limited
 //! relaxation, and the mapped slabs are validated at load time to iterate
@@ -32,9 +34,7 @@ use crate::hopset::{Hopset, HopsetParams};
 use psh_exec::{ExecutionPolicy, Executor};
 use psh_graph::traversal::bellman_ford::{hop_limited_pair, hop_limited_pair_on};
 use psh_graph::traversal::dijkstra::dijkstra_pair;
-use psh_graph::{
-    CompressedMmapView, CsrGraph, Edge, ExtraSlabsView, GraphView, MmapView, VertexId, Weight, INF,
-};
+use psh_graph::{CsrGraph, Edge, ExtraSlabsView, GraphView, MmapView, VertexId, Weight, INF};
 use psh_pram::Cost;
 use rand::Rng;
 
@@ -78,29 +78,8 @@ pub(crate) enum Mode {
 /// [`psh_graph::SnapshotSource`] — the query-time face of a v2 snapshot.
 /// Constructed only by the v2 loader, which validates all slabs.
 pub(crate) struct MappedOracle {
-    pub(crate) graph: MappedGraph,
+    pub(crate) graph: MmapView,
     pub(crate) mode: MappedMode,
-}
-
-/// The adjacency representation a mapped oracle serves from: plain CSR
-/// slabs or the delta-compressed gap stream (see
-/// [`psh_graph::compress`]). Query paths match on this **once per
-/// call** and run the whole traversal on the concrete view — per-`next`
-/// enum dispatch inside relaxation loops costs real throughput, so the
-/// branch lives outside the loop.
-pub(crate) enum MappedGraph {
-    Plain(MmapView),
-    Compressed(CompressedMmapView),
-}
-
-impl MappedGraph {
-    #[inline]
-    pub(crate) fn edges(&self) -> &[Edge] {
-        match self {
-            MappedGraph::Plain(g) => g.edges(),
-            MappedGraph::Compressed(g) => g.edges(),
-        }
-    }
 }
 
 /// Hopset bookkeeping a mapped oracle carries verbatim (the counts the
@@ -161,7 +140,7 @@ pub(crate) struct MappedBand {
     pub(crate) d: u64,
     pub(crate) rounding: Rounding,
     pub(crate) h: usize,
-    pub(crate) graph: MappedGraph,
+    pub(crate) graph: MmapView,
     pub(crate) hopset: MappedHopset,
 }
 
@@ -174,9 +153,6 @@ pub enum OracleGraph<'a> {
     Owned(&'a CsrGraph),
     /// Borrowed from a mapped v2 snapshot.
     Mapped(&'a MmapView),
-    /// Borrowed from a mapped v2 snapshot with delta-compressed
-    /// adjacency.
-    MappedCompressed(&'a CompressedMmapView),
 }
 
 impl OracleGraph<'_> {
@@ -185,7 +161,6 @@ impl OracleGraph<'_> {
         match self {
             OracleGraph::Owned(g) => g.n(),
             OracleGraph::Mapped(g) => g.n(),
-            OracleGraph::MappedCompressed(g) => g.n(),
         }
     }
 
@@ -194,7 +169,6 @@ impl OracleGraph<'_> {
         match self {
             OracleGraph::Owned(g) => g.m(),
             OracleGraph::Mapped(g) => g.m(),
-            OracleGraph::MappedCompressed(g) => g.m(),
         }
     }
 
@@ -203,7 +177,6 @@ impl OracleGraph<'_> {
         match self {
             OracleGraph::Owned(g) => g.edges(),
             OracleGraph::Mapped(g) => g.edges(),
-            OracleGraph::MappedCompressed(g) => g.edges(),
         }
     }
 }
@@ -360,14 +333,8 @@ impl ApproxShortestPaths {
             },
             Repr::Mapped(m) => match &m.mode {
                 MappedMode::Unweighted { hopset, h_max } => {
-                    let (d, _, cost) = match &m.graph {
-                        MappedGraph::Plain(g) => {
-                            hop_limited_pair_on(g, Some(hopset.extra.view()), s, t, *h_max)
-                        }
-                        MappedGraph::Compressed(g) => {
-                            hop_limited_pair_on(g, Some(hopset.extra.view()), s, t, *h_max)
-                        }
-                    };
+                    let (d, _, cost) =
+                        hop_limited_pair_on(&m.graph, Some(hopset.extra.view()), s, t, *h_max);
                     (if d == INF { f64::INFINITY } else { d as f64 }, cost)
                 }
                 MappedMode::Weighted { bands, .. } => {
@@ -376,14 +343,13 @@ impl ApproxShortestPaths {
                     let mut best = f64::INFINITY;
                     let mut cost = Cost::ZERO;
                     for band in bands {
-                        let (d, _, c) = match &band.graph {
-                            MappedGraph::Plain(g) => {
-                                hop_limited_pair_on(g, Some(band.hopset.extra.view()), s, t, band.h)
-                            }
-                            MappedGraph::Compressed(g) => {
-                                hop_limited_pair_on(g, Some(band.hopset.extra.view()), s, t, band.h)
-                            }
-                        };
+                        let (d, _, c) = hop_limited_pair_on(
+                            &band.graph,
+                            Some(band.hopset.extra.view()),
+                            s,
+                            t,
+                            band.h,
+                        );
                         cost = cost.par(c);
                         if d != INF {
                             best = best.min(band.rounding.unround(d));
@@ -432,10 +398,7 @@ impl ApproxShortestPaths {
     pub fn query_exact(&self, s: VertexId, t: VertexId) -> Weight {
         match &self.repr {
             Repr::Owned { graph, .. } => dijkstra_pair(graph, s, t),
-            Repr::Mapped(m) => match &m.graph {
-                MappedGraph::Plain(g) => dijkstra_pair(g, s, t),
-                MappedGraph::Compressed(g) => dijkstra_pair(g, s, t),
-            },
+            Repr::Mapped(m) => dijkstra_pair(&m.graph, s, t),
         }
     }
 
@@ -459,10 +422,7 @@ impl ApproxShortestPaths {
     pub fn graph(&self) -> OracleGraph<'_> {
         match &self.repr {
             Repr::Owned { graph, .. } => OracleGraph::Owned(graph),
-            Repr::Mapped(m) => match &m.graph {
-                MappedGraph::Plain(g) => OracleGraph::Mapped(g),
-                MappedGraph::Compressed(g) => OracleGraph::MappedCompressed(g),
-            },
+            Repr::Mapped(m) => OracleGraph::Mapped(&m.graph),
         }
     }
 

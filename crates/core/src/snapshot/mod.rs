@@ -83,9 +83,9 @@ pub use journal::{
 pub use psh_graph::io::SnapshotError;
 pub use psh_graph::Verify;
 pub use v2::{
-    inspect_v2, load_oracle_auto, load_oracle_v2, migrate_oracle_file, migrate_oracle_file_with,
-    read_oracle_v2, save_oracle_v2, save_oracle_v2_with, section_name, snapshot_version,
-    verify_oracle_v2, write_oracle_v2_bytes, write_oracle_v2_bytes_with, OracleSections,
+    inspect_v2, load_oracle_auto, load_oracle_v2, migrate_oracle_file, read_oracle_v2,
+    save_oracle_v2, section_name, snapshot_version, verify_oracle_v2, write_oracle_v2_bytes,
+    OracleSections,
 };
 
 /// Provenance stored alongside an oracle: the parameters and seed that
@@ -243,7 +243,6 @@ pub fn write_oracle<W: Write>(
     match oracle.graph() {
         OracleGraph::Owned(g) => w.graph(g)?,
         OracleGraph::Mapped(g) => w.graph(g)?,
-        OracleGraph::MappedCompressed(g) => w.graph(g)?,
     }
     match oracle.mode_parts() {
         ModeParts::Unweighted { h_max, hopset } => {

@@ -52,25 +52,26 @@
 //! untampered file. Malformed input is a typed [`SnapshotError`] at
 //! either level, never a panic or out-of-bounds access — in-bounds
 //! tampering below `Deep`'s radar can change answers, never memory
-//! safety.
+//! safety. Every graph, hopset and band section above is required: a
+//! file without one (such as an older build's file that stored the base
+//! adjacency under the retired tags 12 and 13) is a
+//! [`SnapshotError::Corrupt`] naming the missing section.
 
 use crate::hopset::rounding::Rounding;
 use crate::hopset::HopsetParams;
 use crate::oracle::{
-    ApproxShortestPaths, HopsetParts, MappedBand, MappedEdges, MappedGraph, MappedHopset,
-    MappedMode, MappedOracle, ModeParts, Repr,
+    ApproxShortestPaths, HopsetParts, MappedBand, MappedEdges, MappedHopset, MappedMode,
+    MappedOracle, ModeParts, Repr,
 };
 use crate::snapshot::{load_oracle, OracleMeta};
 use crate::Seed;
-use psh_graph::compress::delta_compress_edges;
 use psh_graph::io::{SnapshotError, KIND_ORACLE, SNAPSHOT_MAGIC};
 use psh_graph::source::{
-    cast_edges, cast_u32s, cast_u64s, encode_csr_slabs, encode_extra_slabs, le_edges, le_u64s,
-    validate_edges_any_order, SectionTable, SectionWriter, SEC_GRAPH_COMP_DATA,
-    SEC_GRAPH_COMP_OFFSETS, SEC_GRAPH_EDGES, SEC_GRAPH_EIDS, SEC_GRAPH_OFFSETS, SEC_GRAPH_TARGETS,
-    SEC_GRAPH_WEIGHTS, SEC_META,
+    cast_edges, cast_u32s, cast_u64s, encode_csr_slabs, encode_extra_slabs, le_edges,
+    validate_edges_any_order, SectionTable, SectionWriter, SEC_GRAPH_EDGES, SEC_GRAPH_EIDS,
+    SEC_GRAPH_OFFSETS, SEC_GRAPH_TARGETS, SEC_GRAPH_WEIGHTS, SEC_META,
 };
-use psh_graph::{CompressedMmapView, ExtraSlabsView, LoadMode, MmapView, SnapshotSource, Verify};
+use psh_graph::{ExtraSlabsView, LoadMode, MmapView, SnapshotSource, Verify};
 use psh_pram::Cost;
 use std::path::Path;
 use std::sync::Arc;
@@ -283,25 +284,6 @@ pub fn write_oracle_v2_bytes(
     oracle: &ApproxShortestPaths,
     meta: &OracleMeta,
 ) -> Result<Vec<u8>, SnapshotError> {
-    write_oracle_v2_bytes_with(oracle, meta, false)
-}
-
-/// [`write_oracle_v2_bytes`] with an explicit adjacency encoding choice.
-///
-/// With `compress = false` the output is byte-identical to
-/// [`write_oracle_v2_bytes`]. With `compress = true` the base graph's
-/// sorted adjacency (targets + slot edge ids) is stored as one
-/// varint delta-gap stream plus per-vertex byte offsets
-/// ([`SEC_GRAPH_COMP_OFFSETS`]/[`SEC_GRAPH_COMP_DATA`]) instead of the
-/// plain [`SEC_GRAPH_TARGETS`]/[`SEC_GRAPH_EIDS`] slabs. Both encodings
-/// load to oracles with byte-identical answers; band weight slabs and
-/// edge records are unaffected (bands share the base adjacency
-/// structure either way).
-pub fn write_oracle_v2_bytes_with(
-    oracle: &ApproxShortestPaths,
-    meta: &OracleMeta,
-    compress: bool,
-) -> Result<Vec<u8>, SnapshotError> {
     let parts = oracle.mode_parts();
     if let ModeParts::Weighted { bands, .. } = &parts {
         if bands.len() > MAX_BANDS {
@@ -318,17 +300,9 @@ pub fn write_oracle_v2_bytes_with(
     let mut w = SectionWriter::new(KIND_ORACLE);
     w.section(SEC_META, write_meta(oracle, meta, &parts));
     w.section(SEC_GRAPH_OFFSETS, csr.offsets);
-    if compress {
-        let (byte_offsets, data) = delta_compress_edges(n, edges);
-        w.section(SEC_GRAPH_COMP_OFFSETS, le_u64s(&byte_offsets));
-        w.section(SEC_GRAPH_COMP_DATA, data);
-    } else {
-        w.section(SEC_GRAPH_TARGETS, csr.targets);
-    }
+    w.section(SEC_GRAPH_TARGETS, csr.targets);
     w.section(SEC_GRAPH_WEIGHTS, csr.weights);
-    if !compress {
-        w.section(SEC_GRAPH_EIDS, csr.slot_eids);
-    }
+    w.section(SEC_GRAPH_EIDS, csr.slot_eids);
     w.section(SEC_GRAPH_EDGES, csr.edges);
     match &parts {
         ModeParts::Unweighted { hopset, .. } => {
@@ -392,18 +366,7 @@ pub fn save_oracle_v2(
     oracle: &ApproxShortestPaths,
     meta: &OracleMeta,
 ) -> Result<(), SnapshotError> {
-    save_oracle_v2_with(path, oracle, meta, false)
-}
-
-/// [`save_oracle_v2`] with an explicit adjacency encoding choice (see
-/// [`write_oracle_v2_bytes_with`]).
-pub fn save_oracle_v2_with(
-    path: impl AsRef<Path>,
-    oracle: &ApproxShortestPaths,
-    meta: &OracleMeta,
-    compress: bool,
-) -> Result<(), SnapshotError> {
-    let bytes = write_oracle_v2_bytes_with(oracle, meta, compress)?;
+    let bytes = write_oracle_v2_bytes(oracle, meta)?;
     static SAVE_SERIAL: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let serial = SAVE_SERIAL.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let path = path.as_ref();
@@ -478,21 +441,6 @@ fn load_hopset(
     })
 }
 
-/// The two on-disk encodings of the base graph's adjacency structure.
-/// Exactly one is present in a well-formed file; bands reuse whichever
-/// one the base graph carries.
-#[derive(Clone, Copy)]
-enum GraphSlabs<'a> {
-    Plain {
-        targets: &'a [u32],
-        slot_eids: &'a [u32],
-    },
-    Compressed {
-        byte_offsets: &'a [u64],
-        data: &'a [u8],
-    },
-}
-
 /// Parse and validate a v2 oracle snapshot held in `src` at the given
 /// [`Verify`] level, returning an oracle that serves straight off the
 /// region.
@@ -523,9 +471,17 @@ pub fn read_oracle_v2(
         table.require(bytes, SEC_GRAPH_OFFSETS, "graph offsets")?,
         "graph offsets",
     )?;
+    let targets = cast_u32s(
+        table.require(bytes, SEC_GRAPH_TARGETS, "graph targets")?,
+        "graph targets",
+    )?;
     let weights = cast_u64s(
         table.require(bytes, SEC_GRAPH_WEIGHTS, "graph weights")?,
         "graph weights",
+    )?;
+    let slot_eids = cast_u32s(
+        table.require(bytes, SEC_GRAPH_EIDS, "graph edge ids")?,
+        "graph edge ids",
     )?;
     let edges = cast_edges(
         table.require(bytes, SEC_GRAPH_EDGES, "graph edges")?,
@@ -541,66 +497,15 @@ pub fn read_oracle_v2(
             ),
         ));
     }
-    // The adjacency is stored either as plain targets + slot edge id
-    // slabs, or as one varint delta-gap stream with per-vertex byte
-    // offsets. A file carrying both (or neither) is malformed — the
-    // two encodings could disagree, and queries must have exactly one
-    // source of truth.
-    let has_plain = table.find(SEC_GRAPH_TARGETS).is_some();
-    let has_comp = table.find(SEC_GRAPH_COMP_DATA).is_some();
-    let slabs = match (has_plain, has_comp) {
-        (true, true) => {
-            return Err(corrupt(
-                "graph adjacency",
-                "file carries both plain and compressed adjacency sections",
-            ));
-        }
-        (false, false) => {
-            return Err(corrupt(
-                "graph adjacency",
-                "file carries neither plain nor compressed adjacency sections",
-            ));
-        }
-        (true, false) => GraphSlabs::Plain {
-            targets: cast_u32s(
-                table.require(bytes, SEC_GRAPH_TARGETS, "graph targets")?,
-                "graph targets",
-            )?,
-            slot_eids: cast_u32s(
-                table.require(bytes, SEC_GRAPH_EIDS, "graph edge ids")?,
-                "graph edge ids",
-            )?,
-        },
-        (false, true) => GraphSlabs::Compressed {
-            byte_offsets: cast_u64s(
-                table.require(bytes, SEC_GRAPH_COMP_OFFSETS, "compressed byte offsets")?,
-                "compressed byte offsets",
-            )?,
-            data: table.require(bytes, SEC_GRAPH_COMP_DATA, "compressed adjacency")?,
-        },
-    };
-    let graph = match slabs {
-        GraphSlabs::Plain { targets, slot_eids } => MappedGraph::Plain(MmapView::from_parts(
-            Arc::clone(&src),
-            offsets,
-            targets,
-            weights,
-            slot_eids,
-            edges,
-            verify,
-        )?),
-        GraphSlabs::Compressed { byte_offsets, data } => {
-            MappedGraph::Compressed(CompressedMmapView::from_parts(
-                Arc::clone(&src),
-                offsets,
-                byte_offsets,
-                data,
-                weights,
-                edges,
-                verify,
-            )?)
-        }
-    };
+    let graph = MmapView::from_parts(
+        Arc::clone(&src),
+        offsets,
+        targets,
+        weights,
+        slot_eids,
+        edges,
+        verify,
+    )?;
 
     let mode = match meta.mode {
         0 => {
@@ -705,17 +610,9 @@ pub fn read_oracle_v2(
                 }
                 let band_graph = match verify {
                     // the band shares the base graph's adjacency
-                    // structure (plain or compressed) — reuse its
-                    // validated slabs instead of re-scanning them once
-                    // per band
-                    Verify::Bounds => match &graph {
-                        MappedGraph::Plain(g) => {
-                            MappedGraph::Plain(g.reweighted(band_weights, band_edges)?)
-                        }
-                        MappedGraph::Compressed(g) => {
-                            MappedGraph::Compressed(g.reweighted(band_weights, band_edges)?)
-                        }
-                    },
+                    // structure — reuse its validated slabs instead of
+                    // re-scanning them once per band
+                    Verify::Bounds => graph.reweighted(band_weights, band_edges)?,
                     Verify::Deep => {
                         // the stored rounded weights must be exactly what
                         // a v1 load recomputes from the base graph — that
@@ -737,30 +634,15 @@ pub fn read_oracle_v2(
                         // the fill-sweep replay inside from_parts also
                         // pins the band edges to the base (u, v) pairs in
                         // order
-                        match slabs {
-                            GraphSlabs::Plain { targets, slot_eids } => {
-                                MappedGraph::Plain(MmapView::from_parts(
-                                    Arc::clone(&src),
-                                    offsets,
-                                    targets,
-                                    band_weights,
-                                    slot_eids,
-                                    band_edges,
-                                    Verify::Deep,
-                                )?)
-                            }
-                            GraphSlabs::Compressed { byte_offsets, data } => {
-                                MappedGraph::Compressed(CompressedMmapView::from_parts(
-                                    Arc::clone(&src),
-                                    offsets,
-                                    byte_offsets,
-                                    data,
-                                    band_weights,
-                                    band_edges,
-                                    Verify::Deep,
-                                )?)
-                            }
-                        }
+                        MmapView::from_parts(
+                            Arc::clone(&src),
+                            offsets,
+                            targets,
+                            band_weights,
+                            slot_eids,
+                            band_edges,
+                            Verify::Deep,
+                        )?
                     }
                 };
                 let hopset = load_hopset(
@@ -893,25 +775,13 @@ pub fn migrate_oracle_file(
     src: impl AsRef<Path>,
     dst: impl AsRef<Path>,
 ) -> Result<(u16, OracleMeta), SnapshotError> {
-    migrate_oracle_file_with(src, dst, false)
-}
-
-/// [`migrate_oracle_file`] with an explicit adjacency encoding choice
-/// for the output file (see [`write_oracle_v2_bytes_with`]). Migrating
-/// with `compress = true` and back re-produces the plain bytes exactly;
-/// both encodings serve byte-identical answers.
-pub fn migrate_oracle_file_with(
-    src: impl AsRef<Path>,
-    dst: impl AsRef<Path>,
-    compress: bool,
-) -> Result<(u16, OracleMeta), SnapshotError> {
     let src = src.as_ref();
     let from = snapshot_version(src)?;
     let (oracle, meta) = match from {
         2 => verify_oracle_v2(src, LoadMode::Read)?,
         _ => load_oracle_auto(src, LoadMode::Read)?,
     };
-    save_oracle_v2_with(dst, &oracle, &meta, compress)?;
+    save_oracle_v2(dst, &oracle, &meta)?;
     Ok((from, meta))
 }
 
@@ -947,8 +817,6 @@ pub fn section_name(tag: u32) -> String {
         SEC_GRAPH_WEIGHTS => "graph.weights".into(),
         SEC_GRAPH_EIDS => "graph.eids".into(),
         SEC_GRAPH_EDGES => "graph.edges".into(),
-        SEC_GRAPH_COMP_OFFSETS => "graph.comp_offsets".into(),
-        SEC_GRAPH_COMP_DATA => "graph.comp_data".into(),
         SEC_HOPSET_EDGES => "hopset.edges".into(),
         SEC_EXTRA_OFFSETS => "hopset.extra.offsets".into(),
         SEC_EXTRA_TARGETS => "hopset.extra.targets".into(),
@@ -1130,9 +998,44 @@ mod tests {
             Err(SnapshotError::BadMagic { found }) if found == *b"PSHM"
         ));
 
+        // ... and a v2 file from an older build that stored the base
+        // adjacency under the retired tags 12 and 13 instead of
+        // `graph.targets`/`graph.eids` is a typed error naming the missing
+        // section on every open path (the payloads are never read)
+        let mut w = SectionWriter::new(KIND_ORACLE);
+        let v2 = std::fs::read(&v2_path).unwrap();
+        let table = SectionTable::parse(&v2).unwrap();
+        for e in table.entries() {
+            let tag = match e.tag {
+                SEC_GRAPH_TARGETS => 12,
+                SEC_GRAPH_EIDS => 13,
+                t => t,
+            };
+            w.section(tag, table.slice(&v2, e.tag).unwrap().to_vec());
+        }
+        let retired_path = dir.join("psh_v2_unit_migrate.retired.snap");
+        std::fs::write(&retired_path, w.finish()).unwrap();
+        let missing_targets = |r: Result<(ApproxShortestPaths, OracleMeta), SnapshotError>| {
+            matches!(
+                r,
+                Err(SnapshotError::Corrupt {
+                    what: "graph targets",
+                    ..
+                })
+            )
+        };
+        for mode in [LoadMode::Mmap, LoadMode::Read] {
+            assert!(missing_targets(load_oracle_auto(&retired_path, mode)));
+        }
+        assert!(missing_targets(verify_oracle_v2(
+            &retired_path,
+            LoadMode::Read
+        )));
+
         std::fs::remove_file(&v1_path).ok();
         std::fs::remove_file(&v2_path).ok();
         std::fs::remove_file(&pshm_path).ok();
+        std::fs::remove_file(&retired_path).ok();
     }
 
     #[test]
@@ -1271,153 +1174,6 @@ mod tests {
         }
     }
 
-    /// Byte offset of a named section inside an encoded v2 file.
-    fn section_range(bytes: &[u8], name: &str) -> (usize, usize) {
-        let info = inspect_v2(bytes).unwrap();
-        let s = info.sections.iter().find(|s| s.1 == name).unwrap();
-        (s.2 as usize, s.3 as usize)
-    }
-
-    #[test]
-    fn compressed_v2_round_trips_with_byte_identical_answers() {
-        for weighted in [false, true] {
-            let (fresh, meta) = oracle_pair(weighted);
-            let plain = write_oracle_v2_bytes(&fresh, &meta).unwrap();
-            let comp = write_oracle_v2_bytes_with(&fresh, &meta, true).unwrap();
-            assert!(
-                comp.len() < plain.len(),
-                "weighted={weighted}: compressed file {} >= plain {}",
-                comp.len(),
-                plain.len()
-            );
-
-            // the directory swaps targets/eids for the gap stream
-            let names: Vec<String> = inspect_v2(&comp)
-                .unwrap()
-                .sections
-                .iter()
-                .map(|(_, n, _, _)| n.clone())
-                .collect();
-            assert!(names.iter().any(|n| n == "graph.comp_offsets"));
-            assert!(names.iter().any(|n| n == "graph.comp_data"));
-            assert!(!names.iter().any(|n| n == "graph.targets"));
-            assert!(!names.iter().any(|n| n == "graph.eids"));
-
-            for verify in [Verify::Bounds, Verify::Deep] {
-                let (served, meta2) =
-                    read_oracle_v2(Arc::new(SnapshotSource::from_bytes(&comp)), verify).unwrap();
-                assert!(served.is_mapped());
-                assert_eq!(meta, meta2);
-                for (s, t) in [(0u32, 80u32), (3, 77), (40, 41), (7, 7)] {
-                    assert_eq!(
-                        served.query(s, t),
-                        fresh.query(s, t),
-                        "weighted={weighted} {verify:?} pair ({s},{t})"
-                    );
-                }
-                let pairs: Vec<(u32, u32)> = (0..40u32).map(|i| (i, 80 - i)).collect();
-                for policy in [
-                    ExecutionPolicy::Sequential,
-                    ExecutionPolicy::Parallel { threads: 4 },
-                ] {
-                    assert_eq!(
-                        served.query_batch(&pairs, policy),
-                        fresh.query_batch(&pairs, policy),
-                        "weighted={weighted} {verify:?} {policy}"
-                    );
-                }
-                // a compressed load re-encodes to identical bytes in
-                // either direction — compression is lossless and stable
-                assert_eq!(
-                    write_oracle_v2_bytes_with(&served, &meta2, true).unwrap(),
-                    comp
-                );
-                assert_eq!(write_oracle_v2_bytes(&served, &meta2).unwrap(), plain);
-            }
-        }
-    }
-
-    #[test]
-    fn compressed_corruption_is_a_typed_error_never_a_panic() {
-        let (fresh, meta) = oracle_pair(true);
-        let comp = write_oracle_v2_bytes_with(&fresh, &meta, true).unwrap();
-        let (data_off, data_len) = section_range(&comp, "graph.comp_data");
-        let (bo_off, bo_len) = section_range(&comp, "graph.comp_offsets");
-
-        // truncated varint: a continuation bit on the stream's last
-        // byte promises more bytes than the slab holds
-        let mut bad = comp.clone();
-        bad[data_off + data_len - 1] |= 0x80;
-        for verify in [Verify::Bounds, Verify::Deep] {
-            assert!(matches!(
-                read_oracle_v2(Arc::new(SnapshotSource::from_bytes(&bad)), verify).unwrap_err(),
-                SnapshotError::Corrupt { .. }
-            ));
-        }
-
-        // a gap that overflows u32: splice a 6-byte varint (≥ 2^35)
-        // over the first pair's target
-        let mut bad = comp.clone();
-        bad[data_off..data_off + 6].copy_from_slice(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]);
-        for verify in [Verify::Bounds, Verify::Deep] {
-            assert!(matches!(
-                read_oracle_v2(Arc::new(SnapshotSource::from_bytes(&bad)), verify).unwrap_err(),
-                SnapshotError::Corrupt { .. }
-            ));
-        }
-
-        // a byte offset pointing past the end of the stream
-        let mut bad = comp.clone();
-        let last = bo_off + bo_len - 8;
-        bad[last..last + 8].copy_from_slice(&(data_len as u64 + 9).to_le_bytes());
-        for verify in [Verify::Bounds, Verify::Deep] {
-            assert!(matches!(
-                read_oracle_v2(Arc::new(SnapshotSource::from_bytes(&bad)), verify).unwrap_err(),
-                SnapshotError::Corrupt { .. }
-            ));
-        }
-    }
-
-    #[test]
-    fn migrate_with_compress_shrinks_the_file_and_serves_identically() {
-        let (fresh, meta) = oracle_pair(true);
-        let dir = std::env::temp_dir();
-        let v1_path = dir.join("psh_v2_unit_migrate_comp.v1.snap");
-        let v2_path = dir.join("psh_v2_unit_migrate_comp.v2.snap");
-        let v2c_path = dir.join("psh_v2_unit_migrate_comp.v2c.snap");
-        crate::snapshot::save_oracle(&v1_path, &fresh, &meta).unwrap();
-
-        migrate_oracle_file(&v1_path, &v2_path).unwrap();
-        let (from, meta2) = migrate_oracle_file_with(&v1_path, &v2c_path, true).unwrap();
-        assert_eq!(from, 1);
-        assert_eq!(meta, meta2);
-        assert_eq!(snapshot_version(&v2c_path).unwrap(), 2);
-        let plain_len = std::fs::metadata(&v2_path).unwrap().len();
-        let comp_len = std::fs::metadata(&v2c_path).unwrap().len();
-        assert!(comp_len < plain_len, "{comp_len} >= {plain_len}");
-
-        for mode in [LoadMode::Mmap, LoadMode::Read] {
-            let (served, meta3) = load_oracle_auto(&v2c_path, mode).unwrap();
-            assert!(served.is_mapped());
-            assert_eq!(meta, meta3);
-            assert_eq!(served.query(0, 80), fresh.query(0, 80));
-        }
-        // deep re-verification of the compressed file passes (migration
-        // must never produce a file its own verifier rejects), and a
-        // compressed → plain migration reproduces the plain bytes
-        verify_oracle_v2(&v2c_path, LoadMode::Read).unwrap();
-        let back_path = dir.join("psh_v2_unit_migrate_comp.back.snap");
-        migrate_oracle_file(&v2c_path, &back_path).unwrap();
-        assert_eq!(
-            std::fs::read(&v2_path).unwrap(),
-            std::fs::read(&back_path).unwrap()
-        );
-
-        for p in [&v1_path, &v2_path, &v2c_path, &back_path] {
-            std::fs::remove_file(p).ok();
-        }
-    }
-
     proptest! {
         /// Arbitrary single-byte corruption anywhere in a v2 file:
         /// under [`Verify::Deep`] it either fails with a typed error or
@@ -1460,27 +1216,5 @@ mod tests {
             prop_assert!(read_oracle_v2(src, Verify::Deep).is_err());
         }
 
-        /// The byte-flip containment property holds for compressed
-        /// files too: the varint decode sweep at load time means a
-        /// surviving file can always be traversed without panics.
-        #[test]
-        fn prop_compressed_byte_flips_are_contained(at in 0usize..1 << 14, flip in 1u64..256) {
-            let (fresh, meta) = oracle_pair(false);
-            let mut bytes = write_oracle_v2_bytes_with(&fresh, &meta, true).unwrap();
-            let at = at % bytes.len();
-            bytes[at] ^= flip as u8;
-            let src = Arc::new(SnapshotSource::from_bytes(&bytes));
-            if let Ok((served, _)) = read_oracle_v2(Arc::clone(&src), Verify::Deep) {
-                for (s, t) in [(0u32, 80u32), (13, 66)] {
-                    prop_assert_eq!(served.query(s, t), fresh.query(s, t));
-                }
-            }
-            if let Ok((served, _)) = read_oracle_v2(src, Verify::Bounds) {
-                for (s, t) in [(0u32, 80u32), (13, 66)] {
-                    let (r, _) = served.query(s, t);
-                    prop_assert!(r.distance >= 0.0);
-                }
-            }
-        }
     }
 }

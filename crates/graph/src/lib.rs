@@ -39,20 +39,21 @@
 //!   per cluster per level.
 //! * [`subgraph`] — the materializing split (per-cluster owned
 //!   subgraphs): the reference the arena split is tested against.
+//! * [`source`] — the zero-copy v2 snapshot backing: one `mmap` or
+//!   aligned read ([`SnapshotSource`]) and [`MmapView`], the
+//!   [`GraphView`] that serves CSR slabs straight off those bytes.
 //!
 //! All traversals are instrumented with the [`psh_pram::Cost`] work/depth
 //! model: work counts edge scans / relaxations, depth counts synchronous
 //! rounds.
 
 pub mod builder;
-pub mod compress;
 pub mod connectivity;
 pub mod csr;
 pub mod delta;
 pub mod frontier;
 pub mod generators;
 pub mod io;
-pub mod prefetch;
 pub mod quotient;
 pub mod source;
 pub mod subgraph;
@@ -60,11 +61,10 @@ pub mod traversal;
 pub mod union_find;
 pub mod view;
 
-pub use compress::{CompressedCsr, CompressedView};
 pub use csr::{CsrGraph, Edge, VertexId, Weight, INF};
 pub use delta::{DeltaError, DeltaOp, GraphDelta};
 pub use frontier::{drive, BucketQueue, Frontier};
 pub use quotient::QuotientGraph;
-pub use source::{CompressedMmapView, ExtraSlabsView, LoadMode, MmapView, SnapshotSource, Verify};
+pub use source::{ExtraSlabsView, LoadMode, MmapView, SnapshotSource, Verify};
 pub use subgraph::SubGraph;
 pub use view::{CsrView, GraphView, SplitArena};

@@ -38,7 +38,9 @@
 //! Section **tags** are owned by the artifact kind: this module defines
 //! the graph-adjacency tags ([`SEC_META`], [`SEC_GRAPH_OFFSETS`], …);
 //! `psh_core::snapshot` defines the oracle-specific ones on top. Readers
-//! ignore tags they don't know, so new sections are additive.
+//! ignore tags they don't know, so new sections are additive. Tags 12 and
+//! 13 are retired (older builds stored delta-compressed adjacency under
+//! them) and must never be reused: a reused tag would misread old files.
 //!
 //! # Trust model
 //!
@@ -100,13 +102,6 @@ pub const SEC_GRAPH_WEIGHTS: u32 = 4;
 pub const SEC_GRAPH_EIDS: u32 = 5;
 /// Tag: canonical edge list, `m × 16`-byte [`Edge`] records.
 pub const SEC_GRAPH_EDGES: u32 = 6;
-/// Tag: per-vertex byte offsets into the delta-compressed adjacency
-/// stream, `(n + 1) × u64`. Present (together with
-/// [`SEC_GRAPH_COMP_DATA`]) *instead of* [`SEC_GRAPH_TARGETS`] +
-/// [`SEC_GRAPH_EIDS`] in compressed snapshots — see [`crate::compress`].
-pub const SEC_GRAPH_COMP_OFFSETS: u32 = 12;
-/// Tag: the delta-compressed adjacency stream (varint gap pairs).
-pub const SEC_GRAPH_COMP_DATA: u32 = 13;
 
 /// Round `x` up to a multiple of `a` (`a` must be a power of two).
 #[inline]
@@ -1158,194 +1153,6 @@ impl GraphView for MmapView {
             .zip(self.weights.get()[range.clone()].iter().copied())
             .zip(self.slot_eids.get()[range].iter().copied())
             .map(|((t, w), e)| (t, w, e))
-    }
-
-    #[inline]
-    fn edges(&self) -> &[Edge] {
-        self.edges.get()
-    }
-}
-
-/// An owned [`GraphView`] over **delta-compressed** adjacency slabs
-/// inside a shared [`SnapshotSource`] — the mapped counterpart of
-/// [`crate::compress::CompressedCsr`], serving neighbor iteration by
-/// decoding varint gap pairs inline (see [`crate::compress`]).
-///
-/// Construction runs [`crate::compress::validate_compressed_parts`]:
-/// both [`Verify`] levels fully decode-sweep the stream (so the
-/// hot-path decoder can neither panic nor read out of bounds), and
-/// [`Verify::Deep`] additionally replays the gaps against the canonical
-/// edge list. Cloning is an `Arc` bump.
-#[derive(Clone)]
-pub struct CompressedMmapView {
-    /// Keeps the mapped region alive; all slabs point into it.
-    src: Arc<SnapshotSource>,
-    offsets: Slab<u32>,
-    byte_offsets: Slab<u64>,
-    data: Slab<u8>,
-    weights: Slab<Weight>,
-    edges: Slab<Edge>,
-}
-
-// SAFETY: the slabs point into `src`, which is immutable and kept alive
-// by the Arc field; shared/moved access from any thread only ever reads.
-unsafe impl Send for CompressedMmapView {}
-unsafe impl Sync for CompressedMmapView {}
-
-impl CompressedMmapView {
-    /// Assemble and validate a view over compressed slabs living inside
-    /// `src`. All five slices must point into `src.bytes()` (checked);
-    /// any structural violation is a typed [`SnapshotError`].
-    pub fn from_parts(
-        src: Arc<SnapshotSource>,
-        offsets: &[u32],
-        byte_offsets: &[u64],
-        data: &[u8],
-        weights: &[Weight],
-        edges: &[Edge],
-        verify: Verify,
-    ) -> Result<CompressedMmapView, SnapshotError> {
-        let region = src.bytes().as_ptr_range();
-        let inside = |ptr: *const u8, bytes: usize| {
-            bytes == 0 || (region.start <= ptr && unsafe { ptr.add(bytes) } <= region.end)
-        };
-        assert!(
-            inside(
-                offsets.as_ptr() as *const u8,
-                std::mem::size_of_val(offsets)
-            ) && inside(
-                byte_offsets.as_ptr() as *const u8,
-                std::mem::size_of_val(byte_offsets)
-            ) && inside(data.as_ptr(), data.len())
-                && inside(
-                    weights.as_ptr() as *const u8,
-                    std::mem::size_of_val(weights)
-                )
-                && inside(edges.as_ptr() as *const u8, std::mem::size_of_val(edges)),
-            "CompressedMmapView slabs must live inside the SnapshotSource that owns them"
-        );
-        crate::compress::validate_compressed_parts(
-            offsets,
-            byte_offsets,
-            data,
-            weights,
-            edges,
-            verify,
-        )?;
-        Ok(CompressedMmapView {
-            src,
-            offsets: Slab::of(offsets),
-            byte_offsets: Slab::of(byte_offsets),
-            data: Slab::of(data),
-            weights: Slab::of(weights),
-            edges: Slab::of(edges),
-        })
-    }
-
-    /// A second view over this view's already-validated gap stream with
-    /// substituted weight and edge slabs — how a rounded band shares the
-    /// base graph's compressed structure, mirroring
-    /// [`MmapView::reweighted`].
-    pub fn reweighted(
-        &self,
-        weights: &[Weight],
-        edges: &[Edge],
-    ) -> Result<CompressedMmapView, SnapshotError> {
-        let region = self.src.bytes().as_ptr_range();
-        let inside = |ptr: *const u8, bytes: usize| {
-            bytes == 0 || (region.start <= ptr && unsafe { ptr.add(bytes) } <= region.end)
-        };
-        assert!(
-            inside(
-                weights.as_ptr() as *const u8,
-                std::mem::size_of_val(weights)
-            ) && inside(edges.as_ptr() as *const u8, std::mem::size_of_val(edges)),
-            "CompressedMmapView slabs must live inside the SnapshotSource that owns them"
-        );
-        if weights.len() != self.weights.len || edges.len() != self.edges.len {
-            return Err(corrupt(
-                "compressed shape",
-                format_args!(
-                    "substituted slabs disagree: {} weights / {} edges, base has {} / {}",
-                    weights.len(),
-                    edges.len(),
-                    self.weights.len,
-                    self.edges.len
-                ),
-            ));
-        }
-        Ok(CompressedMmapView {
-            src: Arc::clone(&self.src),
-            offsets: self.offsets.clone(),
-            byte_offsets: self.byte_offsets.clone(),
-            data: self.data.clone(),
-            weights: Slab::of(weights),
-            edges: Slab::of(edges),
-        })
-    }
-
-    /// The source region this view (and possibly others) is backed by.
-    pub fn source(&self) -> &Arc<SnapshotSource> {
-        &self.src
-    }
-
-    /// Borrow as the `Copy` view form.
-    #[inline]
-    pub fn as_view(&self) -> crate::compress::CompressedView<'_> {
-        crate::compress::CompressedView::from_raw(
-            self.offsets.get(),
-            self.byte_offsets.get(),
-            self.data.get(),
-            self.weights.get(),
-            self.edges.get(),
-        )
-    }
-
-    /// Bytes of compressed adjacency payload (stream only).
-    pub fn data_len(&self) -> usize {
-        self.data.len
-    }
-}
-
-impl fmt::Debug for CompressedMmapView {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CompressedMmapView")
-            .field("n", &self.n())
-            .field("m", &self.m())
-            .field("stream_bytes", &self.data.len)
-            .field("mapped", &self.src.is_mapped())
-            .finish()
-    }
-}
-
-impl GraphView for CompressedMmapView {
-    #[inline]
-    fn n(&self) -> usize {
-        self.offsets.len - 1
-    }
-
-    #[inline]
-    fn m(&self) -> usize {
-        self.edges.len
-    }
-
-    #[inline]
-    fn degree(&self, v: VertexId) -> usize {
-        let offsets = self.offsets.get();
-        (offsets[v as usize + 1] - offsets[v as usize]) as usize
-    }
-
-    #[inline]
-    fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        self.as_view().neighbors_iter(v)
-    }
-
-    #[inline]
-    fn neighbors_with_eid(
-        &self,
-        v: VertexId,
-    ) -> impl Iterator<Item = (VertexId, Weight, u32)> + '_ {
-        self.as_view().neighbors_with_eid_iter(v)
     }
 
     #[inline]

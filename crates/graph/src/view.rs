@@ -12,8 +12,8 @@
 //!   clustering race, the spanner selection, and the hopset recursion are
 //!   generic over: vertex/edge counts, degrees, neighbor iteration (with
 //!   weights and canonical edge ids), and canonical edge access. It is
-//!   the seam storage backends plug into, such as the mmap-backed and
-//!   delta-compressed snapshot views.
+//!   the seam storage backends plug into, such as the mmap-backed
+//!   snapshot view [`crate::MmapView`].
 //! * [`CsrView`] is a borrowed CSR graph — five slices into someone
 //!   else's storage. It is `Copy`, costs nothing to hand to a recursive
 //!   call, and iterates exactly like the [`CsrGraph`] it was carved from
@@ -43,10 +43,10 @@ use std::ops::{Deref, DerefMut};
 /// shape: `u32` vertices, `u64` weights ≥ 1, deduplicated canonical edges
 /// `(u < v, w)` with per-adjacency-slot edge provenance.
 ///
-/// Implemented by [`CsrGraph`] (owned storage) and [`CsrView`] (borrowed
-/// arena storage). Algorithms written against `impl GraphView` run on
-/// both — and on whatever storage backends are added later — without
-/// caring which one they were handed.
+/// Implemented by [`CsrGraph`] (owned storage), [`CsrView`] (borrowed
+/// arena storage) and [`crate::MmapView`] (snapshot slabs). Algorithms
+/// written against `impl GraphView` run on all three without caring
+/// which one they were handed.
 pub trait GraphView: Sync {
     /// Number of vertices.
     fn n(&self) -> usize;

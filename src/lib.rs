@@ -64,8 +64,8 @@ pub mod prelude {
     pub use psh_core::spanner::Spanner;
     pub use psh_exec::{ExecutionPolicy, Executor};
     pub use psh_graph::{
-        generators, CompressedCsr, CompressedView, CsrGraph, CsrView, DeltaError, DeltaOp, Edge,
-        GraphDelta, GraphView, SplitArena, VertexId, Weight, INF,
+        generators, CsrGraph, CsrView, DeltaError, DeltaOp, Edge, GraphDelta, GraphView,
+        SplitArena, VertexId, Weight, INF,
     };
     pub use psh_net::{
         NetClient, NetServer, ProtocolError, ReloadSummary, ServerConfig, ServerStats, WireStats,
