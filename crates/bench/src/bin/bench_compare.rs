@@ -48,9 +48,12 @@
 //! (the matrix is allowed to grow): the table-set difference is printed
 //! up front as explicit `added`/`removed` lists, so a table that
 //! silently fell out of the fresh run is visible rather than
-//! indistinguishable from a passing one. A `meta` workload mismatch (`n`,
-//! `queries`, `seed`, or `schema_version` differing) **is** fatal, since
-//! numbers from different workloads cannot be meaningfully compared.
+//! indistinguishable from a passing one. A metric column a baseline row
+//! has and its fresh row lacks (dropped or renamed) gets a line of its
+//! own and a count in the summary, on the same non-fatal terms. A `meta`
+//! workload mismatch (`n`, `queries`, `seed`, or `schema_version`
+//! differing) **is** fatal, since numbers from different workloads
+//! cannot be meaningfully compared.
 //! Tiny absolute values (both sides < 1 ms / < 1 qps) are skipped — at
 //! that scale the timer, not the code, dominates. Gated **time** cells
 //! additionally pass through a materiality floor: a relative band on a
@@ -256,6 +259,7 @@ fn main() {
     }
 
     let mut compared = 0usize;
+    let mut absent = 0usize;
     let mut skipped_tiny = 0usize;
     let mut notes = 0usize;
     let mut soft = 0usize;
@@ -287,6 +291,11 @@ fn main() {
                     .iter()
                     .find(|(c, d, _)| *c == column && *d == dir)
                 else {
+                    absent += 1;
+                    println!(
+                        "~ {name} [{}] {column}: absent from {fresh_path}: not gated",
+                        base_row.key
+                    );
                     continue;
                 };
                 // below the timer floor both numbers are noise
@@ -372,7 +381,7 @@ fn main() {
     }
 
     println!(
-        "compared {compared} metric cell(s) across {} shared table(s) (noise ±{:.0}%, severe ±{:.0}%, systemic {:.0}%; {} added, {} removed; {skipped_tiny} below the timer floor, {notes} informational note(s), {soft} isolated outlier(s))",
+        "compared {compared} metric cell(s) across {} shared table(s) (noise ±{:.0}%, severe ±{:.0}%, systemic {:.0}%; {} added, {} removed; {absent} absent column(s), {skipped_tiny} below the timer floor, {notes} informational note(s), {soft} isolated outlier(s))",
         base_tables.len() - removed.len(),
         noise * 100.0,
         severe * 100.0,

@@ -3,7 +3,8 @@
 //!
 //! Preprocess once (hopset), then answer s–t queries with the h-hop
 //! Bellman–Ford. We compare query work and depth against exact engines
-//! (BFS levels / Dijkstra) and report the observed approximation factor.
+//! (Dial's bucketed search, whose rounds on unit weights are BFS levels,
+//! and Dijkstra) and report the observed approximation factor.
 //!
 //! Usage: `cargo run --release -p psh-bench --bin sssp_endtoend [--json PATH]`
 
@@ -13,7 +14,7 @@ use psh_bench::workloads::Family;
 use psh_bench::Report;
 use psh_core::api::{OracleBuilder, OracleMode, Seed};
 use psh_core::hopset::HopsetParams;
-use psh_graph::traversal::bfs::parallel_bfs;
+use psh_graph::traversal::dial::dial_sssp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,7 +57,7 @@ fn main() {
             .build(&g)
             .unwrap()
             .into_parts();
-        let (_, bfs_cost) = parallel_bfs(&g, 0);
+        let (_, bfs_cost) = dial_sssp(&g, 0);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut qwork = Vec::new();
         let mut qdepth = Vec::new();

@@ -11,9 +11,9 @@
 //! * invalid parameters and violated preconditions are [`PshError`]
 //!   values, never panics;
 //! * the same `Seed` always rebuilds the byte-identical artifact, and
-//!   matches what the deprecated free functions produce for an RNG seeded
-//!   with the same value (enforced by the `builder_equivalence`
-//!   integration tests).
+//!   matches what `build_with_rng` produces for an RNG seeded with the
+//!   same value (enforced by the `builder_equivalence` integration
+//!   tests).
 //!
 //! ```
 //! use psh_core::api::{Seed, SpannerBuilder};
@@ -184,9 +184,9 @@ impl SpannerBuilder {
         })
     }
 
-    /// Build against a caller-supplied generator — the compatibility spine
-    /// the deprecated free functions delegate to. Prefer
-    /// [`SpannerBuilder::build`], which records the seed.
+    /// Build against a caller-supplied generator, for callers that pass
+    /// in their own RNG. [`SpannerBuilder::build`] runs this on a
+    /// generator seeded from the builder's [`Seed`] and records the seed.
     pub fn build_with_rng<R: Rng>(
         &self,
         g: &CsrGraph,
@@ -417,8 +417,11 @@ impl HopsetBuilder {
         })
     }
 
-    /// Build against a caller-supplied generator — the compatibility spine
-    /// the deprecated free functions delegate to.
+    /// Build against a caller-supplied generator, for callers that pass
+    /// in their own RNG. [`HopsetBuilder::build`] runs this on a
+    /// generator seeded from the builder's [`Seed`] and records the seed.
+    /// The recursion below seeds one generator per piece from that RNG and
+    /// clusters the piece through [`ClusterBuilder::build_with_rng_on`].
     pub fn build_with_rng<R: Rng>(
         &self,
         g: &CsrGraph,
@@ -601,8 +604,9 @@ impl OracleBuilder {
         })
     }
 
-    /// Preprocess against a caller-supplied generator — the compatibility
-    /// spine the deprecated constructors delegate to.
+    /// Preprocess against a caller-supplied generator, for callers that
+    /// pass in their own RNG. [`OracleBuilder::build`] runs this on a
+    /// generator seeded from the builder's [`Seed`] and records the seed.
     pub fn build_with_rng<R: Rng>(
         &self,
         g: &CsrGraph,

@@ -3,9 +3,7 @@
 //! Every builder in [`crate::api`] returns `Result<Run<A>, PshError>`
 //! instead of panicking: invalid parameters, precondition violations
 //! (unit-weight requirements, connectivity requirements), and weight-range
-//! violations all surface as values a service can handle. The deprecated
-//! free functions preserve their historical panic behaviour by unwrapping
-//! these same errors, so the panic messages match what the builders report.
+//! violations all surface as values a service can handle.
 
 use psh_cluster::ClusterError;
 use std::fmt;
@@ -118,8 +116,8 @@ mod tests {
 
     #[test]
     fn display_keeps_legacy_panic_substrings() {
-        // the deprecated wrappers panic with these Displays; existing
-        // should_panic tests match on the substrings
+        // test shims that unwrap a builder's error panic with its
+        // Display; should_panic tests match on these substrings
         let e = PshError::RequiresUnitWeights {
             algorithm: "unweighted_spanner",
         };

@@ -49,18 +49,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Build a hopset with an explicit top-level β₀ (§5 and Appendix C call
-/// this with their own β₀ choices), on the process-default executor.
-pub fn build_hopset_with_beta0<G: GraphView, R: Rng>(
-    g: &G,
-    params: &HopsetParams,
-    beta0: f64,
-    rng: &mut R,
-) -> (Hopset, Cost) {
-    build_hopset_with_beta0_on(&Executor::current(), g, params, beta0, rng)
-}
-
-/// [`build_hopset_with_beta0`] on an explicit executor — recursion,
-/// clusterings, and clique searches all share its pool.
+/// this with their own β₀ choices) on `exec` — recursion, clusterings,
+/// and clique searches all share its pool.
 pub fn build_hopset_with_beta0_on<G: GraphView, R: Rng>(
     exec: &Executor,
     g: &G,

@@ -99,31 +99,9 @@ impl WeightedHopsets {
     }
 }
 
-/// Build the §5 weighted hopsets with band exponent `eta ∈ (0, 1)`.
-///
-/// Panics on invalid parameters; prefer
-/// [`crate::api::HopsetBuilder::weighted`], which reports them as
-/// [`crate::error::PshError`] values.
-pub fn build_weighted_hopsets<R: Rng>(
-    g: &CsrGraph,
-    params: &HopsetParams,
-    eta: f64,
-    rng: &mut R,
-) -> (WeightedHopsets, Cost) {
-    params.validate().expect("invalid hopset parameters");
-    assert!(eta > 0.0 && eta < 1.0, "eta must be in (0,1), got {eta}");
-    build_weighted_hopsets_impl(
-        &Executor::current(),
-        g,
-        params,
-        eta,
-        params.beta0_weighted(g.n()),
-        rng,
-    )
-}
-
-/// §5's construction body with an explicit `β₀` — parameter validation
-/// happens in the builder (or the wrapper above) before this runs.
+/// §5's construction body with band exponent `eta ∈ (0, 1)` and an
+/// explicit `β₀` — [`crate::api::HopsetBuilder::weighted`] validates the
+/// parameters before this runs.
 ///
 /// The bands really are built in parallel on `exec` (the paper's
 /// schedule): band seeds are drawn in deterministic band order before the
@@ -218,6 +196,12 @@ mod tests {
         }
     }
 
+    fn build<R: Rng>(g: &CsrGraph, eta: f64, rng: &mut R) -> WeightedHopsets {
+        let params = test_params();
+        let beta0 = params.beta0_weighted(g.n());
+        build_weighted_hopsets_impl(&Executor::sequential(), g, &params, eta, beta0, rng).0
+    }
+
     fn weighted_instance(seed: u64) -> CsrGraph {
         let mut rng = StdRng::seed_from_u64(seed);
         let base = generators::grid(12, 12);
@@ -228,7 +212,7 @@ mod tests {
     fn bands_cover_the_weight_range() {
         let g = weighted_instance(1);
         let mut rng = StdRng::seed_from_u64(2);
-        let (wh, _) = build_weighted_hopsets(&g, &test_params(), 0.4, &mut rng);
+        let wh = build(&g, 0.4, &mut rng);
         assert!(wh.num_bands() >= 2, "expected multiple bands");
         // bands increase geometrically
         for pair in wh.bands.windows(2) {
@@ -245,7 +229,7 @@ mod tests {
     fn query_never_undershoots_and_approximates() {
         let g = weighted_instance(3);
         let mut rng = StdRng::seed_from_u64(4);
-        let (wh, _) = build_weighted_hopsets(&g, &test_params(), 0.4, &mut rng);
+        let wh = build(&g, 0.4, &mut rng);
         let exact = dijkstra(&g, 0);
         let mut checked = 0;
         for t in [10u32, 50, 100, 143] {
@@ -269,7 +253,7 @@ mod tests {
     fn self_query_is_zero() {
         let g = weighted_instance(5);
         let mut rng = StdRng::seed_from_u64(6);
-        let (wh, _) = build_weighted_hopsets(&g, &test_params(), 0.5, &mut rng);
+        let wh = build(&g, 0.5, &mut rng);
         let (d, _) = wh.query(7, 7);
         assert_eq!(d, 0.0);
     }
@@ -278,7 +262,7 @@ mod tests {
     fn disconnected_pairs_report_infinity() {
         let g = CsrGraph::from_unit_edges(4, [(0, 1), (2, 3)]);
         let mut rng = StdRng::seed_from_u64(7);
-        let (wh, _) = build_weighted_hopsets(&g, &test_params(), 0.5, &mut rng);
+        let wh = build(&g, 0.5, &mut rng);
         let (d, _) = wh.query(0, 3);
         assert!(d.is_infinite());
     }
@@ -286,8 +270,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let g = weighted_instance(8);
-        let (a, _) = build_weighted_hopsets(&g, &test_params(), 0.4, &mut StdRng::seed_from_u64(9));
-        let (b, _) = build_weighted_hopsets(&g, &test_params(), 0.4, &mut StdRng::seed_from_u64(9));
+        let a = build(&g, 0.4, &mut StdRng::seed_from_u64(9));
+        let b = build(&g, 0.4, &mut StdRng::seed_from_u64(9));
         assert_eq!(a.total_size(), b.total_size());
         for (x, y) in a.bands.iter().zip(&b.bands) {
             assert_eq!(x.hopset, y.hopset);

@@ -241,11 +241,6 @@ impl CsrGraph {
             _ => 1.0,
         }
     }
-
-    /// Sum of all edge weights.
-    pub fn total_weight(&self) -> u64 {
-        self.edges.iter().map(|e| e.w).sum()
-    }
 }
 
 impl fmt::Debug for CsrGraph {
@@ -352,7 +347,6 @@ mod tests {
         let g = CsrGraph::from_edges(3, [Edge::new(0, 1, 2), Edge::new(1, 2, 8)]);
         assert_eq!(g.min_weight(), Some(2));
         assert_eq!(g.max_weight(), Some(8));
-        assert_eq!(g.total_weight(), 10);
         assert!((g.weight_ratio() - 4.0).abs() < 1e-12);
         assert!(!g.is_unit_weight());
         assert!(triangle().is_unit_weight());

@@ -1,10 +1,10 @@
 //! The shared level-synchronous frontier engine.
 //!
-//! Every bucketed search in this workspace — the clustering race
-//! (Algorithm 1 / Appendix A), parallel BFS \[UY91\], Dial's bucketed SSSP
-//! \[KS97\], Δ-stepping, and the hopset round loops built on them — has the
-//! same skeleton: a priority queue of integer-keyed buckets of *claims*,
-//! processed in key order, where each round
+//! Both bucketed searches in this workspace — the clustering race
+//! (Algorithm 1 / Appendix A) and Dial's bucketed SSSP \[KS97\], which
+//! Algorithm 4's clique searches run on — have the same skeleton: a
+//! priority queue of integer-keyed buckets of *claims*, processed in key
+//! order, where each round
 //!
 //! 1. **filters** the popped bucket down to claims that are still live,
 //! 2. **resolves** contention by sorting and keeping, per target vertex,
@@ -12,8 +12,7 @@
 //! 3. **commits** the winners to the algorithm's state, and
 //! 4. **expands** each winner into future claims pushed at later keys.
 //!
-//! Before this module each algorithm hand-rolled that loop; now they all
-//! implement [`Frontier`] and let [`drive`] run the rounds. The engine
+//! Each implements [`Frontier`] and lets [`drive`] run the rounds. The engine
 //! owns both the parallelism and the accounting:
 //!
 //! * phases 1, 2, and 4 execute on a [`psh_exec::Executor`] via the
@@ -373,8 +372,8 @@ mod tests {
 
     #[test]
     fn reinserting_at_the_popped_key_reopens_the_bucket() {
-        // Δ-stepping's light-phase iterations rely on this: claims pushed
-        // at the current key are processed as an extra sub-round.
+        // a claim pushed at the key just popped comes back out as a
+        // bucket of its own: the engine runs it as an extra sub-round
         let mut q = BucketQueue::new();
         q.push(3, 1u32);
         let (k, _) = q.pop_min().unwrap();

@@ -13,15 +13,13 @@
 //!   assigners (uniform, log-uniform over a ratio `U`).
 //! * [`frontier`] — the shared level-synchronous frontier engine: the
 //!   two-phase claim/commit round loop (bucket → filter → resolve →
-//!   commit → expand) that the clustering race, BFS, Dial, Δ-stepping,
-//!   and the hopset round loops all drive, executing on a
-//!   [`psh_exec::Executor`] with engine-measured work/depth.
-//! * [`traversal`] — the parallel search engines the paper builds on:
-//!   level-synchronous BFS \[UY91\], bucketed integer-weight SSSP
-//!   ("weighted parallel BFS", Dial's algorithm as used by \[KS97\]),
-//!   Δ-stepping, hop-limited Bellman–Ford (the hopset query engine), and
-//!   exact Dijkstra as a verification oracle — the first three as
-//!   [`frontier::Frontier`] implementations.
+//!   commit → expand) that the clustering race and Dial drive, executing
+//!   on a [`psh_exec::Executor`] with engine-measured work/depth.
+//! * [`traversal`] — the search engines the paper builds on: bucketed
+//!   integer-weight SSSP ("weighted parallel BFS", Dial's algorithm as
+//!   used by \[KS97\]) as a [`frontier::Frontier`], hop-limited
+//!   Bellman–Ford (the hopset query engine), and exact Dijkstra as a
+//!   verification oracle.
 //! * [`delta`] — incremental edge updates: the [`GraphDelta`] journal of
 //!   validated insert/delete ops and [`CsrGraph::apply_delta`], the sorted
 //!   merge producing a fresh CSR byte-identical to a full rebuild — the
@@ -47,7 +45,6 @@
 //! model: work counts edge scans / relaxations, depth counts synchronous
 //! rounds.
 
-pub mod builder;
 pub mod connectivity;
 pub mod csr;
 pub mod delta;

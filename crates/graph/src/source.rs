@@ -1459,7 +1459,6 @@ mod tests {
         assert_eq!(view.m(), g.m());
         assert_eq!(view.edges(), g.edges());
         assert_eq!(view.is_unit_weight(), g.is_unit_weight());
-        assert_eq!(view.total_weight(), GraphView::total_weight(&g));
         for v in 0..g.n() as u32 {
             assert_eq!(view.degree(v), g.degree(v));
             assert_eq!(

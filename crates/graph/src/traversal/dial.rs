@@ -86,17 +86,10 @@ pub fn dial_sssp_with<G: GraphView>(exec: &Executor, g: &G, src: VertexId) -> (S
     dial_sssp_bounded_with(exec, g, &[(src, 0)], INF)
 }
 
-/// Multi-source SSSP where source `s` starts at distance `offset`.
-pub fn dial_sssp_offsets<G: GraphView>(
-    g: &G,
-    sources: &[(VertexId, Weight)],
-) -> (SsspResult, Cost) {
-    dial_sssp_bounded_with(&Executor::current(), g, sources, INF)
-}
-
-/// Multi-source SSSP ignoring distances beyond `bound` (those vertices
-/// keep `dist == INF`). Bounded searches are what Algorithm 4 runs inside
-/// its bounded-diameter recursive pieces.
+/// Multi-source SSSP where source `s` starts at distance `offset`,
+/// ignoring distances beyond `bound` (those vertices keep `dist == INF`;
+/// pass [`INF`] for no bound). Bounded searches are what Algorithm 4 runs
+/// inside its bounded-diameter recursive pieces.
 pub fn dial_sssp_bounded<G: GraphView>(
     g: &G,
     sources: &[(VertexId, Weight)],
@@ -175,10 +168,18 @@ mod tests {
     fn offsets_shift_sources() {
         let g = generators::path(5); // 0-1-2-3-4 unit
                                      // source 0 at offset 3, source 4 at offset 0
-        let (r, _) = dial_sssp_offsets(&g, &[(0, 3), (4, 0)]);
+        let (r, _) = dial_sssp_bounded(&g, &[(0, 3), (4, 0)], INF);
         assert_eq!(r.dist, vec![3, 3, 2, 1, 0]);
         // vertex 1: via 0 costs 4, via 4 costs 3
         assert_eq!(r.parent[1], 2);
+    }
+
+    #[test]
+    fn parent_is_min_id_among_equally_good() {
+        // diamond: 0-1, 0-2, 1-3, 2-3 — both 1 and 2 can parent 3
+        let g = CsrGraph::from_unit_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)]);
+        let (r, _) = dial_sssp(&g, 0);
+        assert_eq!(r.parent[3], 1, "deterministic min-id parent expected");
     }
 
     #[test]
@@ -201,7 +202,7 @@ mod tests {
     #[test]
     fn duplicate_and_dominated_sources() {
         let g = generators::path(3);
-        let (r, _) = dial_sssp_offsets(&g, &[(1, 5), (1, 2), (1, 9)]);
+        let (r, _) = dial_sssp_bounded(&g, &[(1, 5), (1, 2), (1, 9)], INF);
         assert_eq!(r.dist, vec![3, 2, 3]);
     }
 
@@ -235,7 +236,7 @@ mod tests {
             let base = generators::connected_random(40, 60, &mut rng);
             let g = generators::with_uniform_weights(&base, 1, 10, &mut rng);
             let sources = [(3u32, 2u64), (17, 0), (25, 7)];
-            let (r, _) = dial_sssp_offsets(&g, &sources);
+            let (r, _) = dial_sssp_bounded(&g, &sources, INF);
             for v in 0..40u32 {
                 let expect = sources
                     .iter()

@@ -1,28 +1,22 @@
 //! Search engines.
 //!
-//! * [`bfs`] — parallel level-synchronous BFS \[UY91\]: the engine behind the
-//!   unweighted ESTC and the clique-edge distance computations of
-//!   Algorithm 4. Depth = number of BFS levels.
 //! * [`dial`] — bucketed integer-weight SSSP ("weighted parallel BFS" in
 //!   the paper, after \[KS97\]): processes distance values in increasing
 //!   order, one parallel round per distinct settled distance. Depth =
 //!   number of distinct distance levels, which the rounding scheme of
-//!   Lemma 5.2 keeps small.
+//!   Lemma 5.2 keeps small; on unit weights that is the number of BFS
+//!   levels. Algorithm 4's clique searches run on it.
 //! * [`mod@dijkstra`] — sequential exact SSSP; the verification oracle.
 //! * [`bellman_ford`] — hop-limited relaxation over the graph plus an
 //!   optional hopset: computes `dist^h_{E ∪ E'}`, the quantity hopsets are
 //!   about (Definition 2.4), and serves as the query engine of Theorem 1.2.
 
 pub mod bellman_ford;
-pub mod bfs;
-pub mod delta_stepping;
 pub mod dial;
 pub mod dijkstra;
 
 pub use bellman_ford::{hop_limited_pair, hop_limited_sssp, ExtraEdges, HopQuery};
-pub use bfs::{parallel_bfs, parallel_bfs_multi};
-pub use delta_stepping::delta_stepping;
-pub use dial::{dial_sssp, dial_sssp_bounded, dial_sssp_offsets};
+pub use dial::{dial_sssp, dial_sssp_bounded};
 pub use dijkstra::{dijkstra, dijkstra_bounded, dijkstra_pair};
 
 use crate::csr::{VertexId, Weight, INF};

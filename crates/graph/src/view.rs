@@ -79,11 +79,6 @@ pub trait GraphView: Sync {
     fn is_unit_weight(&self) -> bool {
         self.edges().iter().all(|e| e.w == 1)
     }
-
-    /// Sum of all edge weights.
-    fn total_weight(&self) -> u64 {
-        self.edges().iter().map(|e| e.w).sum()
-    }
 }
 
 impl GraphView for CsrGraph {

@@ -6,7 +6,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`psh_exec`] | the real parallel execution layer: thread pool, deterministic combinators, [`ExecutionPolicy`](psh_exec::ExecutionPolicy) |
-//! | [`psh_graph`] | CSR graphs and the `GraphView` abstraction (arena-backed `CsrView`s), generators, the shared frontier engine, parallel BFS / bucketed SSSP / Δ-stepping / hop-limited Bellman–Ford, connectivity, quotient graphs |
+//! | [`psh_graph`] | CSR graphs and the `GraphView` abstraction (arena-backed `CsrView`s), generators, the shared frontier engine, bucketed SSSP (Dial) / hop-limited Bellman–Ford / Dijkstra, connectivity, quotient graphs |
 //! | [`psh_pram`] | the work/depth (PRAM) cost model every algorithm reports in |
 //! | [`psh_cluster`] | exponential start time clustering (Algorithm 1) |
 //! | [`psh_core`] | spanners (Theorem 1.1), hopsets (Theorem 1.2), the approximate-distance oracle, Appendices B–C |

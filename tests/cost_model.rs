@@ -2,7 +2,7 @@
 //! the cost model across scales — the quantitative backbone of Figures 1
 //! and 2.
 
-use psh::graph::traversal::bfs::parallel_bfs;
+use psh::graph::traversal::dial::dial_sssp;
 use psh::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,8 +71,9 @@ fn clustering_depth_tracks_inverse_beta() {
 
 #[test]
 fn bfs_depth_equals_eccentricity_plus_constant() {
+    // on unit weights Dial's rounds are BFS levels
     let g = generators::grid(40, 40);
-    let (r, cost) = parallel_bfs(&g, 0);
+    let (r, cost) = dial_sssp(&g, 0);
     let ecc = r.max_finite_dist();
     assert!(cost.depth >= ecc);
     assert!(cost.depth <= ecc + 3);

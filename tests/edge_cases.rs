@@ -3,7 +3,6 @@
 //! `unreachable`, never panic), star/dumbbell extremes, and `s == t`
 //! queries — under both execution policies.
 
-use psh::graph::traversal::bfs::parallel_bfs_with;
 use psh::graph::traversal::dial::dial_sssp_with;
 use psh::graph::traversal::dijkstra::dijkstra_pair;
 use psh::prelude::*;
@@ -76,10 +75,8 @@ fn single_vertex_graph_answers_self_queries() {
         let (batch, _) = oracle.query_batch(&[(0, 0); 5], ExecutionPolicy::Sequential);
         assert!(batch.iter().all(|a| a.distance == 0.0));
     }
-    // frontier engines: a source with no edges settles only itself
+    // the frontier engine: a source with no edges settles only itself
     for exec in execs() {
-        let (bfs, _) = parallel_bfs_with(&exec, &g, 0);
-        assert_eq!(bfs.dist, vec![0]);
         let (dial, _) = dial_sssp_with(&exec, &g, 0);
         assert_eq!(dial.dist, vec![0]);
     }
@@ -117,13 +114,14 @@ fn disconnected_pairs_report_unreachable_not_panic() {
     let oracle = build(&gu, OracleMode::Unweighted);
     let (answers, _) = oracle.query_batch(&[(0, 2), (1, 3)], ExecutionPolicy::Sequential);
     assert!(answers.iter().all(|a| a.distance.is_infinite()));
-    // frontier engines agree: unreached vertices stay at INF
+    // the frontier engine agrees: unreached vertices stay at INF
     for exec in execs() {
-        let (bfs, _) = parallel_bfs_with(&exec, &gu, 0);
-        assert_eq!(bfs.dist[2], INF);
-        assert_eq!(bfs.dist[3], INF);
-        let (dial, _) = dial_sssp_with(&exec, &g, 0);
-        assert_eq!(dial.dist[4], INF);
+        let (unit, _) = dial_sssp_with(&exec, &gu, 0);
+        assert_eq!(unit.dist[2], INF);
+        assert_eq!(unit.dist[3], INF);
+        assert_eq!(unit.parent[2], u32::MAX);
+        let (weighted, _) = dial_sssp_with(&exec, &g, 0);
+        assert_eq!(weighted.dist[4], INF);
     }
 }
 
@@ -141,8 +139,8 @@ fn star_extreme_hub_and_leaf_queries() {
     assert_eq!(answers[3].distance, 0.0, "s == t on the star");
     // the frontier engine settles the whole star in one expansion wave
     for exec in execs() {
-        let (bfs, _) = parallel_bfs_with(&exec, &g, 0);
-        assert!(bfs.dist.iter().skip(1).all(|&d| d == 1));
+        let (dial, _) = dial_sssp_with(&exec, &g, 0);
+        assert!(dial.dist.iter().skip(1).all(|&d| d == 1));
     }
 }
 

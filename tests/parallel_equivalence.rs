@@ -12,8 +12,6 @@
 use proptest::prelude::*;
 use psh::prelude::*;
 use psh_exec::{ExecutionPolicy, Executor};
-use psh_graph::traversal::bfs::parallel_bfs_with;
-use psh_graph::traversal::delta_stepping::delta_stepping_with;
 use psh_graph::traversal::dial::dial_sssp_with;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -211,18 +209,10 @@ proptest! {
         let g = weighted_instance(seed, 300, 15);
         let seq = Executor::sequential();
         let par = Executor::new(ExecutionPolicy::Parallel { threads: 4 });
-        let (b1, c1) = parallel_bfs_with(&seq, &g, 3);
-        let (b2, c2) = parallel_bfs_with(&par, &g, 3);
-        prop_assert_eq!(b1, b2);
-        prop_assert_eq!(c1, c2);
         let (d1, e1) = dial_sssp_with(&seq, &g, 3);
         let (d2, e2) = dial_sssp_with(&par, &g, 3);
         prop_assert_eq!(d1, d2);
         prop_assert_eq!(e1, e2);
-        let (s1, f1) = delta_stepping_with(&seq, &g, 3, 6);
-        let (s2, f2) = delta_stepping_with(&par, &g, 3, 6);
-        prop_assert_eq!(s1, s2);
-        prop_assert_eq!(f1, f2);
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! Three layers are pinned down:
 //!
 //! 1. the substrate — an arena child and its materialized twin are
-//!    indistinguishable through every traversal engine (BFS, Dial,
-//!    Δ-stepping, Dijkstra);
+//!    indistinguishable through Dial's bucketed search and Dijkstra;
 //! 2. the clustering race — `ClusterBuilder` on a view equals
 //!    `ClusterBuilder` on the materialized child, artifact and cost;
 //! 3. the hopset recursion, which runs on arena views at every level —
@@ -17,8 +16,6 @@
 use proptest::prelude::*;
 use psh::core::hopset::unweighted::build_hopset_with_beta0_on;
 use psh::graph::subgraph::split_by_labels;
-use psh::graph::traversal::bfs::parallel_bfs_with;
-use psh::graph::traversal::delta_stepping::delta_stepping_with;
 use psh::graph::traversal::dial::dial_sssp_with;
 use psh::graph::traversal::dijkstra::dijkstra;
 use psh::graph::view::SplitArena;
@@ -64,19 +61,9 @@ fn traversals_agree_on_views_and_materialized_children() {
                 }
                 let view = arena.view(cid);
                 assert_eq!(
-                    parallel_bfs_with(&exec, &view, 0),
-                    parallel_bfs_with(&exec, &sub.graph, 0),
-                    "bfs seed {seed} cluster {cid} {policy}"
-                );
-                assert_eq!(
                     dial_sssp_with(&exec, &view, 0),
                     dial_sssp_with(&exec, &sub.graph, 0),
                     "dial seed {seed} cluster {cid} {policy}"
-                );
-                assert_eq!(
-                    delta_stepping_with(&exec, &view, 0, 3),
-                    delta_stepping_with(&exec, &sub.graph, 0, 3),
-                    "delta seed {seed} cluster {cid} {policy}"
                 );
                 assert_eq!(
                     dijkstra(&view, 0),
