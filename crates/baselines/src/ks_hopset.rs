@@ -71,7 +71,7 @@ pub fn sampled_clique_hopset<R: Rng>(g: &CsrGraph, rng: &mut R) -> (Hopset, Cost
 mod tests {
     use super::*;
     use psh_graph::generators;
-    use psh_graph::traversal::bellman_ford::{hop_limited_pair, ExtraEdges};
+    use psh_graph::traversal::bellman_ford::{hop_limited_pair, ExtraEdges, PairQuery};
     use psh_graph::traversal::dijkstra::dijkstra_pair;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -95,7 +95,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let (h, _) = sampled_clique_hopset(&g, &mut rng);
         let extra = ExtraEdges::from_edges(n, &h.edges);
-        let (d, hops, _) = hop_limited_pair(&g, Some(&extra), 0, (n - 1) as u32, n / 3);
+        let (PairQuery { dist: d, hops, .. }, _) =
+            hop_limited_pair(&g, Some(&extra), 0, (n - 1) as u32, n / 3);
         assert_eq!(d, (n - 1) as u64, "sampled-clique hopsets are exact");
         assert!((hops as usize) < n - 1);
     }

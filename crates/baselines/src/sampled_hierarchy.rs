@@ -105,7 +105,7 @@ pub fn sampled_hierarchy_hopset<R: Rng>(
 mod tests {
     use super::*;
     use psh_graph::generators;
-    use psh_graph::traversal::bellman_ford::{hop_limited_pair, ExtraEdges};
+    use psh_graph::traversal::bellman_ford::{hop_limited_pair, ExtraEdges, PairQuery};
     use psh_graph::traversal::dijkstra::dijkstra_pair;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -132,7 +132,8 @@ mod tests {
         };
         let (h, _) = sampled_hierarchy_hopset(&g, &cfg, &mut rng);
         let extra = ExtraEdges::from_edges(n, &h.edges);
-        let (d, hops, _) = hop_limited_pair(&g, Some(&extra), 0, (n - 1) as u32, n);
+        let (PairQuery { dist: d, hops, .. }, _) =
+            hop_limited_pair(&g, Some(&extra), 0, (n - 1) as u32, n);
         assert_eq!(d, (n - 1) as u64, "hierarchy edges are exact");
         assert!(
             (hops as usize) < (n - 1) / 2,

@@ -21,9 +21,12 @@
 //! * columns ending in `(s)` or `(ms)` are **lower-is-better** — a rise
 //!   above `baseline × (1 + noise)` is beyond the band;
 //! * the observed columns — `peak bytes`, `batches`, `largest`,
-//!   `coalesced`, `hits` and `behind` — record what a run saw, not what
-//!   it was asked to run, so they move between runs of one binary; each
-//!   has a direction (`OBSERVED`) and is compared as a metric;
+//!   `coalesced`, `hits` and `behind` — record what a run saw, and the
+//!   output columns — `work`, `depth`, `hopset`, `snapshot bytes`,
+//!   `v1 bytes`, `v2 bytes`, `max stretch` and `mean stretch` — what it
+//!   produced, not what it was asked to run. They move between runs of
+//!   one binary or when a change shrinks an artifact by design; each has
+//!   a direction (`OBSERVED`) and is compared as a metric;
 //! * every other column is part of the join key.
 //!
 //! ## What actually fails the gate
@@ -82,17 +85,27 @@ enum Direction {
     LowerIsBetter,
 }
 
-/// Columns that record what a run observed rather than what it was
-/// asked to run, with the direction a note reports against. They differ
-/// between runs of one binary, so as join keys they would leave rows
-/// unjoined; they are informational metrics instead.
-const OBSERVED: [(&str, Direction); 6] = [
+/// Columns that record what a run observed or produced rather than what
+/// it was asked to run, with the direction a note reports against. They
+/// differ between runs of one binary, or between two builds when one
+/// shrinks an artifact on purpose, so as join keys they would leave rows
+/// unjoined and their timings ungated; they are informational metrics
+/// instead.
+const OBSERVED: [(&str, Direction); 14] = [
     ("peak bytes", Direction::LowerIsBetter),
     ("batches", Direction::LowerIsBetter),
     ("largest", Direction::HigherIsBetter),
     ("coalesced", Direction::HigherIsBetter),
     ("hits", Direction::HigherIsBetter),
     ("behind", Direction::LowerIsBetter),
+    ("work", Direction::LowerIsBetter),
+    ("depth", Direction::LowerIsBetter),
+    ("hopset", Direction::LowerIsBetter),
+    ("snapshot bytes", Direction::LowerIsBetter),
+    ("v1 bytes", Direction::LowerIsBetter),
+    ("v2 bytes", Direction::LowerIsBetter),
+    ("max stretch", Direction::LowerIsBetter),
+    ("mean stretch", Direction::LowerIsBetter),
 ];
 
 fn observed(column: &str) -> Option<Direction> {
@@ -415,14 +428,36 @@ mod tests {
         );
         let (a, b) = (decompose(&a).unwrap(), decompose(&b).unwrap());
         assert_eq!(a.key, b.key);
-        assert_eq!(a.key, "family=gnp|weights=weighted|work=1,234|");
+        assert_eq!(a.key, "family=gnp|weights=weighted|");
         assert_eq!(
             a.metrics,
             [
                 ("build (s)", Direction::LowerIsBetter, 0.41),
+                ("work", Direction::LowerIsBetter, 1234.0),
                 ("peak bytes", Direction::LowerIsBetter, 288188.0),
             ]
         );
+
+        // a change that shrinks the artifact on purpose: the rows still
+        // join, so their build time is still compared
+        let before = row(
+            r#"{"family":"rmat","weights":"weighted","n":"800","build (s)":"0.012","work":"901,122","depth":"310","hopset":"2,048","snapshot bytes":"935,440"}"#,
+        );
+        let after = row(
+            r#"{"family":"rmat","weights":"weighted","n":"800","build (s)":"0.007","work":"450,561","depth":"310","hopset":"1,024","snapshot bytes":"586,256"}"#,
+        );
+        let (before, after) = (decompose(&before).unwrap(), decompose(&after).unwrap());
+        assert_eq!(before.key, after.key);
+        assert_eq!(before.key, "family=rmat|weights=weighted|n=800|");
+        for row in [&before, &after] {
+            let gated: Vec<&str> = row
+                .metrics
+                .iter()
+                .map(|&(c, _, _)| c)
+                .filter(|c| gates(c))
+                .collect();
+            assert_eq!(gated, ["build (s)"]);
+        }
         for (column, _) in OBSERVED {
             assert!(direction(column).is_some(), "{column}");
             assert!(!gates(column), "{column}");

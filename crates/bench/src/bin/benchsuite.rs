@@ -207,7 +207,7 @@ fn run_net_clients(
         }
         lats.extend(l);
     }
-    let stats = ServiceStats::from_samples(lats, elapsed_s, trips, TRIP, Cost::ZERO);
+    let stats = ServiceStats::from_samples(&lats, elapsed_s, trips, TRIP, Cost::ZERO);
     if stats.served != pairs.len() as u64 {
         die(format!(
             "wire cell counted {} served queries for {} pairs",

@@ -13,7 +13,7 @@ use psh_bench::workloads::Family;
 use psh_bench::Report;
 use psh_core::api::{HopsetBuilder, Seed};
 use psh_core::hopset::HopsetParams;
-use psh_graph::traversal::bellman_ford::hop_limited_pair;
+use psh_graph::traversal::bellman_ford::{hop_limited_pair, PairQuery};
 use psh_graph::traversal::dijkstra::dijkstra_pair;
 use psh_graph::INF;
 
@@ -55,7 +55,8 @@ fn main() {
                 .artifact
                 .into_single();
             let extra = h.to_extra_edges();
-            let (d, hops, _) = hop_limited_pair(&g, Some(&extra), s, tt, nn);
+            let (PairQuery { dist: d, hops, .. }, _) =
+                hop_limited_pair(&g, Some(&extra), s, tt, nn);
             let predicted = params.hop_bound(nn, params.beta0(nn), exact);
             t.row([
                 family.name().to_string(),

@@ -10,7 +10,7 @@
 use psh_bench::table::{fmt_f, fmt_u, Table};
 use psh_bench::Report;
 use psh_core::hopset::limited::{limited_hopset, low_depth_hopset};
-use psh_graph::traversal::bellman_ford::{hop_limited_pair, ExtraEdges};
+use psh_graph::traversal::bellman_ford::{hop_limited_pair, ExtraEdges, PairQuery};
 use psh_graph::traversal::dijkstra::dijkstra_pair;
 use psh_graph::{generators, CsrGraph, Edge, INF};
 use rand::rngs::StdRng;
@@ -19,7 +19,7 @@ use rand::SeedableRng;
 fn hops_for_pair(g: &CsrGraph, edges: &[Edge], s: u32, t: u32) -> (u64, f64) {
     let extra = ExtraEdges::from_edges(g.n(), edges);
     let use_extra = (!edges.is_empty()).then_some(&extra);
-    let (d, hops, _) = hop_limited_pair(g, use_extra, s, t, g.n());
+    let (PairQuery { dist: d, hops, .. }, _) = hop_limited_pair(g, use_extra, s, t, g.n());
     let exact = dijkstra_pair(g, s, t);
     if d == INF {
         (u64::MAX, f64::INFINITY)

@@ -349,7 +349,8 @@ fn replay(addr: &str, seed: u64) {
     // --- report in the ServiceStats vocabulary ----------------------------
     let batches = latencies_ms.len() as u64;
     let eff_batch = if open_loop.is_some() { 1 } else { batch };
-    let stats = ServiceStats::from_samples(latencies_ms, elapsed_s, batches, eff_batch, Cost::ZERO);
+    let stats =
+        ServiceStats::from_samples(&latencies_ms, elapsed_s, batches, eff_batch, Cost::ZERO);
     let reachable = answers.iter().filter(|a| a.distance.is_finite()).count();
     let qps = answers.len() as f64 / elapsed_s.max(1e-12);
 

@@ -27,7 +27,7 @@
 
 use crate::error::PshError;
 use crate::hopset::unweighted::build_hopset_with_beta0_on;
-use crate::hopset::weighted::build_weighted_hopsets_impl;
+use crate::hopset::weighted::{build_weighted_hopsets_impl, Bands};
 use crate::hopset::{limited, Hopset, HopsetParams, WeightedHopsets};
 use crate::oracle::ApproxShortestPaths;
 use crate::spanner::unweighted::{beta_for, spanner_from_clustering_with};
@@ -441,8 +441,15 @@ impl HopsetBuilder {
                 let beta0 = self
                     .beta0_override
                     .unwrap_or_else(|| self.params.beta0_weighted(g.n()));
-                let (b, cost) =
-                    build_weighted_hopsets_impl(&exec, g, &self.params, eta, beta0, rng);
+                let (b, cost) = build_weighted_hopsets_impl(
+                    &exec,
+                    g,
+                    &self.params,
+                    eta,
+                    beta0,
+                    Bands::All,
+                    rng,
+                );
                 Ok((HopsetArtifact::Banded(b), cost))
             }
             HopsetKind::Limited { alpha } => {

@@ -150,7 +150,7 @@ pub(crate) fn low_depth_hopset_impl<R: Rng>(
 mod tests {
     use super::*;
     use psh_graph::generators;
-    use psh_graph::traversal::bellman_ford::{hop_limited_pair, ExtraEdges};
+    use psh_graph::traversal::bellman_ford::{hop_limited_pair, ExtraEdges, PairQuery};
     use psh_graph::traversal::dijkstra::dijkstra_pair;
     use psh_graph::INF;
 
@@ -178,7 +178,8 @@ mod tests {
         let exact = dijkstra_pair(&g, 0, (n - 1) as u32);
         // far fewer hops than the n-1 trivial path
         let budget = n / 4;
-        let (d, hops, _) = hop_limited_pair(&g, Some(&extra), 0, (n - 1) as u32, budget);
+        let (PairQuery { dist: d, hops, .. }, _) =
+            hop_limited_pair(&g, Some(&extra), 0, (n - 1) as u32, budget);
         assert!(d != INF, "not reachable within {budget} hops");
         assert!((hops as usize) < n - 1);
         assert!(

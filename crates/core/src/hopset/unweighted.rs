@@ -229,7 +229,7 @@ mod tests {
     use super::*;
     use crate::api::HopsetBuilder;
     use psh_graph::generators;
-    use psh_graph::traversal::bellman_ford::{hop_limited_pair, ExtraEdges};
+    use psh_graph::traversal::bellman_ford::{hop_limited_pair, ExtraEdges, PairQuery};
     use psh_graph::traversal::dijkstra::dijkstra_pair;
     use psh_graph::CsrGraph;
 
@@ -304,7 +304,7 @@ mod tests {
         let exact = dijkstra_pair(&g, s, t);
         // run with half the hops of the trivial path: the hopset must make
         // the endpoints reachable with modest distortion
-        let (d, hops, _) = hop_limited_pair(&g, Some(&extra), s, t, n / 2);
+        let (PairQuery { dist: d, hops, .. }, _) = hop_limited_pair(&g, Some(&extra), s, t, n / 2);
         assert!(d != INF, "hopset failed to shorten the path");
         assert!(
             (hops as usize) < n - 1,

@@ -6,19 +6,32 @@
 //! Lemma 5.2 and build an Algorithm 4 hopset on the rounded graph with
 //! `β₀ = (n/ε)^{−γ₂}` and `n_final = n^{γ₁}` (Theorem 5.3).
 //!
-//! A query `(s, t)` runs the h-hop Bellman–Ford in **every** band and
-//! takes the minimum of the unrounded values. Soundness: rounding only
-//! inflates weights and hop limits only inflate distances, so every band's
-//! value is ≥ `dist(s, t)`; for the band with `d ≤ dist(s,t) ≤ n^η·d`, the
-//! value is ≤ `(1+ζ)(1+O(ε log n))·dist(s,t)` with probability ≥ 1/2
-//! (Lemma 4.2 + Lemma 5.2) — so the minimum is a `(1+ε')`-approximation.
+//! A query `(s, t)` runs the h-hop Bellman–Ford band by band in
+//! increasing `d` and takes the minimum of the unrounded values.
+//! Soundness: rounding only inflates weights and hop limits only inflate
+//! distances, so every band's value is ≥ `dist(s, t)`; for the band with
+//! `d ≤ dist(s,t) ≤ n^η·d`, the value is ≤ `(1+ζ)(1+O(ε log n))·dist(s,t)`
+//! with probability ≥ 1/2 (Lemma 4.2 + Lemma 5.2) — so the minimum is a
+//! `(1+ε')`-approximation.
+//!
+//! A band with `ŵ = 1` sweeps the input weights, so its value is the exact
+//! distance whenever its sweep settled `t` or its budget is `h ≥ n − 1`
+//! (every shortest path has at most `n − 1` hops). No later band can
+//! undercut it, so the query stops after that band. The paper's schedule
+//! runs the bands in parallel; this one runs them in order, so their
+//! costs compose with `then`.
+//!
+//! A band with `ŵ = 1` and `h ≥ n − 1` is exact for every pair, so the
+//! oracle builds no band after the first such band; at the default
+//! parameters that is the second band for every `n` below about 10¹³.
+//! [`crate::api::HopsetBuilder::weighted`] still builds every band.
 
 use super::rounding::Rounding;
 use super::unweighted::build_hopset_with_beta0_on;
 use super::{Hopset, HopsetParams};
 use psh_exec::Executor;
-use psh_graph::traversal::bellman_ford::{hop_limited_pair, ExtraEdges};
-use psh_graph::{CsrGraph, VertexId, INF};
+use psh_graph::traversal::bellman_ford::{hop_limited_pair_on, ExtraEdges, ExtraView};
+use psh_graph::{CsrGraph, GraphView, VertexId, INF};
 use psh_pram::Cost;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -80,23 +93,63 @@ impl WeightedHopsets {
     }
 
     /// Approximate `s`–`t` distance: minimum over bands of the unrounded
-    /// h-hop distance. Returns `f64::INFINITY` when no band connects them.
+    /// h-hop distance, stopping after the first band whose value is exact
+    /// (see the module docs). Returns `f64::INFINITY` when no band
+    /// connects them.
     pub fn query(&self, s: VertexId, t: VertexId) -> (f64, Cost) {
         if s == t {
             return (0.0, Cost::ZERO);
         }
-        let mut best = f64::INFINITY;
-        let mut cost = Cost::ZERO;
-        // The paper tries all bands in parallel; costs compose with par.
-        for band in &self.bands {
-            let (d, _, c) = hop_limited_pair(&band.graph, Some(&band.extra), s, t, band.h);
-            cost = cost.par(c);
-            if d != INF {
-                best = best.min(band.rounding.unround(d));
-            }
-        }
-        (best, cost)
+        let bands = self
+            .bands
+            .iter()
+            .map(|b| (&b.rounding, b.h, &b.graph, b.extra.view()));
+        query_bands(bands, s, t)
     }
+}
+
+/// Whether a band answers every pair exactly: with `ŵ = 1` its rounded
+/// graph is the input graph, and `h ≥ n − 1` hops cover every shortest
+/// path.
+fn is_exact(rounding: &Rounding, h: usize, n: usize) -> bool {
+    rounding.what == 1.0 && h + 1 >= n
+}
+
+/// §5's query over one band family, whatever its storage: `bands` yields
+/// each band's rounding, hop budget, rounded graph and hopset adjacency
+/// in increasing `d`. Returns the minimum of the unrounded h-hop values
+/// (`f64::INFINITY` if no band connects `s` and `t`) and the cost of the
+/// bands that ran, composed with `then`. The loop stops after a band with
+/// `ŵ = 1` whose sweep settled `t` or whose budget is `h ≥ n − 1`: that
+/// value is the exact distance, and every later band's is at least that.
+pub(crate) fn query_bands<'a, G: GraphView + 'a>(
+    bands: impl IntoIterator<Item = (&'a Rounding, usize, &'a G, ExtraView<'a>)>,
+    s: VertexId,
+    t: VertexId,
+) -> (f64, Cost) {
+    let mut best = f64::INFINITY;
+    let mut cost = Cost::ZERO;
+    for (rounding, h, graph, extra) in bands {
+        let (q, c) = hop_limited_pair_on(graph, Some(extra), s, t, h);
+        cost = cost.then(c);
+        if q.dist != INF {
+            best = best.min(rounding.unround(q.dist));
+        }
+        if is_exact(rounding, h, graph.n()) || (q.settled && rounding.what == 1.0) {
+            break;
+        }
+    }
+    (best, cost)
+}
+
+/// Which bands of the §5 family a build keeps.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Bands {
+    /// Every band up to `d = n·w_max`: the paper's construction.
+    All,
+    /// The bands up to and including the first exact one (`ŵ = 1` and
+    /// `h ≥ n − 1`); no later band can set a query's answer.
+    ThroughFirstExact,
 }
 
 /// §5's construction body with band exponent `eta ∈ (0, 1)` and an
@@ -104,14 +157,17 @@ impl WeightedHopsets {
 /// parameters before this runs.
 ///
 /// The bands really are built in parallel on `exec` (the paper's
-/// schedule): band seeds are drawn in deterministic band order before the
-/// fan-out, so the family is byte-identical for any policy.
+/// schedule). Every band's `d`, rounding, hop budget and seed are fixed
+/// in band order before the fan-out, and `keep` cuts that list only
+/// afterwards, so the family is byte-identical for any policy and a cut
+/// family is a prefix of the full one.
 pub(crate) fn build_weighted_hopsets_impl<R: Rng>(
     exec: &Executor,
     g: &CsrGraph,
     params: &HopsetParams,
     eta: f64,
     beta0: f64,
+    keep: Bands,
     rng: &mut R,
 ) -> (WeightedHopsets, Cost) {
     let n = g.n();
@@ -120,39 +176,45 @@ pub(crate) fn build_weighted_hopsets_impl<R: Rng>(
     let c = (n.max(2) as f64).powf(eta).max(2.0);
     let d_max: u64 = (n as u64).saturating_mul(g.max_weight().unwrap_or(1));
 
-    let mut tasks: Vec<(u64, u64)> = Vec::new(); // (band start d, seed)
+    // (band start d, rounding, hop budget, seed)
+    let mut tasks: Vec<(u64, Rounding, usize, u64)> = Vec::new();
     let mut d: u64 = 1;
     while d <= d_max {
-        tasks.push((d, rng.random()));
+        // paths in this band have ≤ n hops and weight ≤ c·d
+        let rounding = Rounding::for_band(d, n.max(2) as u64, zeta);
+        // hop budget from Lemma 4.2 at the band's top distance, in rounded
+        // units (the search runs on the rounded graph)
+        let d_rounded_top = ((c * d as f64) / rounding.what).ceil() as u64;
+        let h = params.hop_bound(n, beta0, d_rounded_top.max(1));
+        tasks.push((d, rounding, h, rng.random()));
         // next band: d ← d · n^η
         let next = (d as f64 * c).ceil() as u64;
         d = next.max(d + 1);
     }
+    if keep == Bands::ThroughFirstExact {
+        if let Some(i) = tasks.iter().position(|(_, r, h, _)| is_exact(r, *h, n)) {
+            tasks.truncate(i + 1);
+        }
+    }
 
-    let bands: Vec<(EstimateBand, Cost)> = exec.par_map(&tasks, 1, |&(d, seed)| {
-        // paths in this band have ≤ n hops and weight ≤ c·d
-        let rounding = Rounding::for_band(d, n.max(2) as u64, zeta);
+    let bands: Vec<(EstimateBand, Cost)> = exec.par_map(&tasks, 1, |(d, rounding, h, seed)| {
         let graph = rounding.round_graph(g);
         let (hopset, hcost) = build_hopset_with_beta0_on(
             exec,
             &graph,
             params,
             beta0,
-            &mut StdRng::seed_from_u64(seed),
+            &mut StdRng::seed_from_u64(*seed),
         );
-        // hop budget from Lemma 4.2 at the band's top distance, in rounded
-        // units (the search runs on the rounded graph)
-        let d_rounded_top = ((c * d as f64) / rounding.what).ceil() as u64;
-        let h = params.hop_bound(n, beta0, d_rounded_top.max(1));
         let extra = hopset.to_extra_edges();
         (
             EstimateBand {
-                d,
-                rounding,
+                d: *d,
+                rounding: rounding.clone(),
                 graph,
                 hopset,
                 extra,
-                h,
+                h: *h,
             },
             hcost.then(Cost::flat(g.m() as u64)),
         )
@@ -199,7 +261,8 @@ mod tests {
     fn build<R: Rng>(g: &CsrGraph, eta: f64, rng: &mut R) -> WeightedHopsets {
         let params = test_params();
         let beta0 = params.beta0_weighted(g.n());
-        build_weighted_hopsets_impl(&Executor::sequential(), g, &params, eta, beta0, rng).0
+        let exec = Executor::sequential();
+        build_weighted_hopsets_impl(&exec, g, &params, eta, beta0, Bands::All, rng).0
     }
 
     fn weighted_instance(seed: u64) -> CsrGraph {

@@ -7,11 +7,16 @@
 //! first (exposed separately; the oracle asserts the poly-bounded case).
 //!
 //! **Query** (`O(m/ε)` work, `O(h)`-round depth): h-hop-limited parallel
-//! Bellman–Ford over `E ∪ E'` — \[KS97\]'s procedure. Batches of pairs are
-//! served through [`ApproxShortestPaths::query_batch`], which fans the
-//! pairs across the psh-exec pool; a preprocessed oracle can be saved and
-//! reloaded through [`crate::snapshot`], so preprocessing and serving can
-//! run as separate processes.
+//! Bellman–Ford over `E ∪ E'` — \[KS97\]'s procedure. Each sweep relaxes
+//! only below the target's current distance and stops once no frontier
+//! vertex is below it ([`hop_limited_pair_on`]). A weighted oracle sweeps
+//! its bands in increasing `d` and stops after the first `ŵ = 1` band
+//! whose value is exact; it keeps no band after the first one that is
+//! exact for every pair (see [`crate::hopset::weighted`]). Batches of
+//! pairs are served through [`ApproxShortestPaths::query_batch`], which
+//! fans the pairs across the psh-exec pool; a preprocessed oracle can be
+//! saved and reloaded through [`crate::snapshot`], so preprocessing and
+//! serving can run as separate processes.
 //!
 //! ## Storage representations
 //!
@@ -29,10 +34,10 @@
 
 use crate::hopset::rounding::Rounding;
 use crate::hopset::unweighted::build_hopset_with_beta0_on;
-use crate::hopset::weighted::{build_weighted_hopsets_impl, WeightedHopsets};
+use crate::hopset::weighted::{build_weighted_hopsets_impl, query_bands, Bands, WeightedHopsets};
 use crate::hopset::{Hopset, HopsetParams};
 use psh_exec::{ExecutionPolicy, Executor};
-use psh_graph::traversal::bellman_ford::{hop_limited_pair, hop_limited_pair_on};
+use psh_graph::traversal::bellman_ford::{hop_limited_pair, hop_limited_pair_on, PairQuery};
 use psh_graph::traversal::dijkstra::dijkstra_pair;
 use psh_graph::{CsrGraph, Edge, ExtraSlabsView, GraphView, MmapView, VertexId, Weight, INF};
 use psh_pram::Cost;
@@ -299,8 +304,9 @@ impl ApproxShortestPaths {
         eta: f64,
         rng: &mut R,
     ) -> (Self, Cost) {
+        let beta0 = params.beta0_weighted(g.n());
         let (hopsets, cost) =
-            build_weighted_hopsets_impl(exec, g, params, eta, params.beta0_weighted(g.n()), rng);
+            build_weighted_hopsets_impl(exec, g, params, eta, beta0, Bands::ThroughFirstExact, rng);
         (
             ApproxShortestPaths {
                 repr: Repr::Owned {
@@ -326,36 +332,23 @@ impl ApproxShortestPaths {
         let (distance, cost) = match &self.repr {
             Repr::Owned { graph, mode } => match mode {
                 Mode::Unweighted { extra, h_max, .. } => {
-                    let (d, _, cost) = hop_limited_pair(graph, Some(extra), s, t, *h_max);
+                    let (PairQuery { dist: d, .. }, cost) =
+                        hop_limited_pair(graph, Some(extra), s, t, *h_max);
                     (if d == INF { f64::INFINITY } else { d as f64 }, cost)
                 }
                 Mode::Weighted { hopsets } => hopsets.query(s, t),
             },
             Repr::Mapped(m) => match &m.mode {
                 MappedMode::Unweighted { hopset, h_max } => {
-                    let (d, _, cost) =
+                    let (PairQuery { dist: d, .. }, cost) =
                         hop_limited_pair_on(&m.graph, Some(hopset.extra.view()), s, t, *h_max);
                     (if d == INF { f64::INFINITY } else { d as f64 }, cost)
                 }
                 MappedMode::Weighted { bands, .. } => {
-                    // the exact analogue of WeightedHopsets::query: min of
-                    // the unrounded per-band values, costs par-composed
-                    let mut best = f64::INFINITY;
-                    let mut cost = Cost::ZERO;
-                    for band in bands {
-                        let (d, _, c) = hop_limited_pair_on(
-                            &band.graph,
-                            Some(band.hopset.extra.view()),
-                            s,
-                            t,
-                            band.h,
-                        );
-                        cost = cost.par(c);
-                        if d != INF {
-                            best = best.min(band.rounding.unround(d));
-                        }
-                    }
-                    (best, cost)
+                    let bands = bands
+                        .iter()
+                        .map(|b| (&b.rounding, b.h, &b.graph, b.hopset.extra.view()));
+                    query_bands(bands, s, t)
                 }
             },
         };
@@ -502,7 +495,7 @@ impl ApproxShortestPaths {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{OracleBuilder, OracleMode, Seed};
+    use crate::api::{HopsetBuilder, OracleBuilder, OracleMode, Seed};
     use psh_graph::generators;
 
     fn build_unweighted(g: &CsrGraph, params: &HopsetParams, seed: u64) -> ApproxShortestPaths {
@@ -594,6 +587,100 @@ mod tests {
         let (none, zero) = oracle.query_batch(&[], ExecutionPolicy::Sequential);
         assert!(none.is_empty());
         assert_eq!(zero, Cost::ZERO);
+    }
+
+    /// A king-move grid with log-uniform weights of ratio 64 (perfbench's
+    /// `serve_uniform` shape at `side = 50`).
+    fn weighted_king_grid(side: usize, seed: u64) -> CsrGraph {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        generators::with_log_uniform_weights(&generators::grid2d(side, side), 64.0, &mut rng)
+    }
+
+    /// The full §5 family `HopsetBuilder::weighted` builds for the seed.
+    fn full_family(g: &CsrGraph, eta: f64, seed: u64) -> WeightedHopsets {
+        let run = HopsetBuilder::weighted(eta)
+            .seed(Seed(seed))
+            .build(g)
+            .unwrap();
+        run.artifact.as_banded().unwrap().clone()
+    }
+
+    /// At the default parameters the oracle keeps exactly the prefix of
+    /// the full family through its first band with `ŵ = 1` and
+    /// `h ≥ n − 1`: the same `d`, `ŵ`, `h` and hopset edges.
+    #[test]
+    fn oracle_keeps_the_band_prefix_through_the_first_exact_band() {
+        let g = weighted_king_grid(50, 1);
+        let n = g.n();
+        for (eta, kept) in [(0.5, 2), (0.25, 4)] {
+            let family = full_family(&g, eta, 3);
+            let first_exact = family
+                .bands
+                .iter()
+                .position(|b| b.rounding.what == 1.0 && b.h + 1 >= n)
+                .unwrap();
+            assert_eq!(first_exact + 1, kept, "η = {eta}");
+            assert!(family.num_bands() > kept, "η = {eta}");
+            let oracle = OracleBuilder::new()
+                .eta(eta)
+                .seed(Seed(3))
+                .build(&g)
+                .unwrap()
+                .artifact;
+            let ModeParts::Weighted { bands, .. } = oracle.mode_parts() else {
+                panic!("a weighted graph takes the banded path");
+            };
+            assert_eq!(bands.len(), kept, "η = {eta}");
+            for (cut, full) in bands.iter().zip(&family.bands) {
+                assert_eq!(
+                    (cut.d, cut.what, cut.h),
+                    (full.d, full.rounding.what, full.h)
+                );
+                assert_eq!(cut.hopset.edges, full.hopset.edges.as_slice());
+            }
+        }
+    }
+
+    /// A file holding every band, as builds kept them before the cut,
+    /// answers every pair with the same distance and `Cost` as the cut
+    /// oracle, owned and mapped: the band loop stops at or before the
+    /// first exact band.
+    #[test]
+    fn a_full_band_family_answers_like_the_cut_oracle() {
+        use crate::snapshot::{read_oracle_v2, write_oracle_v2_bytes, OracleMeta};
+        use psh_graph::{SnapshotSource, Verify};
+        use std::sync::Arc;
+        let g = weighted_king_grid(7, 2);
+        let n = g.n() as VertexId;
+        for eta in [0.25, 0.5] {
+            let run = OracleBuilder::new()
+                .eta(eta)
+                .seed(Seed(4))
+                .build(&g)
+                .unwrap();
+            let full = ApproxShortestPaths {
+                repr: Repr::Owned {
+                    graph: g.clone(),
+                    mode: Mode::Weighted {
+                        hopsets: full_family(&g, eta, 4),
+                    },
+                },
+            };
+            assert!(full.hopset_size() > run.artifact.hopset_size());
+            let meta = OracleMeta::of_run(&run, HopsetParams::default());
+            let bytes = write_oracle_v2_bytes(&full, &meta).unwrap();
+            let source = Arc::new(SnapshotSource::from_bytes(&bytes));
+            let (mapped, _) = read_oracle_v2(source, Verify::Deep).unwrap();
+            for s in 0..n {
+                for t in 0..n {
+                    let cut = run.artifact.query(s, t);
+                    assert_eq!(full.query(s, t), cut, "({s}, {t}), η = {eta}");
+                    assert_eq!(mapped.query(s, t), cut, "({s}, {t}), η = {eta}");
+                }
+            }
+        }
     }
 
     #[test]

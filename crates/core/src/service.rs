@@ -145,6 +145,94 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// Request latencies as a fixed-size log-linear histogram: 32 buckets per
+/// octave from 2⁻²⁰ ms (about a nanosecond, the timer's resolution) up to
+/// 2⁴⁴ ms, one bucket below that, and longer latencies clamped into the
+/// top bucket. Recording is O(1) and the memory is 16 KiB however many
+/// requests arrive. A percentile reads the bucket holding the
+/// nearest-rank sample and reports the largest value that bucket holds:
+/// never below the sample, and above it by less than 1/32 of it (a
+/// sample under 2⁻²⁰ ms reads as 0).
+struct LatencyHistogram {
+    /// Samples per bucket, [`LatencyHistogram::BUCKETS`] long.
+    counts: Box<[u64]>,
+    total: u64,
+}
+
+impl LatencyHistogram {
+    /// Mantissa bits a bucket key keeps: 2⁵ = 32 buckets per octave.
+    const SUB_BITS: u32 = 5;
+    /// Shift from an `f64`'s bits to its exponent and top mantissa bits.
+    const KEY_SHIFT: u32 = 52 - Self::SUB_BITS;
+    /// The smallest latency with a bucket of its own, 2⁻²⁰ ms.
+    const MIN_MS: f64 = 1.0 / (1u64 << 20) as f64;
+    /// The bottom bucket plus 64 octaves of 32 buckets.
+    const BUCKETS: usize = 1 + (64 << Self::SUB_BITS);
+
+    fn new() -> LatencyHistogram {
+        LatencyHistogram {
+            counts: vec![0; Self::BUCKETS].into_boxed_slice(),
+            total: 0,
+        }
+    }
+
+    fn from_samples(latencies_ms: &[f64]) -> LatencyHistogram {
+        let mut h = LatencyHistogram::new();
+        for &ms in latencies_ms {
+            h.record(ms);
+        }
+        h
+    }
+
+    /// The bucket a latency falls in. Positive `f64`s order like their
+    /// bits, so a bucket is a run of `f64`s sharing exponent and top
+    /// mantissa bits.
+    fn bucket(ms: f64) -> usize {
+        if ms.is_nan() || ms < Self::MIN_MS {
+            // zero, below the timer's resolution, or NaN
+            return 0;
+        }
+        let key = (ms.to_bits() >> Self::KEY_SHIFT) - (Self::MIN_MS.to_bits() >> Self::KEY_SHIFT);
+        (1 + key as usize).min(Self::BUCKETS - 1)
+    }
+
+    /// The largest latency bucket `i` holds (0 for the bottom bucket).
+    fn bucket_max(i: usize) -> f64 {
+        if i == 0 {
+            return 0.0;
+        }
+        let key = (i - 1) as u64 + (Self::MIN_MS.to_bits() >> Self::KEY_SHIFT);
+        f64::from_bits(((key + 1) << Self::KEY_SHIFT) - 1)
+    }
+
+    fn record(&mut self, ms: f64) {
+        self.counts[Self::bucket(ms)] += 1;
+        self.total += 1;
+    }
+
+    fn clear(&mut self) {
+        self.counts.fill(0);
+        self.total = 0;
+    }
+
+    /// Nearest-rank percentile (`p ∈ [0, 100]`), ranked as [`percentile`]
+    /// ranks; 0 with no samples.
+    fn percentile(&self, p: f64) -> f64 {
+        if self.total == 0 {
+            return 0.0;
+        }
+        let rank = (((p / 100.0) * self.total as f64).ceil() as u64).clamp(1, self.total);
+        let mut seen = 0;
+        for (i, &count) in self.counts.iter().enumerate() {
+            seen += count;
+            if seen >= rank {
+                return Self::bucket_max(i);
+            }
+        }
+        unreachable!("the counts sum to total")
+    }
+}
+
 /// The bounded answer cache (see the module docs): a direct-mapped slot
 /// array keyed by a seeded hash of the query pair, with
 /// overwrite-on-collision ("seeded eviction") replacement.
@@ -220,9 +308,11 @@ fn cache_slot(cfg: &CacheConfig, pair: (VertexId, VertexId)) -> usize {
 /// Latency is measured per request, from admission (the moment
 /// [`OracleService::query`] enqueued the pair) to answer publication —
 /// so it includes queueing delay, which is the number a client actually
-/// experiences under contention. Percentiles use [`percentile`]
-/// (nearest-rank); `qps` divides served requests by the span from the
-/// first admission to the last publication.
+/// experiences under contention. The service keeps latencies in a
+/// fixed-size log-linear histogram, not per request: a percentile is the
+/// top of the bucket holding the nearest-rank sample, at most 1/32 above
+/// it. `qps` divides served requests by the span from the first
+/// admission to the last publication.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServiceStats {
     /// Requests answered so far.
@@ -246,31 +336,28 @@ pub struct ServiceStats {
     /// Requests short-circuited by the answer cache (a subset of
     /// `served`; always 0 when [`ServiceConfig::cache`] is `None`).
     pub cache_hits: u64,
-    /// Raw per-request latencies in publication order (for custom
-    /// aggregation; cleared by [`OracleService::reset_stats`]).
-    pub latencies_ms: Vec<f64>,
 }
 
 impl ServiceStats {
     /// Build a stats snapshot from raw per-request latency samples — the
     /// hook for **connection-level** collectors that observe latencies
-    /// without owning an `OracleService`: the `psh-net` server's
-    /// per-connection windows and the `psh-client` load driver report
-    /// ServiceStats-compatible numbers through this, so wire-side and
-    /// in-process measurements stay comparable column for column.
+    /// without owning an `OracleService` (the `psh-client` load driver
+    /// reports ServiceStats-compatible numbers through this), so
+    /// wire-side and in-process measurements stay comparable column for
+    /// column.
     ///
     /// `served` is `latencies_ms.len()`; `qps` divides it by
-    /// `elapsed_s` (0 when the span is empty); percentiles use
-    /// [`percentile`] (nearest-rank), exactly as [`OracleService::stats`]
-    /// does.
+    /// `elapsed_s` (0 when the span is empty); percentiles come from the
+    /// same log-linear histogram [`OracleService::stats`] reads.
     pub fn from_samples(
-        latencies_ms: Vec<f64>,
+        latencies_ms: &[f64],
         elapsed_s: f64,
         batches: u64,
         largest_batch: usize,
         total_cost: Cost,
     ) -> ServiceStats {
         let served = latencies_ms.len() as u64;
+        let latencies = LatencyHistogram::from_samples(latencies_ms);
         ServiceStats {
             served,
             batches,
@@ -281,14 +368,13 @@ impl ServiceStats {
             } else {
                 0.0
             },
-            p50_ms: percentile(&latencies_ms, 50.0),
-            p99_ms: percentile(&latencies_ms, 99.0),
-            p999_ms: percentile(&latencies_ms, 99.9),
+            p50_ms: latencies.percentile(50.0),
+            p99_ms: latencies.percentile(99.0),
+            p999_ms: latencies.percentile(99.9),
             total_cost,
             // wire-side collectors see only latencies; cache state is a
             // service-internal detail they cannot observe
             cache_hits: 0,
-            latencies_ms,
         }
     }
 }
@@ -337,7 +423,7 @@ struct Shared {
     last_publication: Option<Instant>,
     total_cost: Cost,
     cache_hits: u64,
-    latencies_ms: Vec<f64>,
+    latencies: LatencyHistogram,
 }
 
 impl Shared {
@@ -359,7 +445,7 @@ impl Shared {
             last_publication: None,
             total_cost: Cost::ZERO,
             cache_hits: 0,
-            latencies_ms: Vec::new(),
+            latencies: LatencyHistogram::new(),
         }
     }
 
@@ -502,7 +588,7 @@ impl OracleService {
                 sh.last_publication = Some(now);
                 sh.served += 1;
                 sh.cache_hits += 1;
-                sh.latencies_ms.push(0.0);
+                sh.latencies.record(0.0);
                 Some((answer, sh.epoch))
             }
             _ => None,
@@ -639,8 +725,8 @@ impl OracleService {
                     }
                     live += 1;
                     sh.answers.insert(pending.id, (*answer, batch_epoch));
-                    sh.latencies_ms
-                        .push(published.duration_since(pending.admitted).as_secs_f64() * 1e3);
+                    sh.latencies
+                        .record(published.duration_since(pending.admitted).as_secs_f64() * 1e3);
                 }
                 sh.served += live;
                 sh.batches += 1;
@@ -675,12 +761,11 @@ impl OracleService {
             } else {
                 0.0
             },
-            p50_ms: percentile(&sh.latencies_ms, 50.0),
-            p99_ms: percentile(&sh.latencies_ms, 99.0),
-            p999_ms: percentile(&sh.latencies_ms, 99.9),
+            p50_ms: sh.latencies.percentile(50.0),
+            p99_ms: sh.latencies.percentile(99.0),
+            p999_ms: sh.latencies.percentile(99.9),
             total_cost: sh.total_cost,
             cache_hits: sh.cache_hits,
-            latencies_ms: sh.latencies_ms.clone(),
         }
     }
 
@@ -700,7 +785,7 @@ impl OracleService {
         sh.last_publication = None;
         sh.total_cost = Cost::ZERO;
         sh.cache_hits = 0;
-        sh.latencies_ms.clear();
+        sh.latencies.clear();
     }
 }
 
@@ -826,7 +911,6 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.served, 4);
         assert_eq!(stats.batches, 4, "uncontended queries serve one-by-one");
-        assert_eq!(stats.latencies_ms.len(), 4);
         assert!(stats.qps > 0.0);
         assert!(stats.p50_ms <= stats.p99_ms && stats.p99_ms <= stats.p999_ms);
     }
@@ -909,17 +993,74 @@ mod tests {
         for (s, t) in [(0u32, 99u32), (5, 50), (42, 42)] {
             service.query(s, t);
         }
+        // the service's own samples are timings; swap in known ones
+        let samples = [0.5, 0.0, 12.25];
+        {
+            let mut sh = service.shared.lock().unwrap();
+            sh.latencies = LatencyHistogram::from_samples(&samples);
+        }
         let live = service.stats();
         let rebuilt = ServiceStats::from_samples(
-            live.latencies_ms.clone(),
+            &samples,
             live.elapsed_s,
             live.batches,
             live.largest_batch,
             live.total_cost,
         );
         assert_eq!(rebuilt, live, "the hook reproduces the live snapshot");
-        let empty = ServiceStats::from_samples(Vec::new(), 0.0, 0, 0, Cost::ZERO);
+        assert_eq!(
+            live.p50_ms,
+            LatencyHistogram::bucket_max(LatencyHistogram::bucket(0.5))
+        );
+        let empty = ServiceStats::from_samples(&[], 0.0, 0, 0, Cost::ZERO);
         assert_eq!(empty, ServiceStats::default());
+    }
+
+    #[test]
+    fn histogram_buckets_are_at_most_a_32nd_wide() {
+        type H = LatencyHistogram;
+        assert_eq!(
+            (H::bucket(0.0), H::bucket(f64::NAN), H::bucket(1e-7)),
+            (0, 0, 0)
+        );
+        assert_eq!(H::bucket(H::MIN_MS), 1);
+        assert_eq!(H::bucket(f64::INFINITY), H::BUCKETS - 1);
+        for i in 1..H::BUCKETS - 1 {
+            let (lo, hi) = (H::bucket_max(i - 1), H::bucket_max(i));
+            assert!(lo < hi, "bucket {i}");
+            assert_eq!(H::bucket(hi), i, "bucket {i} holds its own maximum");
+            assert_eq!(H::bucket(f64::from_bits(hi.to_bits() + 1)), i + 1);
+            if i > 1 {
+                assert!(hi - lo <= lo / 32.0, "bucket {i}: ({lo}, {hi}]");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Histogram percentiles never read below the nearest-rank
+        /// percentile of the same samples, and land in its bucket.
+        #[test]
+        fn prop_histogram_percentiles_bound_nearest_rank(
+            raw in proptest::collection::vec((0u32..6, 0u32..1_000_000), 1..400),
+            p_pick in 0u32..1_001,
+        ) {
+            // zeros (cache hits) and log-uniform timings from 1 µs to 10 s
+            let samples: Vec<f64> = raw
+                .iter()
+                .map(|&(kind, u)| if kind == 0 { 0.0 } else { 1e-3 * 1e7f64.powf(u as f64 / 1e6) })
+                .collect();
+            let h = LatencyHistogram::from_samples(&samples);
+            for p in [p_pick as f64 / 10.0, 50.0, 99.0, 99.9, 100.0] {
+                let exact = percentile(&samples, p);
+                let read = h.percentile(p);
+                proptest::prop_assert!(read >= exact, "p{p}: {read} < {exact}");
+                proptest::prop_assert_eq!(
+                    LatencyHistogram::bucket(read),
+                    LatencyHistogram::bucket(exact)
+                );
+                proptest::prop_assert!(read - exact <= exact / 32.0);
+            }
+        }
     }
 
     #[test]

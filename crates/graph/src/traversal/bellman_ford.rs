@@ -15,6 +15,18 @@
 //! answers, the hop counts and the [`Cost`] — depends only on the
 //! start-of-round state, never on the order the frontier is scanned in.
 //!
+//! The pair entry ([`hop_limited_pair`]) also bounds the sweep by the
+//! target. At the start of each round it reads `b = dist[t]`, drops the
+//! frontier vertices at `dist ≥ b` without charging them, and keeps only
+//! candidates below `b`: no weight is negative, so no path through such
+//! a vertex can improve `t`. `dist[t]` and its hop count come out equal to
+//! the unbounded sweep's at every `h`, and `b` is read once per round, so
+//! the improved set still depends only on the start-of-round state. A
+//! round whose bounded frontier is empty is not run and not charged: the
+//! sweep stops, and `t` is *settled* — its distance is final for every
+//! larger `h` too. [`hop_limited_sssp`] has no target and sweeps
+//! unbounded.
+//!
 //! Sweeps run on a per-thread scratch (distances, settle rounds,
 //! candidates and the two frontier lists) that keeps its buffers from one
 //! sweep to the next, so a steady stream of queries allocates nothing and
@@ -184,7 +196,7 @@ pub fn hop_limited_sssp_on<G: GraphView>(
     h: usize,
 ) -> (HopQuery, Cost) {
     SCRATCH.with_borrow_mut(|scratch| {
-        let (rounds_run, cost) = scratch.sweep(g, extra, sources, h);
+        let (rounds_run, cost) = scratch.sweep(g, extra, sources, None, h);
         (
             HopQuery {
                 dist: scratch.dist.clone(),
@@ -196,15 +208,29 @@ pub fn hop_limited_sssp_on<G: GraphView>(
     })
 }
 
-/// h-hop-limited `s`–`t` distance. Returns the distance (or [`INF`]) and
-/// the number of hops after which `t`'s distance last improved.
+/// Result of a hop-limited `s`–`t` query.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PairQuery {
+    /// `dist^h_{E ∪ E'}(s, t)`, or [`INF`].
+    pub dist: Weight,
+    /// The round in which `t`'s distance last improved: the number of
+    /// hops a shortest ≤h-hop path to `t` uses (`u32::MAX` if unreached).
+    pub hops: u32,
+    /// The sweep stopped with no frontier vertex below `dist`, so `dist`
+    /// is also the distance over `E ∪ E'` with no hop limit.
+    pub settled: bool,
+}
+
+/// h-hop-limited `s`–`t` distance, swept only below the target's
+/// distance (see the module docs). The [`Cost`] charges the bounded
+/// sweep.
 pub fn hop_limited_pair<G: GraphView>(
     g: &G,
     extra: Option<&ExtraEdges>,
     s: VertexId,
     t: VertexId,
     h: usize,
-) -> (Weight, u32, Cost) {
+) -> (PairQuery, Cost) {
     hop_limited_pair_on(g, extra.map(ExtraEdges::view), s, t, h)
 }
 
@@ -216,10 +242,15 @@ pub fn hop_limited_pair_on<G: GraphView>(
     s: VertexId,
     t: VertexId,
     h: usize,
-) -> (Weight, u32, Cost) {
+) -> (PairQuery, Cost) {
     SCRATCH.with_borrow_mut(|scratch| {
-        let (_, cost) = scratch.sweep(g, extra, &[s], h);
-        (scratch.dist[t as usize], scratch.hops[t as usize], cost)
+        let (_, cost) = scratch.sweep(g, extra, &[s], Some(t), h);
+        let q = PairQuery {
+            dist: scratch.dist[t as usize],
+            hops: scratch.hops[t as usize],
+            settled: scratch.frontier.is_empty(),
+        };
+        (q, cost)
     })
 }
 
@@ -243,7 +274,8 @@ struct Scratch {
     /// The current round's best candidate per target; [`INF`] where the
     /// round has not touched the target.
     cand: Vec<Weight>,
-    /// Vertices improved by the previous round, relaxed by this one.
+    /// Vertices improved by the previous round, relaxed by this one; after
+    /// the sweep, those a further round would relax.
     frontier: Vec<VertexId>,
     /// Targets the current round has touched, in first-touch order.
     next: Vec<VertexId>,
@@ -251,7 +283,10 @@ struct Scratch {
 
 impl Scratch {
     /// Relax from `sources` for up to `h` rounds, leaving the answer in
-    /// `dist` and `hops`. Returns the rounds run and the sweep's cost: `n`
+    /// `dist` and `hops`. With a `target`, each round first drops the
+    /// frontier vertices at or beyond the target's distance and keeps
+    /// only candidates below it; the sweep ends early once no frontier
+    /// vertex is left. Returns the rounds run and the sweep's cost: `n`
     /// for the start state, then per round one unit per adjacency slot
     /// scanned plus one per vertex improved.
     fn sweep<G: GraphView>(
@@ -259,6 +294,7 @@ impl Scratch {
         g: &G,
         extra: Option<ExtraView<'_>>,
         sources: &[VertexId],
+        target: Option<VertexId>,
         h: usize,
     ) -> (usize, Cost) {
         let n = g.n();
@@ -287,7 +323,16 @@ impl Scratch {
         }
         let mut cost = Cost::flat(n as u64);
         let mut rounds = 0usize;
-        while !frontier.is_empty() && rounds < h {
+        loop {
+            // read once per round, so the improved set stays independent
+            // of scan order
+            let bound = target.map_or(INF, |t| dist[t as usize]);
+            if bound != INF {
+                frontier.retain(|&u| dist[u as usize] < bound);
+            }
+            if frontier.is_empty() || rounds == h {
+                break;
+            }
             rounds += 1;
             let mut scanned = 0u64;
             for &u in frontier.iter() {
@@ -296,7 +341,7 @@ impl Scratch {
                 let mut relax = |v: VertexId, w: Weight| {
                     let nd = du.saturating_add(w);
                     let c = &mut cand[v as usize];
-                    if nd < dist[v as usize] && nd < *c {
+                    if nd < bound && nd < dist[v as usize] && nd < *c {
                         if *c == INF {
                             next.push(v);
                         }
@@ -339,12 +384,17 @@ mod tests {
     /// A deliberately plain Jacobi sweep: copy `dist` every round, relax
     /// every frontier vertex's base and extra edges against the copy, and
     /// charge `n` plus, per round, the slots scanned and vertices improved.
+    /// With a `target`, every round first reads `b = dist[target]`, keeps
+    /// only the frontier vertices below `b` (uncharged) and only the
+    /// candidates below `b`, and a round left with no frontier is not run.
+    /// The flag reports an empty frontier at the end.
     fn reference(
         g: &CsrGraph,
         extra: Option<&ExtraEdges>,
         sources: &[VertexId],
+        target: Option<VertexId>,
         h: usize,
-    ) -> (HopQuery, Cost) {
+    ) -> (HopQuery, Cost, bool) {
         let n = g.n();
         let mut dist = vec![INF; n];
         let mut hops = vec![u32::MAX; n];
@@ -357,7 +407,12 @@ mod tests {
         }
         let mut work = n as u64;
         let mut rounds = 0;
-        while !frontier.is_empty() && rounds < h {
+        loop {
+            let b = target.map_or(INF, |t| dist[t as usize]);
+            frontier.retain(|&u| dist[u] < b);
+            if frontier.is_empty() || rounds == h {
+                break;
+            }
             rounds += 1;
             let before = dist.clone();
             for &u in &frontier {
@@ -368,7 +423,9 @@ mod tests {
                 work += edges.len() as u64;
                 for (v, w) in edges {
                     let nd = before[u].saturating_add(w);
-                    dist[v as usize] = dist[v as usize].min(nd);
+                    if nd < b {
+                        dist[v as usize] = dist[v as usize].min(nd);
+                    }
                 }
             }
             frontier = (0..n).filter(|&v| dist[v] < before[v]).collect();
@@ -382,7 +439,7 @@ mod tests {
             rounds_run: rounds,
             hops_settled: hops,
         };
-        (q, Cost::new(work, 1 + rounds as u64))
+        (q, Cost::new(work, 1 + rounds as u64), frontier.is_empty())
     }
 
     /// A random weighted graph on `n` vertices (sometimes disconnected)
@@ -472,11 +529,11 @@ mod tests {
         // path 0..=9 plus a shortcut 0-9 of the exact path weight
         let g = generators::path(10);
         let extra = ExtraEdges::from_edges(10, &[Edge::new(0, 9, 9)]);
-        let (d_no, hops_no, _) = hop_limited_pair(&g, None, 0, 9, 10);
-        assert_eq!((d_no, hops_no), (9, 9));
-        let (d_yes, hops_yes, _) = hop_limited_pair(&g, Some(&extra), 0, 9, 10);
-        assert_eq!(d_yes, 9, "shortcut must not change the distance");
-        assert_eq!(hops_yes, 1, "shortcut should settle t in one hop");
+        let (no, _) = hop_limited_pair(&g, None, 0, 9, 10);
+        assert_eq!((no.dist, no.hops), (9, 9));
+        let (yes, _) = hop_limited_pair(&g, Some(&extra), 0, 9, 10);
+        assert_eq!(yes.dist, 9, "shortcut must not change the distance");
+        assert_eq!(yes.hops, 1, "shortcut should settle t in one hop");
     }
 
     #[test]
@@ -547,11 +604,33 @@ mod tests {
         assert_eq!(after, fresh, "sweeps after an unwind");
     }
 
+    /// A path whose far end is reached early through a heavy direct edge:
+    /// the bounded pair sweep stops before the hop limit and reports the
+    /// target settled; one hop short of the last improvement, it is not.
+    #[test]
+    fn pair_sweep_stops_below_the_target() {
+        let path = generators::path(8);
+        let mut edges = path.edges().to_vec();
+        edges.push(Edge::new(0, 7, 5));
+        let g = CsrGraph::from_edges(8, edges);
+        let (q, cost) = hop_limited_pair(&g, None, 0, 7, 8);
+        assert_eq!((q.dist, q.hops, q.settled), (5, 1, true));
+        let (full, full_cost) = hop_limited_sssp(&g, None, &[0], 8);
+        assert_eq!(full.dist[7], 5);
+        assert!(cost.work < full_cost.work && cost.depth < full_cost.depth);
+        // after three rounds vertex 3, at 3 < 5, is still on the frontier
+        let (q, _) = hop_limited_pair(&g, None, 0, 7, 3);
+        assert_eq!((q.dist, q.settled), (5, false));
+    }
+
     proptest! {
         /// The scratch-backed sweep matches the plain Jacobi reference
         /// exactly — distances, settle rounds, rounds run and `Cost` — with
         /// and without extra edges, from repeated sources, at every hop
-        /// budget from 1 to n; the pair entry point reads the same sweep.
+        /// budget from 1 to n. The pair entry point matches the bounded
+        /// reference's `Cost` and settled flag, and the unbounded one's
+        /// distance and hop count; a settled distance is the one with no
+        /// hop limit.
         #[test]
         fn prop_matches_plain_reference(
             seed in 0u64..1_000,
@@ -565,16 +644,22 @@ mod tests {
             let pick = |rng: &mut StdRng| rng.random_range(0..n as VertexId);
             let (a, b) = (pick(&mut rng), pick(&mut rng));
             let sources = [a, b, a, pick(&mut rng), b];
+            let (sssp, sssp_cost, _) = reference(&g, extra.as_ref(), &sources, None, h);
             prop_assert_eq!(
                 hop_limited_sssp(&g, extra.as_ref(), &sources, h),
-                reference(&g, extra.as_ref(), &sources, h)
+                (sssp, sssp_cost)
             );
-            let (single, cost) = reference(&g, extra.as_ref(), &[a], h);
+            let (single, _, _) = reference(&g, extra.as_ref(), &[a], None, h);
+            let (unlimited, _, _) = reference(&g, extra.as_ref(), &[a], None, n);
             for t in 0..n {
-                prop_assert_eq!(
-                    hop_limited_pair(&g, extra.as_ref(), a, t as VertexId, h),
-                    (single.dist[t], single.hops_settled[t], cost)
-                );
+                let (q, cost) = hop_limited_pair(&g, extra.as_ref(), a, t as VertexId, h);
+                let (_, bounded_cost, settled) =
+                    reference(&g, extra.as_ref(), &[a], Some(t as VertexId), h);
+                prop_assert_eq!((q.dist, q.hops), (single.dist[t], single.hops_settled[t]));
+                prop_assert_eq!((cost, q.settled), (bounded_cost, settled));
+                if q.settled {
+                    prop_assert_eq!(q.dist, unlimited.dist[t]);
+                }
             }
         }
 

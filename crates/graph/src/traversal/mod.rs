@@ -15,7 +15,7 @@ pub mod bellman_ford;
 pub mod dial;
 pub mod dijkstra;
 
-pub use bellman_ford::{hop_limited_pair, hop_limited_sssp, ExtraEdges, HopQuery};
+pub use bellman_ford::{hop_limited_pair, hop_limited_sssp, ExtraEdges, HopQuery, PairQuery};
 pub use dial::{dial_sssp, dial_sssp_bounded};
 pub use dijkstra::{dijkstra, dijkstra_bounded, dijkstra_pair};
 

@@ -55,7 +55,8 @@ fn main() {
         let s = rng.random_range(0..n as u32);
         let t = rng.random_range(0..n as u32);
         let exact = psh::graph::traversal::dijkstra::dijkstra_pair(&g, s, t);
-        let (with_h, rounds, _) = hop_limited_pair(&g, Some(&extra), s, t, n);
+        let (q, _) = hop_limited_pair(&g, Some(&extra), s, t, n);
+        let (with_h, rounds) = (q.dist, q.hops);
         let err = with_h as f64 / exact.max(1) as f64;
         worst = worst.max(err);
         println!("{s:>6} {t:>6} {exact:>8} {with_h:>10} {err:>10.3} {rounds:>8}");

@@ -2,7 +2,7 @@
 //! Theorem 1.2 end-to-end, against the baselines.
 
 use psh::baselines::ks_hopset::sampled_clique_hopset;
-use psh::graph::traversal::bellman_ford::hop_limited_pair;
+use psh::graph::traversal::bellman_ford::{hop_limited_pair, PairQuery};
 use psh::graph::traversal::dijkstra::dijkstra_pair;
 use psh::prelude::*;
 use rand::rngs::StdRng;
@@ -59,7 +59,8 @@ fn hopset_query_depth_beats_plain_bfs_on_high_diameter() {
         .artifact
         .into_single();
     let extra = h.to_extra_edges();
-    let (d, hops, _) = hop_limited_pair(&g, Some(&extra), 0, (n - 1) as u32, n);
+    let (PairQuery { dist: d, hops, .. }, _) =
+        hop_limited_pair(&g, Some(&extra), 0, (n - 1) as u32, n);
     assert!(d != INF);
     assert!(
         (hops as usize) < n / 4,
@@ -184,7 +185,7 @@ fn definition_2_4_probability_clause() {
             .into_single();
         let extra = h.to_extra_edges();
         let budget = p.hop_bound(n, p.beta0(n), exact);
-        let (d, _, _) = hop_limited_pair(&g, Some(&extra), s, t, budget);
+        let (PairQuery { dist: d, .. }, _) = hop_limited_pair(&g, Some(&extra), s, t, budget);
         if d != INF && (d as f64) <= (1.0 + eps_total) * exact as f64 {
             successes += 1;
         }
@@ -218,7 +219,8 @@ fn hopset_plus_spanner_compose() {
         .validate_no_shortcuts_below_distance(&h_graph)
         .unwrap();
     let extra = hopset.to_extra_edges();
-    let (d, _, _) = hop_limited_pair(&h_graph, Some(&extra), 0, 799, h_graph.n());
+    let (PairQuery { dist: d, .. }, _) =
+        hop_limited_pair(&h_graph, Some(&extra), 0, 799, h_graph.n());
     let exact_g = dijkstra_pair(&g, 0, 799);
     // spanner stretch (≤ 18) times hopset distortion (≤ 2)
     assert!(d as f64 <= 36.0 * exact_g.max(1) as f64);

@@ -4,6 +4,11 @@
 //! of it, across `Sequential` and `Parallel { 4 }` policies — and the
 //! snapshot round trip preserves every answer bit for bit.
 //!
+//! At `OracleBuilder::new()` defaults every answer is exact, owned or
+//! mapped from a v2 image, under either policy; the band loop stops at
+//! its first exact band, so that is the one contract pinning the answers
+//! the bounded sweep and the band cut must leave unchanged.
+//!
 //! Stretch calibration: with the test parameters (`ε = 0.5`, `δ = 1.5`,
 //! `γ₁ = 0.25`, `γ₂ = 0.75`) the unweighted hop budget is generous at
 //! these sizes, so unweighted answers stay within `2×` exact (the same
@@ -13,7 +18,11 @@
 
 use proptest::prelude::*;
 use psh::graph::traversal::dijkstra::dijkstra_pair;
+use psh::graph::{SnapshotSource, Verify};
 use psh::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn test_params() -> HopsetParams {
     HopsetParams {
@@ -112,5 +121,71 @@ proptest! {
     ) {
         let g = CsrGraph::from_edges(30, raw.into_iter().map(|(u, v, w)| Edge::new(u, v, w)));
         run_workload(&g, OracleMode::Weighted, seed, &pairs, 3.0);
+    }
+}
+
+/// Every answer of a default oracle equals `query_exact` (∞ for
+/// disconnected pairs) on grids, king grids, an R-MAT, a connected random
+/// graph, a weighted path and a disconnected graph at η = 0.25, 0.5 and
+/// 0.75. The owned oracle and its v2 image mapped in place give identical
+/// answers and `Cost` under `Sequential` and `Parallel { 2 }`.
+#[test]
+fn default_oracles_answer_exactly_owned_and_mapped() {
+    let mut rng = StdRng::seed_from_u64(21);
+    let weigh = |g: &CsrGraph, rng: &mut StdRng| generators::with_log_uniform_weights(g, 64.0, rng);
+    let rmat = generators::rmat(256, 16 * 256, &mut rng);
+    let random = generators::connected_random(300, 300, &mut rng);
+    let sparse = generators::erdos_renyi(240, 180, &mut rng);
+    let graphs = [
+        ("grid", weigh(&generators::grid(20, 20), &mut rng)),
+        ("king grid", weigh(&generators::grid2d(20, 20), &mut rng)),
+        ("rmat", weigh(&rmat, &mut rng)),
+        ("connected random", weigh(&random, &mut rng)),
+        ("path", weigh(&generators::path(300), &mut rng)),
+        ("disconnected", weigh(&sparse, &mut rng)),
+    ];
+    let policies = [
+        ExecutionPolicy::Sequential,
+        ExecutionPolicy::Parallel { threads: 2 },
+    ];
+    for (name, g) in &graphs {
+        let n = g.n() as u32;
+        let pairs: Vec<(u32, u32)> = (0..48)
+            .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
+            .collect();
+        for eta in [0.25, 0.5, 0.75] {
+            let run = OracleBuilder::new()
+                .eta(eta)
+                .seed(Seed(5))
+                .build(g)
+                .unwrap();
+            let meta = OracleMeta::of_run(&run, HopsetParams::default());
+            let image = snapshot::write_oracle_v2_bytes(&run.artifact, &meta).unwrap();
+            let source = Arc::new(SnapshotSource::from_bytes(&image));
+            let (mapped, _) = snapshot::read_oracle_v2(source, Verify::Bounds).unwrap();
+            assert!(mapped.is_mapped());
+            let (answers, cost) = run
+                .artifact
+                .query_batch(&pairs, ExecutionPolicy::Sequential);
+            for oracle in [&run.artifact, &mapped] {
+                for policy in policies {
+                    assert_eq!(
+                        oracle.query_batch(&pairs, policy),
+                        (answers.clone(), cost),
+                        "{name}, η = {eta}, {policy}, mapped: {}",
+                        oracle.is_mapped()
+                    );
+                }
+            }
+            for (&(s, t), r) in pairs.iter().zip(&answers) {
+                let exact = run.artifact.query_exact(s, t);
+                let exact = if exact == INF {
+                    f64::INFINITY
+                } else {
+                    exact as f64
+                };
+                assert_eq!(r.distance, exact, "{name}, η = {eta}, ({s}, {t})");
+            }
+        }
     }
 }

@@ -127,7 +127,6 @@ fn thirty_two_clients_serve_byte_identically() {
             );
             let stats = service.stats();
             assert_eq!(stats.served, pairs.len() as u64);
-            assert_eq!(stats.latencies_ms.len(), pairs.len());
             assert!(stats.batches >= 1 && stats.batches <= pairs.len() as u64);
             assert!(stats.largest_batch >= 1 && stats.largest_batch <= 256);
             assert!(stats.qps > 0.0, "elapsed window must be positive");
