@@ -27,13 +27,11 @@
 //!   coalesced across sockets;
 //! * **load cells** per build, plus one deliberately large build
 //!   (`--load-n`, default 120 000 vertices): open latency (file →
-//!   oracle ready to serve, validation included) for the three snapshot
-//!   paths — v1 stream decode, v2 `mmap`, and the v2 portable read
-//!   fallback — plus the first-query latency on the mapped path (which
-//!   absorbs the page faults the lazy open deferred; the probe answer
-//!   feeds the divergence gate on every path) and the v1/v2-mmap open
-//!   speedup in the last column (the zero-copy layout's headline
-//!   number: the big row is where `mmap` must win by ≥10×);
+//!   oracle ready to serve, validation included) for both snapshot open
+//!   modes — `mmap` and the portable aligned-read fallback — plus the
+//!   first-query latency on the mapped path (which absorbs the page
+//!   faults the lazy open deferred; the probe answer feeds the
+//!   divergence gate on both paths);
 //! * **cached serving cells** per build: the {Sequential, Parallel{4}}
 //!   policies with the bounded answer cache enabled, replaying the
 //!   workload twice through one service — the second pass measures the
@@ -90,16 +88,16 @@ use psh_core::api::{OracleBuilder, Seed};
 use psh_core::oracle::{ApproxShortestPaths, QueryResult};
 use psh_core::service::{CacheConfig, OracleService, ServiceConfig, ServiceStats};
 use psh_core::snapshot::{
-    load_oracle, load_oracle_v2, read_oracle, save_oracle_v2, write_oracle, OracleMeta,
+    load_oracle_v2, read_oracle_v2, write_oracle_v2_bytes, OracleMeta, Verify,
 };
 use psh_core::HopsetParams;
 use psh_exec::ExecutionPolicy;
 use psh_graph::traversal::dijkstra::dijkstra_pair;
-use psh_graph::{CsrGraph, GraphDelta, LoadMode, INF};
+use psh_graph::{CsrGraph, GraphDelta, LoadMode, SnapshotSource, INF};
 use psh_net::{NetClient, NetServer, ServerConfig};
 use psh_pram::Cost;
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -247,56 +245,29 @@ where
     (open_s, start.elapsed().as_secs_f64(), answer)
 }
 
-/// The three open measurements of one oracle — v1 stream decode, v2
-/// `mmap`, v2 aligned-read fallback — plus the first-query latency on
-/// the mapped path (page faults included).
+/// The open measurements of one v2 snapshot — `mmap` and aligned-read
+/// fallback — plus the first-query latency on the mapped path (page
+/// faults included).
 struct LoadCell {
-    v1_bytes: u64,
-    v2_bytes: u64,
-    v1_s: f64,
     mmap_s: f64,
     read_s: f64,
     mmap_query_s: f64,
-    answers: [QueryResult; 3],
+    answers: [QueryResult; 2],
 }
 
-fn measure_loads(
-    tag: &str,
-    v1_bytes: &[u8],
-    oracle: &ApproxShortestPaths,
-    meta: &OracleMeta,
-    probe: (u32, u32),
-) -> LoadCell {
-    let dir = std::env::temp_dir();
-    let v1_path = dir.join(format!("{tag}.{}.v1.snap", std::process::id()));
-    let v2_path = dir.join(format!("{tag}.{}.v2.snap", std::process::id()));
-    std::fs::write(&v1_path, v1_bytes)
-        .unwrap_or_else(|e| die(format_args!("{tag}: cannot stage v1 snapshot: {e}")));
-    save_oracle_v2(&v2_path, oracle, meta)
+fn measure_loads(tag: &str, v2_bytes: &[u8], probe: (u32, u32)) -> LoadCell {
+    let path = std::env::temp_dir().join(format!("{tag}.{}.v2.snap", std::process::id()));
+    std::fs::write(&path, v2_bytes)
         .unwrap_or_else(|e| die(format_args!("{tag}: cannot stage v2 snapshot: {e}")));
-    let v2_bytes = std::fs::metadata(&v2_path).map(|m| m.len()).unwrap_or(0);
-    let v1 = |p: &Path| load_oracle(p);
-    let (v1_s, _, a1) = first_answer("v1 decode", || v1(&v1_path), probe);
-    let (mmap_s, mmap_query_s, a2) = first_answer(
-        "v2 mmap",
-        || load_oracle_v2(&v2_path, LoadMode::Mmap),
-        probe,
-    );
-    let (read_s, _, a3) = first_answer(
-        "v2 read",
-        || load_oracle_v2(&v2_path, LoadMode::Read),
-        probe,
-    );
-    let _ = std::fs::remove_file(&v1_path);
-    let _ = std::fs::remove_file(&v2_path);
+    let (mmap_s, mmap_query_s, a1) =
+        first_answer("v2 mmap", || load_oracle_v2(&path, LoadMode::Mmap), probe);
+    let (read_s, _, a2) = first_answer("v2 read", || load_oracle_v2(&path, LoadMode::Read), probe);
+    let _ = std::fs::remove_file(&path);
     LoadCell {
-        v1_bytes: v1_bytes.len() as u64,
-        v2_bytes,
-        v1_s,
         mmap_s,
         read_s,
         mmap_query_s,
-        answers: [a1, a2, a3],
+        answers: [a1, a2],
     }
 }
 
@@ -537,13 +508,10 @@ fn main() {
         "family",
         "weights",
         "n",
-        "v1 bytes",
         "v2 bytes",
-        "v1 decode (s)",
         "v2 mmap (s)",
         "v2 read (s)",
         "first query (s)",
-        "mmap speedup",
     ]);
     let mut cached_table = Table::new([
         "family",
@@ -618,13 +586,13 @@ fn main() {
             let build_s = start.elapsed().as_secs_f64();
             let peak_bytes = peak_above(base);
 
-            // --- snapshot round trip --------------------------------------
+            // --- snapshot round trip: the mapped oracle production serves -
             let meta = OracleMeta::of_run(&run, params);
-            let mut buf = Vec::new();
-            write_oracle(&mut buf, &run.artifact, &meta)
+            let buf = write_oracle_v2_bytes(&run.artifact, &meta)
                 .unwrap_or_else(|e| die(format_args!("{fname}/{wname}: snapshot write: {e}")));
-            let (loaded, _) = read_oracle(buf.as_slice())
-                .unwrap_or_else(|e| die(format_args!("{fname}/{wname}: snapshot reload: {e}")));
+            let (loaded, _) =
+                read_oracle_v2(Arc::new(SnapshotSource::from_bytes(&buf)), Verify::Bounds)
+                    .unwrap_or_else(|e| die(format_args!("{fname}/{wname}: snapshot reload: {e}")));
 
             build_table.row([
                 fname.to_string(),
@@ -711,16 +679,10 @@ fn main() {
                 }
             }
 
-            // --- load cells: v1 decode vs v2 mmap vs v2 read --------------
+            // --- load cells: v2 mmap vs v2 read ---------------------------
             let probe = pairs.first().copied().unwrap_or((0, 0));
             let expect_probe = fresh.query(probe.0, probe.1).0;
-            let cell = measure_loads(
-                &format!("psh_benchsuite_{fname}_{wname}"),
-                &buf,
-                &fresh,
-                &meta,
-                probe,
-            );
+            let cell = measure_loads(&format!("psh_benchsuite_{fname}_{wname}"), &buf, probe);
             for answer in cell.answers {
                 mismatches += usize::from(answer != expect_probe);
                 cells += 1;
@@ -729,13 +691,10 @@ fn main() {
                 fname.to_string(),
                 wname.to_string(),
                 fmt_u(g.n() as u64),
-                fmt_u(cell.v1_bytes),
-                fmt_u(cell.v2_bytes),
-                fmt_s(cell.v1_s),
+                fmt_u(buf.len() as u64),
                 fmt_s(cell.mmap_s),
                 fmt_s(cell.read_s),
                 fmt_s(cell.mmap_query_s),
-                fmt_f(cell.v1_s / cell.mmap_s.max(1e-12)),
             ]);
 
             // --- cached serving cells -------------------------------------
@@ -804,7 +763,7 @@ fn main() {
         }
     }
 
-    // --- the big load row: where the zero-copy layout must win ------------
+    // --- the big load row: open latency at a size where it shows ----------
     println!("building the n={load_n} load-latency oracle …");
     let big_seed = seed ^ 0xB16;
     let g_big = Family::Grid2d.instantiate(load_n, big_seed);
@@ -815,40 +774,29 @@ fn main() {
         .build(&g_big)
         .unwrap_or_else(|e| die(format_args!("load-n build failed: {e}")));
     let meta_big = OracleMeta::of_run(&run_big, params);
-    let mut buf_big = Vec::new();
-    write_oracle(&mut buf_big, &run_big.artifact, &meta_big)
+    let buf_big = write_oracle_v2_bytes(&run_big.artifact, &meta_big)
         .unwrap_or_else(|e| die(format_args!("load-n snapshot write: {e}")));
     let probe_big = (0u32, (g_big.n() - 1) as u32);
     let expect_big = run_big.artifact.query(probe_big.0, probe_big.1).0;
-    let cell = measure_loads(
-        "psh_benchsuite_big",
-        &buf_big,
-        &run_big.artifact,
-        &meta_big,
-        probe_big,
-    );
+    let cell = measure_loads("psh_benchsuite_big", &buf_big, probe_big);
     for answer in cell.answers {
         mismatches += usize::from(answer != expect_big);
         cells += 1;
     }
-    let big_speedup = cell.v1_s / cell.mmap_s.max(1e-12);
     load_table.row([
         "grid2d".to_string(),
         "unweighted".to_string(),
         fmt_u(g_big.n() as u64),
-        fmt_u(cell.v1_bytes),
-        fmt_u(cell.v2_bytes),
-        fmt_s(cell.v1_s),
+        fmt_u(buf_big.len() as u64),
         fmt_s(cell.mmap_s),
         fmt_s(cell.read_s),
         fmt_s(cell.mmap_query_s),
-        fmt_f(big_speedup),
     ]);
     println!(
-        "load latency at n={}: v1 decode {:.4}s → v2 mmap open {:.4}s ({big_speedup:.1}× faster; first mapped query {:.4}s)",
+        "load latency at n={}: v2 mmap open {:.4}s, read {:.4}s (first mapped query {:.4}s)",
         g_big.n(),
-        cell.v1_s,
         cell.mmap_s,
+        cell.read_s,
         cell.mmap_query_s,
     );
     drop((run_big, g_big, buf_big));
@@ -955,7 +903,6 @@ fn main() {
         .meta("queries", queries)
         .meta("load_n", load_n)
         .meta("seed", seed)
-        .meta("mmap_speedup_big", big_speedup)
         .meta("cells", cells)
         .meta("mismatches", mismatches);
     report.push_table("build", &build_table);

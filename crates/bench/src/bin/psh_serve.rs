@@ -15,8 +15,7 @@
 //!           [--weights U]            # log-uniform weights of ratio U
 //!           [--graph PATH]           # text edge list instead of --family
 //!           [--snapshot PATH]        # load if present, else build + save
-//!           [--snapshot-version V]   # save format: 2 (zero-copy, default) or 1
-//!           [--load-mode M]          # open v2 snapshots via mmap (default)
+//!           [--load-mode M]          # open the snapshot via mmap (default)
 //!                                    # or read (portable aligned-read fallback)
 //!           [--fresh-snapshot]       # ignore an existing snapshot: rebuild
 //!                                    # and overwrite it (atomic tmp+rename)

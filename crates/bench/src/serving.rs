@@ -11,7 +11,7 @@ use crate::json::{has_flag, parse_flag};
 use crate::workloads::Family;
 use psh_core::api::{OracleBuilder, Seed};
 use psh_core::oracle::ApproxShortestPaths;
-use psh_core::snapshot::{load_oracle_auto, save_oracle, save_oracle_v2, OracleMeta};
+use psh_core::snapshot::{load_oracle_v2, save_oracle_v2, OracleMeta};
 use psh_core::HopsetParams;
 use psh_graph::{CsrGraph, LoadMode};
 use std::io::BufReader;
@@ -60,22 +60,16 @@ pub fn load_graph(prog: &str, seed: u64) -> CsrGraph {
 pub fn obtain_oracle(prog: &str, seed: u64) -> (ApproxShortestPaths, OracleMeta, bool, f64) {
     let snapshot: Option<PathBuf> = parse_flag("--snapshot").map(PathBuf::from);
     let fresh_requested = has_flag("--fresh-snapshot");
-    let version = parse_snapshot_version(prog);
     if let Some(path) = snapshot.as_ref().filter(|p| !fresh_requested && p.exists()) {
         let start = Instant::now();
-        let (oracle, meta) = load_oracle_auto(path, parse_load_mode(prog))
+        let (oracle, meta) = load_oracle_v2(path, parse_load_mode(prog))
             .unwrap_or_else(|e| die(prog, format_args!("cannot load {}: {e}", path.display())));
         let secs = start.elapsed().as_secs_f64();
         println!(
-            "loaded snapshot {} ({} vertices, hopset size {}, {}) in {:.3}s",
+            "loaded snapshot {} ({} vertices, hopset size {}, served in place) in {:.3}s",
             path.display(),
             oracle.graph().n(),
             oracle.hopset_size(),
-            if oracle.is_mapped() {
-                "served in place"
-            } else {
-                "decoded"
-            },
             secs
         );
         return (oracle, meta, true, secs);
@@ -99,12 +93,9 @@ pub fn obtain_oracle(prog: &str, seed: u64) -> (ApproxShortestPaths, OracleMeta,
         secs
     );
     if let Some(path) = snapshot {
-        match version {
-            1 => save_oracle(&path, &run.artifact, &meta),
-            _ => save_oracle_v2(&path, &run.artifact, &meta),
-        }
-        .unwrap_or_else(|e| die(prog, format_args!("cannot save {}: {e}", path.display())));
-        println!("snapshot saved to {} (v{version})", path.display());
+        save_oracle_v2(&path, &run.artifact, &meta)
+            .unwrap_or_else(|e| die(prog, format_args!("cannot save {}: {e}", path.display())));
+        println!("snapshot saved to {} (v2)", path.display());
     }
     // Preprocessing is over: release the build-time split scratch this
     // thread's arena pool retained, so the long-lived serving process
@@ -113,24 +104,8 @@ pub fn obtain_oracle(prog: &str, seed: u64) -> (ApproxShortestPaths, OracleMeta,
     (run.artifact, meta, false, secs)
 }
 
-/// Parse `--snapshot-version {1,2}` — the format `obtain_oracle` *saves*
-/// (loading auto-detects either). Default 2: the zero-copy layout.
-pub fn parse_snapshot_version(prog: &str) -> u16 {
-    match parse_flag("--snapshot-version") {
-        None => 2,
-        Some(s) => match s.trim() {
-            "1" => 1,
-            "2" => 2,
-            _ => die(
-                prog,
-                format_args!("bad --snapshot-version '{s}' (want 1 or 2)"),
-            ),
-        },
-    }
-}
-
-/// Parse `--load-mode {mmap,read}` — how a v2 snapshot is opened
-/// (ignored for v1 files, which always stream-decode). Default `mmap`.
+/// Parse `--load-mode {mmap,read}` — how a snapshot is opened. Default
+/// `mmap`.
 pub fn parse_load_mode(prog: &str) -> LoadMode {
     match parse_flag("--load-mode") {
         None => LoadMode::Mmap,

@@ -66,22 +66,6 @@ pub struct WeightedHopsets {
 }
 
 impl WeightedHopsets {
-    /// Reassemble a family from its parts (the snapshot loader's entry
-    /// point — `n` is private to keep external construction honest).
-    pub(crate) fn from_parts(
-        bands: Vec<EstimateBand>,
-        eta: f64,
-        epsilon: f64,
-        n: usize,
-    ) -> WeightedHopsets {
-        WeightedHopsets {
-            bands,
-            eta,
-            epsilon,
-            n,
-        }
-    }
-
     /// Total hopset edges across all bands.
     pub fn total_size(&self) -> usize {
         self.bands.iter().map(|b| b.hopset.size()).sum()

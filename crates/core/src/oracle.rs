@@ -21,13 +21,13 @@
 //! ## Storage representations
 //!
 //! An oracle is **owned** (heap `CsrGraph`/`Hopset`/`ExtraEdges` buffers —
-//! what a fresh build or a v1 snapshot decode produces) or **mapped**
-//! (every slab borrowed straight out of a `SNAPSHOT_VERSION = 2` region
-//! opened through [`psh_graph::SnapshotSource`] — see
-//! [`crate::snapshot::load_oracle_v2`]; the base graph and every weighted
-//! band are [`MmapView`]s sharing one set of offset, target and edge-id
-//! slabs). The two representations answer
-//! every query byte-identically, **costs included**, under every
+//! what a fresh build produces) or **mapped** (every slab borrowed
+//! straight out of a snapshot region opened through
+//! [`psh_graph::SnapshotSource`] — what
+//! [`crate::snapshot::load_oracle_v2`] produces; the base graph and every
+//! weighted band are [`MmapView`]s sharing one set of offset, target and
+//! edge-id slabs). The two representations answer every query
+//! byte-identically, **costs included**, under every
 //! [`ExecutionPolicy`]: both route through the same generic hop-limited
 //! relaxation, and the mapped slabs are validated at load time to iterate
 //! exactly like the owned structures they mirror.
@@ -88,7 +88,8 @@ pub(crate) struct MappedOracle {
 }
 
 /// Hopset bookkeeping a mapped oracle carries verbatim (the counts the
-/// v1 body stores; needed to re-save as v1 and to answer size queries).
+/// snapshot's meta and band records store; needed to re-save the oracle
+/// and to answer size queries).
 pub(crate) struct MappedHopset {
     pub(crate) star_count: usize,
     pub(crate) clique_count: usize,
@@ -154,7 +155,7 @@ pub(crate) struct MappedBand {
 /// counts and the same canonical sorted edge list.
 #[derive(Clone, Copy)]
 pub enum OracleGraph<'a> {
-    /// Heap-owned (fresh build or v1 snapshot decode).
+    /// Heap-owned (a fresh build).
     Owned(&'a CsrGraph),
     /// Borrowed from a mapped v2 snapshot.
     Mapped(&'a MmapView),
@@ -197,15 +198,13 @@ impl std::fmt::Debug for OracleGraph<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Uniform "parts" access — both snapshot writers (v1 and v2) consume the
-// oracle through these borrowed views, so any representation can be
-// re-saved in any version (that is what makes migration a pure
-// re-encode and keeps round trips byte-identical).
+// Uniform "parts" access — the snapshot writer consumes the oracle
+// through these borrowed views, so an owned and a mapped oracle re-save
+// to the same bytes.
 // ---------------------------------------------------------------------------
 
 /// Borrowed fields of one hopset, whatever its storage.
 pub(crate) struct HopsetParts<'a> {
-    pub(crate) n: usize,
     pub(crate) star_count: usize,
     pub(crate) clique_count: usize,
     pub(crate) levels: usize,
@@ -237,9 +236,8 @@ pub(crate) enum ModeParts<'a> {
 }
 
 impl MappedHopset {
-    fn parts(&self, n: usize) -> HopsetParts<'_> {
+    fn parts(&self) -> HopsetParts<'_> {
         HopsetParts {
-            n,
             star_count: self.star_count,
             clique_count: self.clique_count,
             levels: self.levels,
@@ -248,9 +246,8 @@ impl MappedHopset {
     }
 }
 
-pub(crate) fn owned_hopset_parts(h: &Hopset) -> HopsetParts<'_> {
+fn owned_hopset_parts(h: &Hopset) -> HopsetParts<'_> {
     HopsetParts {
-        n: h.n,
         star_count: h.star_count,
         clique_count: h.clique_count,
         levels: h.levels,
@@ -441,7 +438,6 @@ impl ApproxShortestPaths {
 
     /// Mode-specific fields as borrowed parts (snapshot writers' view).
     pub(crate) fn mode_parts(&self) -> ModeParts<'_> {
-        let n = self.graph().n();
         match &self.repr {
             Repr::Owned { mode, .. } => match mode {
                 Mode::Unweighted { hopset, h_max, .. } => ModeParts::Unweighted {
@@ -467,7 +463,7 @@ impl ApproxShortestPaths {
             Repr::Mapped(m) => match &m.mode {
                 MappedMode::Unweighted { hopset, h_max } => ModeParts::Unweighted {
                     h_max: *h_max,
-                    hopset: hopset.parts(n),
+                    hopset: hopset.parts(),
                 },
                 MappedMode::Weighted {
                     eta,
@@ -482,7 +478,7 @@ impl ApproxShortestPaths {
                             d: b.d,
                             what: b.rounding.what,
                             h: b.h,
-                            hopset: b.hopset.parts(n),
+                            hopset: b.hopset.parts(),
                             band_edges: b.graph.edges(),
                         })
                         .collect(),

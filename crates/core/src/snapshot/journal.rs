@@ -47,10 +47,7 @@ use std::path::{Path, PathBuf};
 
 use psh_graph::{CsrGraph, DeltaOp, GraphDelta, LoadMode};
 
-use super::{
-    corrupt, load_oracle, load_oracle_auto, save_oracle, save_oracle_v2, snapshot_version,
-    OracleMeta, SnapshotError,
-};
+use super::{corrupt, load_oracle_v2, save_oracle_v2, OracleMeta, SnapshotError};
 use crate::api::OracleBuilder;
 use crate::oracle::{ApproxShortestPaths, OracleGraph};
 
@@ -302,9 +299,6 @@ pub fn rebuild_oracle(
 /// What [`compact_oracle`] folded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompactReport {
-    /// Snapshot format version the new base was written in (same as the
-    /// old base).
-    pub version: u16,
     /// Journal records folded in.
     pub records: usize,
     /// Total ops across those records.
@@ -317,9 +311,9 @@ pub struct CompactReport {
 
 /// Fold `<path>.journal` into the base snapshot at `path`: load the base,
 /// apply every journal delta, rebuild the oracle for the mutated graph,
-/// save it over the base (same format version, unique-temp + fsync +
-/// atomic rename — a crash leaves either the old complete base or the new
-/// one, never a torn file), then remove the journal.
+/// save it over the base (unique-temp + fsync + atomic rename — a crash
+/// leaves either the old complete base or the new one, never a torn
+/// file), then remove the journal.
 ///
 /// The journal is removed only after the new base is durably installed.
 /// A crash between the rename and the removal leaves a stale journal
@@ -327,11 +321,7 @@ pub struct CompactReport {
 /// `journal apply` error rather than silently double-applying.
 pub fn compact_oracle(path: impl AsRef<Path>) -> Result<CompactReport, SnapshotError> {
     let path = path.as_ref();
-    let version = snapshot_version(path)?;
-    let (oracle, meta) = match version {
-        1 => load_oracle(path)?,
-        _ => load_oracle_auto(path, LoadMode::Read)?,
-    };
+    let (oracle, meta) = load_oracle_v2(path, LoadMode::Read)?;
     let base = owned_base_graph(&oracle);
     let jpath = journal_path(path);
     let (jn, deltas) = load_journal(&jpath)?;
@@ -348,13 +338,9 @@ pub fn compact_oracle(path: impl AsRef<Path>) -> Result<CompactReport, SnapshotE
     let ops = deltas.iter().map(|d| d.len()).sum();
     let mutated = apply_deltas(&base, &deltas)?;
     let (rebuilt, new_meta) = rebuild_oracle(&mutated, &meta)?;
-    match version {
-        1 => save_oracle(path, &rebuilt, &new_meta)?,
-        _ => save_oracle_v2(path, &rebuilt, &new_meta)?,
-    }
+    save_oracle_v2(path, &rebuilt, &new_meta)?;
     std::fs::remove_file(&jpath)?;
     Ok(CompactReport {
-        version,
         records: deltas.len(),
         ops,
         m_before,
@@ -585,47 +571,61 @@ mod tests {
 
     #[test]
     fn compact_folds_journal_into_base_and_matches_fresh_build() {
-        for version in [1u16, 2] {
-            let g = generators::grid(8, 8);
-            let run = OracleBuilder::new()
-                .params(params())
-                .seed(Seed(21))
-                .build(&g)
-                .unwrap();
-            let meta = OracleMeta::of_run(&run, params());
-            let path = temp_path(&format!("compact_v{version}"));
-            std::fs::remove_file(&path).ok();
-            match version {
-                1 => save_oracle(&path, &run.artifact, &meta).unwrap(),
-                _ => save_oracle_v2(&path, &run.artifact, &meta).unwrap(),
-            }
-            let mut d = GraphDelta::new(64);
-            d.insert(0, 63, 3).unwrap();
-            d.delete(0, 1).unwrap();
-            append_journal(journal_path(&path), &d).unwrap();
+        let g = generators::grid(8, 8);
+        let run = OracleBuilder::new()
+            .params(params())
+            .seed(Seed(21))
+            .build(&g)
+            .unwrap();
+        let meta = OracleMeta::of_run(&run, params());
+        let path = temp_path("compact");
+        std::fs::remove_file(&path).ok();
+        save_oracle_v2(&path, &run.artifact, &meta).unwrap();
+        let mut d = GraphDelta::new(64);
+        d.insert(0, 63, 3).unwrap();
+        d.delete(0, 1).unwrap();
+        append_journal(journal_path(&path), &d).unwrap();
 
-            let report = compact_oracle(&path).unwrap();
-            assert_eq!(report.version, version);
-            assert_eq!(report.records, 1);
-            assert_eq!(report.ops, 2);
-            assert_eq!(report.m_after, report.m_before); // one insert, one delete
-            assert!(!journal_path(&path).exists(), "journal must be removed");
+        let report = compact_oracle(&path).unwrap();
+        assert_eq!(report.records, 1);
+        assert_eq!(report.ops, 2);
+        assert_eq!(report.m_after, report.m_before); // one insert, one delete
+        assert!(!journal_path(&path).exists(), "journal must be removed");
 
-            // the compacted base answers byte-identically to a fresh build
-            // of the mutated graph
-            let mutated = g.apply_delta(&d).unwrap();
-            let fresh = OracleBuilder::new()
-                .params(params())
-                .seed(Seed(21))
-                .build(&mutated)
-                .unwrap();
-            let (served, served_meta) = load_oracle_auto(&path, LoadMode::Read).unwrap();
-            assert_eq!(served_meta.seed, Seed(21));
-            for (s, t) in [(0u32, 63u32), (0, 1), (5, 58), (7, 7)] {
-                assert_eq!(served.query(s, t), fresh.artifact.query(s, t));
-            }
-            std::fs::remove_file(&path).ok();
+        // the compacted base answers byte-identically to a fresh build
+        // of the mutated graph
+        let mutated = g.apply_delta(&d).unwrap();
+        let fresh = OracleBuilder::new()
+            .params(params())
+            .seed(Seed(21))
+            .build(&mutated)
+            .unwrap();
+        let (served, served_meta) = load_oracle_v2(&path, LoadMode::Read).unwrap();
+        assert_eq!(served_meta.seed, Seed(21));
+        for (s, t) in [(0u32, 63u32), (0, 1), (5, 58), (7, 7)] {
+            assert_eq!(served.query(s, t), fresh.artifact.query(s, t));
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A base in the retired version-1 format is refused by version before
+    /// its journal is read, and both files are left as they were.
+    #[test]
+    fn compact_refuses_a_version_1_base() {
+        let path = temp_path("compact_v1");
+        let mut v1 = b"PSHS\x01\x00\x04\x00".to_vec();
+        v1.resize(72, 0);
+        std::fs::write(&path, &v1).unwrap();
+        append_journal(journal_path(&path), &sample_delta(8)).unwrap();
+        let journal = std::fs::read(journal_path(&path)).unwrap();
+        assert!(matches!(
+            compact_oracle(&path).unwrap_err(),
+            SnapshotError::UnsupportedVersion { found: 1, .. }
+        ));
+        assert_eq!(std::fs::read(&path).unwrap(), v1);
+        assert_eq!(std::fs::read(journal_path(&path)).unwrap(), journal);
+        std::fs::remove_file(journal_path(&path)).ok();
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -686,10 +686,10 @@ mod tests {
         std::fs::remove_file(&base).ok();
     }
 
-    /// The atomic-save contract under failure: when a save (v1 or v2)
-    /// or a compact cannot complete, the target's directory must hold no
-    /// leaked `.tmp` sibling afterwards, and a failed compact must leave
-    /// the base byte-identical to what it was.
+    /// The atomic-save contract under failure: when a save or a compact
+    /// cannot complete, the target's directory must hold no leaked `.tmp`
+    /// sibling afterwards, and a failed compact must leave the base
+    /// byte-identical to what it was.
     #[test]
     fn failing_saves_leave_no_tmp_siblings() {
         // a dedicated directory so leftover counting is exact
@@ -704,11 +704,10 @@ mod tests {
             .unwrap();
         let meta = OracleMeta::of_run(&run, params());
 
-        // the rename target is a directory, so both save formats fail
-        // *after* their temp file exists — cleanup must remove it
+        // the rename target is a directory, so the save fails *after*
+        // its temp file exists — cleanup must remove it
         let occupied = dir.join("occupied");
         std::fs::create_dir(&occupied).unwrap();
-        assert!(save_oracle(&occupied, &run.artifact, &meta).is_err());
         assert!(save_oracle_v2(&occupied, &run.artifact, &meta).is_err());
 
         // a compact over a corrupt journal fails before touching the base

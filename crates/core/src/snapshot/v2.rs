@@ -1,9 +1,8 @@
-//! `SNAPSHOT_VERSION = 2` oracle snapshots — the zero-copy layout.
+//! `SNAPSHOT_VERSION = 2` oracle snapshots — the one on-disk format.
 //!
-//! A v1 oracle snapshot is a *stream*: loading it decodes every integer,
-//! rebuilds each band's rounded graph, and recompiles every hopset's
-//! query adjacency. A v2 snapshot is a *region*: all query-time state —
-//! including the derived state v1 recomputes — is stored as page-aligned
+//! A v2 snapshot is a *region*: all query-time state — including the
+//! derived state a fresh build computes (each band's rounded weights,
+//! every hopset's query adjacency) — is stored as page-aligned
 //! little-endian slabs indexed by a section directory (framework in
 //! [`psh_graph::source`]), so loading is one `mmap` (or one bulk read
 //! into an aligned buffer) plus validation, and queries run straight off
@@ -30,24 +29,22 @@
 //! A v2 file is untrusted input, validated at one of two
 //! [`psh_graph::Verify`] levels.
 //!
-//! The serving open path ([`load_oracle_v2`], [`load_oracle_auto`])
-//! runs at [`Verify::Bounds`]: scalar rules
-//! (the same ones the v1 reader enforces), slab shape agreement,
-//! monotone covering offsets, and index max-scans. That is enough to
-//! guarantee no query can panic or read out of bounds, and it touches
-//! only the index slabs — the weight and edge-record slabs stay cold,
-//! which is what makes an `mmap` open lazy and fast.
+//! The serving open path ([`load_oracle_v2`]) runs at
+//! [`Verify::Bounds`]: scalar rules, slab shape agreement, monotone
+//! covering offsets, and index max-scans. That is enough to guarantee no
+//! query can panic or read out of bounds, and it touches only the index
+//! slabs — the weight and edge-record slabs stay cold, which is what
+//! makes an `mmap` open lazy and fast.
 //!
-//! [`Verify::Deep`] ([`verify_oracle_v2`];
-//! used by `psh-snap`, [`migrate_oracle_file`], and the corruption
-//! suites) additionally pins every *derived* slab to exactly what a v1
-//! load would have recomputed: the CSR slabs must replay the canonical
+//! [`Verify::Deep`] ([`verify_oracle_v2`]; used by `psh-snap` and the
+//! corruption suites) additionally pins every *derived* slab to exactly
+//! what a fresh build computes: the CSR slabs must replay the canonical
 //! fill sweep, each band's weights must equal `⌈w/ŵ⌉` of the base
 //! weights, and each hopset adjacency must replay the `ExtraEdges` fill
-//! order. A snapshot that deep-validates therefore answers every query
-//! — costs included — byte-identically to the v1 decode of the same
-//! oracle, under every `ExecutionPolicy`; since the writer is
-//! canonical, every snapshot this crate produces deep-validates, so the
+//! order. A snapshot that deep-validates therefore answers every query —
+//! costs included — byte-identically to the owned oracle it was saved
+//! from, under every `ExecutionPolicy`; since the writer is canonical,
+//! every snapshot this crate produces deep-validates, so the
 //! byte-identity guarantee holds for the `Bounds` serving path on any
 //! untampered file. Malformed input is a typed [`SnapshotError`] at
 //! either level, never a panic or out-of-bounds access — in-bounds
@@ -55,7 +52,9 @@
 //! safety. Every graph, hopset and band section above is required: a
 //! file without one (such as an older build's file that stored the base
 //! adjacency under the retired tags 12 and 13) is a
-//! [`SnapshotError::Corrupt`] naming the missing section.
+//! [`SnapshotError::Corrupt`] naming the missing section. A file of any
+//! other version (the retired version-1 stream format included) is
+//! [`SnapshotError::UnsupportedVersion`] on every open path.
 
 use crate::hopset::rounding::Rounding;
 use crate::hopset::HopsetParams;
@@ -63,9 +62,9 @@ use crate::oracle::{
     ApproxShortestPaths, HopsetParts, MappedBand, MappedEdges, MappedHopset, MappedMode,
     MappedOracle, ModeParts, Repr,
 };
-use crate::snapshot::{load_oracle, OracleMeta};
+use crate::snapshot::OracleMeta;
 use crate::Seed;
-use psh_graph::io::{SnapshotError, KIND_ORACLE, SNAPSHOT_MAGIC};
+use psh_graph::io::{SnapshotError, KIND_ORACLE};
 use psh_graph::source::{
     cast_edges, cast_u32s, cast_u64s, encode_csr_slabs, encode_extra_slabs, le_edges,
     validate_edges_any_order, SectionTable, SectionWriter, SEC_GRAPH_EDGES, SEC_GRAPH_EIDS,
@@ -278,8 +277,8 @@ fn hopset_sections(
 /// Encode an oracle (any representation) as a complete v2 snapshot file.
 ///
 /// The encoding is a pure function of the oracle's logical content:
-/// saving a fresh build, a v1 decode of it, or a mapped v2 load of it
-/// produces identical bytes.
+/// saving a fresh build or a mapped load of its snapshot produces
+/// identical bytes.
 pub fn write_oracle_v2_bytes(
     oracle: &ApproxShortestPaths,
     meta: &OracleMeta,
@@ -359,8 +358,15 @@ pub fn write_oracle_v2_bytes(
     Ok(w.finish())
 }
 
-/// Save an oracle as a v2 snapshot at `path` (atomic temp-and-rename,
-/// same crash-safety contract as [`crate::snapshot::save_oracle`]).
+/// Save an oracle as a v2 snapshot at `path` (overwrite-safe).
+///
+/// The bytes are written to a `.tmp` sibling in the same directory,
+/// forced to disk, and atomically renamed over `path`, so a concurrent
+/// or crashed save can never leave a truncated snapshot behind: readers
+/// see either the old complete file or the new complete file.
+/// Overwriting an existing snapshot needs no prior `rm`. The temp name is
+/// unique per process and per call, so concurrent saves to one path
+/// never share a temp file; the last rename wins with a complete file.
 pub fn save_oracle_v2(
     path: impl AsRef<Path>,
     oracle: &ApproxShortestPaths,
@@ -447,10 +453,10 @@ fn load_hopset(
 ///
 /// After `Ok`, no query can panic or read out of bounds, and on any
 /// file this crate wrote the oracle's answers (and their [`Cost`]s) are
-/// byte-identical to the v1 decode of the same artifact under every
+/// byte-identical to the owned oracle that was saved, under every
 /// execution policy. At [`Verify::Deep`] that identity is *checked*
-/// rather than assumed — any derived slab deviating from what a v1
-/// load recomputes is a load-time [`SnapshotError`] (see the module
+/// rather than assumed — any derived slab deviating from what a fresh
+/// build computes is a load-time [`SnapshotError`] (see the module
 /// docs' trust model).
 pub fn read_oracle_v2(
     src: Arc<SnapshotSource>,
@@ -511,7 +517,7 @@ pub fn read_oracle_v2(
         0 => {
             let h_max = meta.tail[0] as usize;
             if h_max == 0 {
-                // same guard as the v1 reader: a zero budget would
+                // the builder clamps h_max to ≥ 4; a zero budget would
                 // silently answer ∞ for every s ≠ t
                 return Err(corrupt(
                     "hop budget",
@@ -615,9 +621,9 @@ pub fn read_oracle_v2(
                     Verify::Bounds => graph.reweighted(band_weights, band_edges)?,
                     Verify::Deep => {
                         // the stored rounded weights must be exactly what
-                        // a v1 load recomputes from the base graph — that
-                        // equality is what makes the two load paths
-                        // answer-identical
+                        // a fresh build rounds from the base graph — that
+                        // equality is what makes the mapped oracle
+                        // answer-identical to the owned one
                         for (j, (be, ge)) in band_edges.iter().zip(edges).enumerate() {
                             if be.w != rounding.round_weight(ge.w) {
                                 return Err(corrupt(
@@ -707,8 +713,8 @@ pub fn load_oracle_v2(
 }
 
 /// Open a v2 oracle snapshot at `path` with the full [`Verify::Deep`]
-/// content validation — every derived slab is checked against what a v1
-/// load would recompute, so a tampered file that would serve wrong
+/// content validation — every derived slab is checked against what a
+/// fresh build computes, so a tampered file that would serve wrong
 /// answers under the fast path is a typed error here. `psh-snap
 /// inspect` and the corruption suites use this.
 pub fn verify_oracle_v2(
@@ -717,72 +723,6 @@ pub fn verify_oracle_v2(
 ) -> Result<(ApproxShortestPaths, OracleMeta), SnapshotError> {
     let src = SnapshotSource::open(path.as_ref(), mode)?;
     read_oracle_v2(Arc::new(src), Verify::Deep)
-}
-
-// ---------------------------------------------------------------------------
-// Version sniffing, auto-loading, migration
-// ---------------------------------------------------------------------------
-
-/// Read the snapshot version stamped in a file's 8-byte header prefix
-/// (shared by every version), without loading the body.
-pub fn snapshot_version(path: impl AsRef<Path>) -> Result<u16, SnapshotError> {
-    use std::io::Read;
-    let mut head = [0u8; 8];
-    let mut file = std::fs::File::open(path.as_ref())?;
-    file.read_exact(&mut head).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            SnapshotError::Truncated {
-                what: "snapshot header",
-            }
-        } else {
-            SnapshotError::Io(e)
-        }
-    })?;
-    if head[0..4] != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic {
-            found: [head[0], head[1], head[2], head[3]],
-        });
-    }
-    Ok(u16::from_le_bytes([head[4], head[5]]))
-}
-
-/// Load an oracle snapshot of either version: v1 files stream-decode,
-/// v2 files open through a [`SnapshotSource`] with the requested `mode`
-/// (ignored for v1). The serving layers use this so operators can point
-/// them at any snapshot on disk.
-pub fn load_oracle_auto(
-    path: impl AsRef<Path>,
-    mode: LoadMode,
-) -> Result<(ApproxShortestPaths, OracleMeta), SnapshotError> {
-    let path = path.as_ref();
-    match snapshot_version(path)? {
-        1 => load_oracle(path),
-        2 => load_oracle_v2(path, mode),
-        found => Err(SnapshotError::UnsupportedVersion {
-            found,
-            supported: psh_graph::source::SNAPSHOT_VERSION_V2,
-        }),
-    }
-}
-
-/// Upgrade (or re-encode) the oracle snapshot at `src` into a v2
-/// snapshot at `dst`. Returns the source file's version and the oracle's
-/// provenance. The logical content is preserved exactly: re-saving the
-/// migrated file as v1 reproduces the original v1 bytes. A v2 source is
-/// deep-validated before re-encoding (migration must never launder a
-/// tampered file into a fresh-looking one).
-pub fn migrate_oracle_file(
-    src: impl AsRef<Path>,
-    dst: impl AsRef<Path>,
-) -> Result<(u16, OracleMeta), SnapshotError> {
-    let src = src.as_ref();
-    let from = snapshot_version(src)?;
-    let (oracle, meta) = match from {
-        2 => verify_oracle_v2(src, LoadMode::Read)?,
-        _ => load_oracle_auto(src, LoadMode::Read)?,
-    };
-    save_oracle_v2(dst, &oracle, &meta)?;
-    Ok((from, meta))
 }
 
 // ---------------------------------------------------------------------------
@@ -863,7 +803,6 @@ pub fn inspect_v2(bytes: &[u8]) -> Result<OracleSections, SnapshotError> {
 mod tests {
     use super::*;
     use crate::api::{OracleBuilder, OracleMode};
-    use crate::snapshot::write_oracle;
     use proptest::prelude::*;
     use psh_exec::ExecutionPolicy;
     use psh_graph::generators;
@@ -944,66 +883,97 @@ mod tests {
         }
     }
 
-    #[test]
-    fn v1_to_v2_migration_round_trips_byte_identically() {
-        for weighted in [false, true] {
-            let (fresh, meta) = oracle_pair(weighted);
-            let mut v1 = Vec::new();
-            write_oracle(&mut v1, &fresh, &meta).unwrap();
+    /// A scratch directory of this test process's own, so leftover
+    /// counts are exact and parallel test binaries never collide.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("psh_v2_{name}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
 
-            // v1 → decode → v2 encode → mapped load → v1 re-save
-            let (decoded, meta1) = crate::snapshot::read_oracle(v1.as_slice()).unwrap();
-            let v2 = write_oracle_v2_bytes(&decoded, &meta1).unwrap();
-            let (served, meta2) = mapped(&v2);
-            let mut v1_again = Vec::new();
-            write_oracle(&mut v1_again, &served, &meta2).unwrap();
-            assert_eq!(v1, v1_again, "weighted={weighted}");
+    type Opened = Result<(ApproxShortestPaths, OracleMeta), SnapshotError>;
 
-            // and the v2 encode is stable across the loop too
-            let v2_again = write_oracle_v2_bytes(&served, &meta2).unwrap();
-            assert_eq!(v2, v2_again, "weighted={weighted}");
-        }
+    /// Every file-open path: the serving load under both [`LoadMode`]s
+    /// and the deep verification `psh-snap inspect` runs.
+    fn open_every_way(path: &Path) -> [(&'static str, Opened); 3] {
+        [
+            ("load mmap", load_oracle_v2(path, LoadMode::Mmap)),
+            ("load read", load_oracle_v2(path, LoadMode::Read)),
+            ("verify", verify_oracle_v2(path, LoadMode::Read)),
+        ]
     }
 
     #[test]
-    fn migrate_oracle_file_upgrades_v1_on_disk() {
-        let (fresh, meta) = oracle_pair(true);
-        let dir = std::env::temp_dir();
-        let v1_path = dir.join("psh_v2_unit_migrate.v1.snap");
-        let v2_path = dir.join("psh_v2_unit_migrate.v2.snap");
-        crate::snapshot::save_oracle(&v1_path, &fresh, &meta).unwrap();
-        assert_eq!(snapshot_version(&v1_path).unwrap(), 1);
-
-        let (from, meta2) = migrate_oracle_file(&v1_path, &v2_path).unwrap();
-        assert_eq!(from, 1);
-        assert_eq!(meta, meta2);
-        assert_eq!(snapshot_version(&v2_path).unwrap(), 2);
-
-        for mode in [LoadMode::Mmap, LoadMode::Read] {
-            let (served, meta3) = load_oracle_v2(&v2_path, mode).unwrap();
-            assert_eq!(meta, meta3);
-            assert_eq!(served.query(0, 80), fresh.query(0, 80));
+    fn saves_overwrite_atomically_and_missing_files_are_io_errors() {
+        let (fresh, meta) = oracle_pair(false);
+        let dir = scratch_dir("save");
+        let path = dir.join("oracle.snap");
+        save_oracle_v2(&path, &fresh, &meta).unwrap();
+        // overwrite-safe: saving over an existing snapshot needs no rm,
+        // and the unique temp siblings used for the atomic rename are gone
+        save_oracle_v2(&path, &fresh, &meta).unwrap();
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["oracle.snap"], "temp siblings must be renamed away");
+        for (how, opened) in open_every_way(&path) {
+            let (served, meta2) = opened.unwrap();
+            assert_eq!(meta, meta2, "{how}");
+            assert_eq!(served.query(0, 80), fresh.query(0, 80), "{how}");
         }
-        // auto-loading resolves both versions
-        let (via_auto, _) = load_oracle_auto(&v1_path, LoadMode::Mmap).unwrap();
-        assert!(!via_auto.is_mapped());
-        let (via_auto, _) = load_oracle_auto(&v2_path, LoadMode::Mmap).unwrap();
-        assert!(via_auto.is_mapped());
-        // ... and refuses a file with any other magic, such as a `PSHM`
-        // sharded manifest left behind by older builds
-        let pshm_path = dir.join("psh_v2_unit_migrate.pshm");
-        std::fs::write(&pshm_path, b"PSHM\x01\x00\x00\x00\x04\x00\x00\x00").unwrap();
-        assert!(matches!(
-            load_oracle_auto(&pshm_path, LoadMode::Mmap),
-            Err(SnapshotError::BadMagic { found }) if found == *b"PSHM"
-        ));
+        std::fs::remove_file(&path).unwrap();
+        for (how, opened) in open_every_way(&path) {
+            assert!(matches!(opened, Err(SnapshotError::Io(_))), "{how}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
-        // ... and a v2 file from an older build that stored the base
-        // adjacency under the retired tags 12 and 13 instead of
+    #[test]
+    fn retired_formats_are_typed_errors_on_every_open_path() {
+        let (fresh, meta) = oracle_pair(true);
+        let dir = scratch_dir("retired");
+        let v2 = write_oracle_v2_bytes(&fresh, &meta).unwrap();
+
+        // the header of a version-1 oracle stream (magic, version 1,
+        // kind 4) followed by body bytes: refused by version, unread
+        let v1_path = dir.join("oracle.v1");
+        let mut v1 = b"PSHS\x01\x00\x04\x00".to_vec();
+        v1.resize(72, 0);
+        std::fs::write(&v1_path, &v1).unwrap();
+        for (how, opened) in open_every_way(&v1_path) {
+            let err = opened.unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SnapshotError::UnsupportedVersion {
+                        found: 1,
+                        supported: 2
+                    }
+                ),
+                "{how}: {err}"
+            );
+            assert!(err.to_string().contains("version 1 unsupported"), "{err}");
+        }
+
+        // a `PSHM` sharded manifest left behind by older builds
+        let pshm_path = dir.join("oracle.pshm");
+        let mut pshm = b"PSHM\x01\x00\x00\x00\x04\x00\x00\x00".to_vec();
+        pshm.resize(64, 0);
+        std::fs::write(&pshm_path, &pshm).unwrap();
+        for (how, opened) in open_every_way(&pshm_path) {
+            assert!(
+                matches!(opened, Err(SnapshotError::BadMagic { found }) if found == *b"PSHM"),
+                "{how}"
+            );
+        }
+
+        // a v2 file from an older build that stored the base adjacency
+        // under the retired tags 12 and 13 instead of
         // `graph.targets`/`graph.eids` is a typed error naming the missing
-        // section on every open path (the payloads are never read)
+        // section (the payloads are never read)
         let mut w = SectionWriter::new(KIND_ORACLE);
-        let v2 = std::fs::read(&v2_path).unwrap();
         let table = SectionTable::parse(&v2).unwrap();
         for e in table.entries() {
             let tag = match e.tag {
@@ -1013,29 +983,62 @@ mod tests {
             };
             w.section(tag, table.slice(&v2, e.tag).unwrap().to_vec());
         }
-        let retired_path = dir.join("psh_v2_unit_migrate.retired.snap");
+        let retired_path = dir.join("oracle.retired");
         std::fs::write(&retired_path, w.finish()).unwrap();
-        let missing_targets = |r: Result<(ApproxShortestPaths, OracleMeta), SnapshotError>| {
-            matches!(
-                r,
-                Err(SnapshotError::Corrupt {
-                    what: "graph targets",
-                    ..
-                })
-            )
-        };
-        for mode in [LoadMode::Mmap, LoadMode::Read] {
-            assert!(missing_targets(load_oracle_auto(&retired_path, mode)));
+        for (how, opened) in open_every_way(&retired_path) {
+            assert!(
+                matches!(
+                    opened,
+                    Err(SnapshotError::Corrupt {
+                        what: "graph targets",
+                        ..
+                    })
+                ),
+                "{how}"
+            );
         }
-        assert!(missing_targets(verify_oracle_v2(
-            &retired_path,
-            LoadMode::Read
-        )));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
-        std::fs::remove_file(&v1_path).ok();
-        std::fs::remove_file(&v2_path).ok();
-        std::fs::remove_file(&pshm_path).ok();
-        std::fs::remove_file(&retired_path).ok();
+    /// Every band rule the reader enforces is a typed `Corrupt` naming
+    /// its field, at both [`Verify`] levels.
+    #[test]
+    fn corrupt_band_fields_are_typed_errors_at_both_levels() {
+        let (fresh, meta) = oracle_pair(true);
+        let bytes = write_oracle_v2_bytes(&fresh, &meta).unwrap();
+        let info = inspect_v2(&bytes).unwrap();
+        let offset = |name: &str| info.sections.iter().find(|s| s.1 == name).unwrap().2 as usize;
+        let (meta_off, bands_off) = (offset("meta"), offset("bands"));
+        let put = |at: usize, v: u64| {
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            bad
+        };
+        assert!(info.bands >= 2, "the fixture needs two bands");
+        let d0 = u64::from_le_bytes(bytes[bands_off..bands_off + 8].try_into().unwrap());
+        let cases = [
+            ("band count", put(meta_off + 104, 0)),
+            ("band count", put(meta_off + 104, MAX_BANDS as u64 + 1)),
+            // band 0's d must exceed 0, each later band's the previous d
+            ("band distance", put(bands_off, 0)),
+            ("band distance", put(bands_off + BAND_RECORD_BYTES, d0)),
+            ("band grid", put(bands_off + 8, 0.5f64.to_bits())),
+            ("band grid", put(bands_off + 8, f64::NAN.to_bits())),
+            ("band hop budget", put(bands_off + 16, 0)),
+            ("eta", put(meta_off + 88, 0f64.to_bits())),
+            ("eta", put(meta_off + 88, 1f64.to_bits())),
+            ("eta", put(meta_off + 88, f64::NAN.to_bits())),
+        ];
+        for (field, bad) in &cases {
+            for verify in [Verify::Bounds, Verify::Deep] {
+                let err =
+                    read_oracle_v2(Arc::new(SnapshotSource::from_bytes(bad)), verify).unwrap_err();
+                assert!(
+                    matches!(err, SnapshotError::Corrupt { what, .. } if what == *field),
+                    "{field} ({verify:?}): got {err}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1113,7 +1116,7 @@ mod tests {
 
         // a wrong artifact kind is refused up front
         let mut bad = bytes.clone();
-        bad[6..8].copy_from_slice(&psh_graph::io::KIND_SPANNER.to_le_bytes());
+        bad[6..8].copy_from_slice(&psh_graph::io::KIND_GRAPH.to_le_bytes());
         assert!(matches!(
             read_oracle_v2(Arc::new(SnapshotSource::from_bytes(&bad)), Verify::Bounds).unwrap_err(),
             SnapshotError::WrongArtifact { .. }

@@ -1,5 +1,5 @@
-//! Graph I/O: the plain-text edge-list format and the versioned binary
-//! snapshot framework.
+//! Graph I/O: the plain-text edge-list format, and the header constants
+//! and error type every binary snapshot shares.
 //!
 //! # Text edge lists
 //!
@@ -24,47 +24,20 @@
 //!
 //! # Binary snapshots
 //!
-//! The snapshot format lets preprocessing and serving run as separate
-//! processes: build an artifact once, [`SnapshotWriter`] it to disk, and
-//! any later process reconstructs it byte-identically with a
-//! [`SnapshotReader`]. Every snapshot starts with an 8-byte header:
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic  = b"PSHS"
-//! 4       2     format version (little-endian u16) = 1
-//! 6       2     artifact kind  (little-endian u16):
-//!                 1 graph · 2 hopset · 3 spanner · 4 oracle
-//! 8       …     kind-specific body
-//! ```
-//!
-//! Body encoding: all integers little-endian; `f64` values are stored as
-//! their IEEE-754 bit pattern in a little-endian `u64` (exact round-trip,
-//! no text formatting loss). Edge records are 16 bytes: `u: u32`,
-//! `v: u32`, `w: u64`, always canonical (`u < v`).
-//!
-//! **Versioning policy:** any change to the header or to any kind's body
-//! layout bumps [`SNAPSHOT_VERSION`]. Readers accept exactly the version
-//! they were compiled against and report [`SnapshotError::UnsupportedVersion`]
-//! otherwise — snapshots are cheap to regenerate from their recorded seed,
-//! so there is no silent cross-version reinterpretation. New artifact
-//! kinds may be added without a version bump (old readers report
-//! [`SnapshotError::WrongArtifact`] for kinds they don't expect).
-//!
-//! Malformed snapshots (truncated data, out-of-range vertex ids,
-//! self-loops, duplicates, zero weights) are reported as descriptive
-//! [`SnapshotError`] values, never panics — the round-trip and
-//! malformed-input tests in this module and in `psh_core::snapshot`
-//! enforce this.
-//!
-//! The graph kind is implemented here ([`write_graph_snapshot`] /
-//! [`read_graph_snapshot`]); hopsets, spanners, and the full oracle live
-//! in `psh_core::snapshot`, built on the same writer/reader primitives.
+//! Every snapshot starts with [`SNAPSHOT_MAGIC`], a little-endian `u16`
+//! format version and a `u16` artifact kind ([`KIND_GRAPH`],
+//! [`KIND_ORACLE`]). There is one format, version 2: the page-aligned
+//! section layout of [`crate::source`], which `psh_core::snapshot::v2`
+//! fills with an oracle. Readers accept exactly that version and report
+//! [`SnapshotError::UnsupportedVersion`] for any other, including files
+//! of the retired version-1 stream format. Snapshots are cheap to
+//! regenerate from their recorded seed, so no version is reinterpreted
+//! or migrated. Malformed snapshots are descriptive [`SnapshotError`]
+//! values, never panics.
 
 use crate::csr::{CsrGraph, Edge};
-use crate::view::GraphView;
 use std::fmt;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, Write};
 
 // ---------------------------------------------------------------------------
 // Text edge lists
@@ -133,6 +106,13 @@ pub fn read_graph<R: BufRead>(input: R) -> io::Result<CsrGraph> {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| bad(format!("line {}: bad p line", lineno + 1)))?;
+                if nn as u64 > u32::MAX as u64 + 1 {
+                    // endpoints below n must fit the u32 vertex ids
+                    return Err(bad(format!(
+                        "line {}: {nn} vertices exceeds the u32 vertex-id space",
+                        lineno + 1
+                    )));
+                }
                 declared_m = parts
                     .next()
                     .and_then(|s| s.parse().ok())
@@ -202,29 +182,22 @@ pub fn read_graph<R: BufRead>(input: R) -> io::Result<CsrGraph> {
 }
 
 // ---------------------------------------------------------------------------
-// Binary snapshot framework
+// Binary snapshot identification and errors
 // ---------------------------------------------------------------------------
 
 /// First four bytes of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PSHS";
-/// The one format version this build reads and writes (see the module
-/// docs for the versioning policy).
-pub const SNAPSHOT_VERSION: u16 = 1;
 
 /// Artifact kind tag: a bare [`CsrGraph`].
 pub const KIND_GRAPH: u16 = 1;
-/// Artifact kind tag: a hopset edge set (body defined in `psh_core`).
-pub const KIND_HOPSET: u16 = 2;
-/// Artifact kind tag: a spanner (body defined in `psh_core`).
-pub const KIND_SPANNER: u16 = 3;
-/// Artifact kind tag: a full preprocessed oracle (body in `psh_core`).
+/// Artifact kind tag: a full preprocessed oracle (layout in
+/// `psh_core::snapshot::v2`). Tags 2 and 3 named the hopset and spanner
+/// kinds of the retired version-1 format and are not reused.
 pub const KIND_ORACLE: u16 = 4;
 
 fn kind_name(kind: u16) -> &'static str {
     match kind {
         KIND_GRAPH => "graph",
-        KIND_HOPSET => "hopset",
-        KIND_SPANNER => "spanner",
         KIND_ORACLE => "oracle",
         _ => "unknown",
     }
@@ -294,254 +267,6 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
-/// Writes one artifact in the snapshot format: construct with the
-/// artifact's kind tag (the header goes out immediately), then emit the
-/// body with the primitive methods.
-pub struct SnapshotWriter<W: Write> {
-    out: W,
-}
-
-impl<W: Write> SnapshotWriter<W> {
-    /// Start a snapshot of the given artifact kind (writes the header).
-    pub fn new(mut out: W, kind: u16) -> Result<Self, SnapshotError> {
-        out.write_all(&SNAPSHOT_MAGIC)?;
-        out.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
-        out.write_all(&kind.to_le_bytes())?;
-        Ok(SnapshotWriter { out })
-    }
-
-    /// Emit one `u8`.
-    pub fn u8(&mut self, v: u8) -> Result<(), SnapshotError> {
-        Ok(self.out.write_all(&[v])?)
-    }
-
-    /// Emit one little-endian `u64`.
-    pub fn u64(&mut self, v: u64) -> Result<(), SnapshotError> {
-        Ok(self.out.write_all(&v.to_le_bytes())?)
-    }
-
-    /// Emit one `f64` as its exact IEEE-754 bit pattern.
-    pub fn f64(&mut self, v: f64) -> Result<(), SnapshotError> {
-        self.u64(v.to_bits())
-    }
-
-    /// Emit an edge list: count followed by 16-byte `(u, v, w)` records.
-    pub fn edges(&mut self, edges: &[Edge]) -> Result<(), SnapshotError> {
-        self.u64(edges.len() as u64)?;
-        for e in edges {
-            self.out.write_all(&e.u.to_le_bytes())?;
-            self.out.write_all(&e.v.to_le_bytes())?;
-            self.out.write_all(&e.w.to_le_bytes())?;
-        }
-        Ok(())
-    }
-
-    /// Emit a graph body: `n`, then the canonical edge list. Generic over
-    /// [`GraphView`] so owned graphs and mapped v2 views serialize
-    /// identically (the v2 → v1 re-save path depends on this).
-    pub fn graph<G: GraphView>(&mut self, g: &G) -> Result<(), SnapshotError> {
-        self.u64(g.n() as u64)?;
-        self.edges(g.edges())
-    }
-
-    /// Flush and return the underlying writer.
-    pub fn finish(mut self) -> Result<W, SnapshotError> {
-        self.out.flush()?;
-        Ok(self.out)
-    }
-}
-
-/// How [`SnapshotReader::edges`] validates an incoming edge list.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EdgeRules {
-    /// Graph edge lists: canonical (`u < v`), strictly ascending `(u, v)`
-    /// (so no duplicates), endpoints `< n`, weights ≥ 1.
-    CanonicalSorted,
-    /// Hopset shortcut lists: canonical, endpoints `< n`, weights ≥ 1;
-    /// order and multiplicity preserved as written (star and clique
-    /// shortcuts may legitimately repeat a vertex pair).
-    CanonicalAnyOrder,
-}
-
-/// Reads one artifact in the snapshot format: construct with the expected
-/// kind (the header is checked immediately), then consume the body with
-/// the primitive methods.
-pub struct SnapshotReader<R: Read> {
-    inp: R,
-}
-
-impl<R: Read> SnapshotReader<R> {
-    /// Check the header and position the reader at the body. Reports
-    /// [`SnapshotError::BadMagic`] / [`SnapshotError::UnsupportedVersion`] /
-    /// [`SnapshotError::WrongArtifact`] before any body byte is touched.
-    pub fn new(mut inp: R, expected_kind: u16) -> Result<Self, SnapshotError> {
-        let mut magic = [0u8; 4];
-        read_exact(&mut inp, &mut magic, "header magic")?;
-        if magic != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic { found: magic });
-        }
-        let mut two = [0u8; 2];
-        read_exact(&mut inp, &mut two, "header version")?;
-        let version = u16::from_le_bytes(two);
-        if version != SNAPSHOT_VERSION {
-            // exactly one version is readable per build (module docs);
-            // accepting a range would need per-version body readers
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        read_exact(&mut inp, &mut two, "header kind")?;
-        let kind = u16::from_le_bytes(two);
-        if kind != expected_kind {
-            return Err(SnapshotError::WrongArtifact {
-                found: kind,
-                expected: expected_kind,
-            });
-        }
-        Ok(SnapshotReader { inp })
-    }
-
-    /// Read one `u8`.
-    pub fn u8(&mut self, what: &'static str) -> Result<u8, SnapshotError> {
-        let mut b = [0u8; 1];
-        read_exact(&mut self.inp, &mut b, what)?;
-        Ok(b[0])
-    }
-
-    /// Read one little-endian `u64`.
-    pub fn u64(&mut self, what: &'static str) -> Result<u64, SnapshotError> {
-        let mut b = [0u8; 8];
-        read_exact(&mut self.inp, &mut b, what)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Read one `f64` from its bit pattern.
-    pub fn f64(&mut self, what: &'static str) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    /// Read and validate an edge list over vertices `0..n` under `rules`.
-    pub fn edges(&mut self, n: usize, rules: EdgeRules) -> Result<Vec<Edge>, SnapshotError> {
-        let m = self.u64("edge count")?;
-        if m > u32::MAX as u64 {
-            return Err(SnapshotError::Corrupt {
-                what: "edge count",
-                detail: format!("{m} edges exceeds the u32 edge-id space"),
-            });
-        }
-        let m = m as usize;
-        let mut edges = Vec::with_capacity(m.min(1 << 22));
-        let mut prev: Option<(u32, u32)> = None;
-        for i in 0..m {
-            let mut rec = [0u8; 16];
-            read_exact(&mut self.inp, &mut rec, "edge record")?;
-            let u = u32::from_le_bytes(rec[0..4].try_into().unwrap());
-            let v = u32::from_le_bytes(rec[4..8].try_into().unwrap());
-            let w = u64::from_le_bytes(rec[8..16].try_into().unwrap());
-            if u as usize >= n || v as usize >= n {
-                return Err(SnapshotError::Corrupt {
-                    what: "edge endpoint",
-                    detail: format!("edge {i} = ({u}, {v}) out of range for n = {n}"),
-                });
-            }
-            if u == v {
-                return Err(SnapshotError::Corrupt {
-                    what: "edge",
-                    detail: format!("edge {i} is a self-loop at vertex {u}"),
-                });
-            }
-            if u > v {
-                return Err(SnapshotError::Corrupt {
-                    what: "edge",
-                    detail: format!("edge {i} = ({u}, {v}) is not canonical (u < v)"),
-                });
-            }
-            if w == 0 {
-                return Err(SnapshotError::Corrupt {
-                    what: "edge weight",
-                    detail: format!("edge {i} = ({u}, {v}) has zero weight"),
-                });
-            }
-            if rules == EdgeRules::CanonicalSorted {
-                if let Some(p) = prev {
-                    if p >= (u, v) {
-                        return Err(SnapshotError::Corrupt {
-                            what: "edge order",
-                            detail: format!(
-                                "edge {i} = ({u}, {v}) duplicates or precedes ({}, {})",
-                                p.0, p.1
-                            ),
-                        });
-                    }
-                }
-                prev = Some((u, v));
-            }
-            edges.push(Edge { u, v, w });
-        }
-        Ok(edges)
-    }
-
-    /// Read a graph body (`n` + canonical sorted edge list).
-    pub fn graph(&mut self) -> Result<CsrGraph, SnapshotError> {
-        let n = self.u64("vertex count")?;
-        if n > u32::MAX as u64 + 1 {
-            return Err(SnapshotError::Corrupt {
-                what: "vertex count",
-                detail: format!("{n} vertices exceeds the u32 vertex-id space"),
-            });
-        }
-        let n = n as usize;
-        let edges = self.edges(n, EdgeRules::CanonicalSorted)?;
-        // the list is validated canonical + strictly sorted, so from_edges
-        // reproduces it verbatim (no silent repair can occur)
-        Ok(CsrGraph::from_edges(n, edges))
-    }
-
-    /// Assert the body is fully consumed; trailing bytes mean the snapshot
-    /// was written by a different layout and must not be half-trusted.
-    pub fn expect_eof(mut self) -> Result<(), SnapshotError> {
-        let mut b = [0u8; 1];
-        match self.inp.read(&mut b)? {
-            0 => Ok(()),
-            _ => Err(SnapshotError::Corrupt {
-                what: "trailer",
-                detail: "trailing bytes after the artifact body".into(),
-            }),
-        }
-    }
-}
-
-fn read_exact<R: Read>(
-    inp: &mut R,
-    buf: &mut [u8],
-    what: &'static str,
-) -> Result<(), SnapshotError> {
-    inp.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            SnapshotError::Truncated { what }
-        } else {
-            SnapshotError::Io(e)
-        }
-    })
-}
-
-/// Snapshot a bare graph (kind [`KIND_GRAPH`]).
-pub fn write_graph_snapshot<W: Write>(g: &CsrGraph, out: W) -> Result<(), SnapshotError> {
-    let mut w = SnapshotWriter::new(out, KIND_GRAPH)?;
-    w.graph(g)?;
-    w.finish()?;
-    Ok(())
-}
-
-/// Load a graph snapshot, validating the header and every edge.
-pub fn read_graph_snapshot<R: Read>(inp: R) -> Result<CsrGraph, SnapshotError> {
-    let mut r = SnapshotReader::new(inp, KIND_GRAPH)?;
-    let g = r.graph()?;
-    r.expect_eof()?;
-    Ok(g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,6 +309,20 @@ mod tests {
     }
 
     #[test]
+    fn rejects_a_vertex_count_beyond_the_u32_id_space() {
+        // 2^32 vertices still fit (ids 0..=u32::MAX); one more cannot
+        // carry u32 endpoints. The edge count is off by one, so a reader
+        // without the check fails on the count, before allocating n slots.
+        let err = read_graph("p 4294967297 0\ne 4294967296 5 1\n".as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("line 1: 4294967297 vertices exceeds the u32 vertex-id space"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn rejects_self_loops_with_typed_error() {
         let err = read_graph("p 3 1\ne 1 1 5\n".as_bytes()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -622,134 +361,5 @@ mod tests {
         let back = read_graph(buf.as_slice()).unwrap();
         assert_eq!(back.n(), 4);
         assert_eq!(back.m(), 0);
-    }
-
-    // --- binary snapshots -------------------------------------------------
-
-    fn snapshot_of(g: &CsrGraph) -> Vec<u8> {
-        let mut buf = Vec::new();
-        write_graph_snapshot(g, &mut buf).unwrap();
-        buf
-    }
-
-    #[test]
-    fn graph_snapshot_round_trips_byte_identically() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let base = generators::connected_random(80, 200, &mut rng);
-        let g = generators::with_uniform_weights(&base, 1, 1_000_000, &mut rng);
-        let buf = snapshot_of(&g);
-        let back = read_graph_snapshot(buf.as_slice()).unwrap();
-        assert_eq!(g, back);
-        // writing the reloaded graph reproduces the identical bytes
-        assert_eq!(buf, snapshot_of(&back));
-    }
-
-    #[test]
-    fn empty_and_edgeless_graphs_snapshot() {
-        for g in [
-            CsrGraph::from_edges(0, std::iter::empty()),
-            CsrGraph::from_edges(7, std::iter::empty()),
-        ] {
-            let back = read_graph_snapshot(snapshot_of(&g).as_slice()).unwrap();
-            assert_eq!(g, back);
-        }
-    }
-
-    #[test]
-    fn truncation_at_every_prefix_is_detected() {
-        let g = generators::grid(4, 4);
-        let buf = snapshot_of(&g);
-        for cut in 0..buf.len() {
-            let err = read_graph_snapshot(&buf[..cut]).unwrap_err();
-            assert!(
-                matches!(err, SnapshotError::Truncated { .. }),
-                "cut at {cut}: got {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn bad_magic_and_version_and_kind_are_detected() {
-        let g = generators::path(3);
-        let mut buf = snapshot_of(&g);
-        let mut wrong_magic = buf.clone();
-        wrong_magic[0] = b'X';
-        assert!(matches!(
-            read_graph_snapshot(wrong_magic.as_slice()).unwrap_err(),
-            SnapshotError::BadMagic { .. }
-        ));
-        let mut wrong_version = buf.clone();
-        wrong_version[4] = 99;
-        match read_graph_snapshot(wrong_version.as_slice()).unwrap_err() {
-            SnapshotError::UnsupportedVersion { found, supported } => {
-                assert_eq!(found, 99);
-                assert_eq!(supported, SNAPSHOT_VERSION);
-            }
-            other => panic!("expected version error, got {other}"),
-        }
-        buf[6] = KIND_SPANNER as u8; // kind byte: now claims to be a spanner
-        assert!(matches!(
-            read_graph_snapshot(buf.as_slice()).unwrap_err(),
-            SnapshotError::WrongArtifact { .. }
-        ));
-    }
-
-    #[test]
-    fn corrupt_edges_are_descriptive_errors_not_panics() {
-        // Edge values a SnapshotWriter could never emit (it only sees
-        // already-canonical Edge structs), so hand-roll the raw bytes.
-        fn raw(n: u64, recs: &[(u32, u32, u64)]) -> Vec<u8> {
-            let mut buf = Vec::new();
-            buf.extend_from_slice(&SNAPSHOT_MAGIC);
-            buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-            buf.extend_from_slice(&KIND_GRAPH.to_le_bytes());
-            buf.extend_from_slice(&n.to_le_bytes());
-            buf.extend_from_slice(&(recs.len() as u64).to_le_bytes());
-            for &(u, v, w) in recs {
-                buf.extend_from_slice(&u.to_le_bytes());
-                buf.extend_from_slice(&v.to_le_bytes());
-                buf.extend_from_slice(&w.to_le_bytes());
-            }
-            buf
-        }
-
-        let cases: &[(&str, Vec<u8>)] = &[
-            ("out-of-range id", raw(3, &[(0, 9, 1)])),
-            ("self-loop", raw(3, &[(1, 1, 1)])),
-            ("non-canonical", raw(3, &[(2, 0, 1)])),
-            ("zero weight", raw(3, &[(0, 1, 0)])),
-            ("duplicate", raw(3, &[(0, 1, 1), (0, 1, 2)])),
-            ("unsorted", raw(3, &[(1, 2, 1), (0, 1, 1)])),
-        ];
-        for (name, bytes) in cases {
-            match read_graph_snapshot(bytes.as_slice()) {
-                Err(SnapshotError::Corrupt { .. }) => {}
-                other => panic!("{name}: expected Corrupt, got {other:?}"),
-            }
-        }
-        // trailing garbage after a valid body
-        let mut ok = raw(3, &[(0, 1, 1)]);
-        ok.push(0xAA);
-        assert!(matches!(
-            read_graph_snapshot(ok.as_slice()).unwrap_err(),
-            SnapshotError::Corrupt { .. }
-        ));
-    }
-
-    #[test]
-    fn absurd_counts_are_rejected_without_allocating() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&SNAPSHOT_MAGIC);
-        buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        buf.extend_from_slice(&KIND_GRAPH.to_le_bytes());
-        buf.extend_from_slice(&u64::MAX.to_le_bytes()); // n
-        assert!(read_graph_snapshot(buf.as_slice()).is_err());
-        let mut buf2 = Vec::new();
-        buf2.extend_from_slice(&SNAPSHOT_MAGIC);
-        buf2.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        buf2.extend_from_slice(&KIND_GRAPH.to_le_bytes());
-        buf2.extend_from_slice(&10u64.to_le_bytes()); // n
-        buf2.extend_from_slice(&u64::MAX.to_le_bytes()); // m
-        assert!(read_graph_snapshot(buf2.as_slice()).is_err());
     }
 }

@@ -5,20 +5,18 @@
 //!
 //! # The v2 layout
 //!
-//! Version-1 snapshots (see [`crate::io`]) are streams: every integer is
-//! decoded element by element, every edge re-validated, every derived
-//! structure rebuilt. That is robust but it makes cold start O(decode),
-//! not O(open). Version 2 keeps the same magic and kind tags but lays the
-//! artifact out as **page-aligned, little-endian, section-table-indexed
-//! slabs** so a process can `mmap` the file and start answering queries
-//! after a linear validation pass — no allocation proportional to the
-//! artifact, no sorting, no recomputation of derived state:
+//! Version 2 is the one snapshot format. It lays the artifact out as
+//! **page-aligned, little-endian, section-table-indexed slabs** so a
+//! process can `mmap` the file and start answering queries after a
+//! linear validation pass — no allocation proportional to the artifact,
+//! no sorting, no recomputation of derived state. Cold start is O(open),
+//! not O(decode):
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  = b"PSHS"
 //! 4       2     format version (LE u16) = 2
-//! 6       2     artifact kind  (LE u16, same tags as v1)
+//! 6       2     artifact kind  (LE u16, `KIND_*` in crate::io)
 //! 8       8     file length (LE u64) — must equal the real file size
 //! 16      8     section count S (LE u64)
 //! 24      24·S  section directory: {tag u32, reserved u32 = 0,
@@ -60,8 +58,8 @@
 //! * [`Verify::Deep`] — additionally replays the exact
 //!   edges-in-canonical-order sweep [`crate::CsrGraph`] construction
 //!   uses and rejects any deviation, pinning the slab *content* (not
-//!   just its shape) to the edge list. `psh-snap`, migration, and the
-//!   corruption test-suites run at this level; in-bounds tampering
+//!   just its shape) to the edge list. `psh-snap` and the corruption
+//!   test-suites run at this level; in-bounds tampering
 //!   that `Bounds` would serve (with wrong answers, never a crash) is
 //!   a typed error here.
 //!
@@ -117,16 +115,15 @@ fn corrupt(what: &'static str, detail: impl fmt::Display) -> SnapshotError {
 }
 
 /// Slab casts only make sense when the host's native layout matches the
-/// on-disk little-endian layout; on a big-endian host v2 loading reports
-/// a typed error (v1 decoding still works there).
+/// on-disk little-endian layout; on a big-endian host loading reports a
+/// typed error.
 fn ensure_little_endian() -> Result<(), SnapshotError> {
     if cfg!(target_endian = "little") {
         Ok(())
     } else {
         Err(corrupt(
             "host endianness",
-            "v2 snapshots are little-endian slabs and this host is big-endian; \
-             use the v1 format here",
+            "v2 snapshots are little-endian slabs and this host is big-endian",
         ))
     }
 }
@@ -405,9 +402,9 @@ pub struct SectionTable {
 
 impl SectionTable {
     /// Parse and validate the header + directory of `bytes` (a whole v2
-    /// file). Rejects v1 files with
-    /// [`SnapshotError::UnsupportedVersion`] so callers can dispatch on
-    /// version; rejects every structural violation with a typed error.
+    /// file). Rejects any other version (the retired version 1 included)
+    /// with [`SnapshotError::UnsupportedVersion`], and every structural
+    /// violation with a typed error.
     pub fn parse(bytes: &[u8]) -> Result<SectionTable, SnapshotError> {
         if bytes.len() < V2_HEADER_BYTES {
             return Err(SnapshotError::Truncated { what: "v2 header" });
@@ -514,7 +511,7 @@ impl SectionTable {
         Ok(SectionTable { kind, entries })
     }
 
-    /// The artifact kind recorded in the header (same tags as v1).
+    /// The artifact kind recorded in the header (`KIND_*` in `crate::io`).
     pub fn kind(&self) -> u16 {
         self.kind
     }
@@ -769,8 +766,8 @@ pub fn encode_extra_slabs(n: usize, edges: &[Edge]) -> ExtraSlabs {
 /// `Deep` additionally pins the slab content to the edge list by
 /// replaying the owned structures' fill sweeps, so in-bounds tampering
 /// becomes a typed error instead of a wrong answer. Serving opens with
-/// `Bounds` (that is the zero-copy fast path); `psh-snap`, migration,
-/// and the corruption suites use `Deep`.
+/// `Bounds` (that is the zero-copy fast path); `psh-snap` and the
+/// corruption suites use `Deep`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verify {
     /// Shape + offset monotonicity + index max-scans: safe, lazy, fast.
@@ -863,8 +860,7 @@ pub fn validate_extra_parts(
 
 /// Validate a shortcut edge list over vertices `0..n`: canonical
 /// endpoints (`u < v`, both `< n`), weights ≥ 1, any order and
-/// multiplicity — the v2 counterpart of the v1 reader's
-/// `CanonicalAnyOrder` rules.
+/// multiplicity (star and clique shortcuts may repeat a vertex pair).
 pub fn validate_edges_any_order(n: usize, edges: &[Edge]) -> Result<(), SnapshotError> {
     for (i, e) in edges.iter().enumerate() {
         if e.u as usize >= n || e.v as usize >= n {

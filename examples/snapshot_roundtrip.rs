@@ -1,10 +1,11 @@
 //! Snapshot round trip: preprocess a graph into a distance oracle, save
-//! it to a versioned binary snapshot, reload it (as a serving process
-//! would), and answer a query batch — verifying the reloaded oracle
-//! agrees with the fresh build answer for answer and cost for cost.
+//! it to a binary snapshot, map it back in (as a serving process would),
+//! and answer a query batch — verifying the mapped oracle agrees with the
+//! fresh build answer for answer and cost for cost.
 //!
 //! Run with: `cargo run --release --example snapshot_roundtrip`
 
+use psh::graph::LoadMode;
 use psh::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,18 +30,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         run.cost
     );
 
-    // --- 2. Save the snapshot (magic + version + oracle body) -------------
+    // --- 2. Save the snapshot (header + section directory + slabs) --------
     let path = std::env::temp_dir().join("psh_snapshot_roundtrip.snap");
     let meta = OracleMeta::of_run(&run, params);
-    snapshot::save_oracle(&path, &run.artifact, &meta)?;
+    snapshot::save_oracle_v2(&path, &run.artifact, &meta)?;
     println!(
         "snapshot saved to {} ({} bytes)",
         path.display(),
         std::fs::metadata(&path)?.len()
     );
 
-    // --- 3. Reload — a serving process starts here, no rebuild ------------
-    let (served, meta_back) = snapshot::load_oracle(&path)?;
+    // --- 3. Map it in — a serving process starts here, no rebuild --------
+    let (served, meta_back) = snapshot::load_oracle_v2(&path, LoadMode::Mmap)?;
     assert_eq!(
         meta_back.seed,
         Seed(9),
@@ -61,7 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // malformed snapshots are errors, not panics
-    let err = snapshot::read_oracle(&b"not a snapshot"[..]).unwrap_err();
+    std::fs::write(&path, b"not a snapshot")?;
+    let err = snapshot::load_oracle_v2(&path, LoadMode::Mmap).unwrap_err();
     println!("and corrupt input reports: {err}");
 
     std::fs::remove_file(&path).ok();

@@ -45,9 +45,9 @@
 //! ```
 //!
 //! A finished [`Run`] is also the unit of **serving**: snapshot an oracle
-//! run with [`psh_core::snapshot`] (`write_oracle` /
-//! `OracleMeta::of_run`), and any later process reloads it and answers
-//! query batches through
+//! run with [`psh_core::snapshot`] (`save_oracle_v2` /
+//! `OracleMeta::of_run`), and any later process maps it back in
+//! (`load_oracle_v2`) and answers query batches through
 //! [`ApproxShortestPaths::query_batch`](psh_core::ApproxShortestPaths::query_batch)
 //! without re-running the preprocessing — byte-identical to the fresh
 //! build for every [`ExecutionPolicy`](psh_exec::ExecutionPolicy).

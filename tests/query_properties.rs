@@ -83,9 +83,9 @@ fn run_workload(g: &CsrGraph, mode: OracleMode, seed: u64, pairs: &[(u32, u32)],
     }
     // the snapshot round trip changes nothing
     let meta = OracleMeta::of_run(&run, test_params());
-    let mut buf = Vec::new();
-    snapshot::write_oracle(&mut buf, &run.artifact, &meta).unwrap();
-    let (served, _) = snapshot::read_oracle(buf.as_slice()).unwrap();
+    let image = snapshot::write_oracle_v2_bytes(&run.artifact, &meta).unwrap();
+    let source = Arc::new(SnapshotSource::from_bytes(&image));
+    let (served, _) = snapshot::read_oracle_v2(source, Verify::Bounds).unwrap();
     let (loaded, loaded_cost) = served.query_batch(pairs, ExecutionPolicy::Parallel { threads: 4 });
     assert_eq!(loaded, seq);
     assert_eq!(loaded_cost, seq_cost);

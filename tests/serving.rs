@@ -3,9 +3,11 @@
 //! `QueryResult`s, same work/depth `Cost` — under every execution
 //! policy; and malformed snapshots are typed errors at the facade level.
 
+use psh::graph::{SnapshotSource, Verify};
 use psh::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn test_params() -> HopsetParams {
     HopsetParams {
@@ -15,6 +17,12 @@ fn test_params() -> HopsetParams {
         gamma2: 0.75,
         k_conf: 1.0,
     }
+}
+
+/// Open snapshot bytes the way a serving process does: in place, at
+/// the [`Verify::Bounds`] level.
+fn open(bytes: &[u8]) -> Result<(ApproxShortestPaths, OracleMeta), SnapshotError> {
+    snapshot::read_oracle_v2(Arc::new(SnapshotSource::from_bytes(bytes)), Verify::Bounds)
 }
 
 fn policies() -> [ExecutionPolicy; 4] {
@@ -57,9 +65,9 @@ fn snapshot_roundtrip_serves_byte_identically() {
             .build(&g)
             .unwrap();
         let meta = OracleMeta::of_run(&run, test_params());
-        let mut buf = Vec::new();
-        snapshot::write_oracle(&mut buf, &run.artifact, &meta).unwrap();
-        let (served, meta_back) = snapshot::read_oracle(buf.as_slice()).unwrap();
+        let buf = snapshot::write_oracle_v2_bytes(&run.artifact, &meta).unwrap();
+        let (served, meta_back) = open(&buf).unwrap();
+        assert!(served.is_mapped());
         assert_eq!(meta_back, meta);
 
         let pairs = workload(g.n(), 60, 99);
@@ -75,8 +83,7 @@ fn snapshot_roundtrip_serves_byte_identically() {
             assert_eq!(loaded_cost, ref_cost, "loaded cost {policy}");
         }
         // the loaded oracle re-saves to the identical bytes
-        let mut buf2 = Vec::new();
-        snapshot::write_oracle(&mut buf2, &served, &meta_back).unwrap();
+        let buf2 = snapshot::write_oracle_v2_bytes(&served, &meta_back).unwrap();
         assert_eq!(buf, buf2);
     }
 }
@@ -105,68 +112,49 @@ fn query_batch_is_the_query_loop() {
     }
 }
 
-/// Graph snapshots and the serving facade reject malformed bytes with
-/// typed, descriptive errors at the workspace surface (`psh::prelude`).
+/// The serving facade rejects malformed snapshot bytes with typed,
+/// descriptive errors at the workspace surface (`psh::prelude`).
 #[test]
 fn malformed_snapshots_are_typed_errors_at_the_facade() {
     let g = generators::path(5);
-    let mut buf = Vec::new();
-    psh::graph::io::write_graph_snapshot(&g, &mut buf).unwrap();
+    let run = OracleBuilder::new().seed(Seed(4)).build(&g).unwrap();
+    let meta = OracleMeta::of_run(&run, HopsetParams::default());
+    let buf = snapshot::write_oracle_v2_bytes(&run.artifact, &meta).unwrap();
 
-    // truncated header and body
-    for cut in [0, 3, 6, buf.len() - 1] {
-        match psh::graph::io::read_graph_snapshot(&buf[..cut]) {
+    // truncated header, then a body shorter than the header records
+    for cut in [0, 3, 6, 23] {
+        match open(&buf[..cut]) {
             Err(SnapshotError::Truncated { .. }) => {}
+            other => panic!("cut {cut}: {other:?}"),
+        }
+    }
+    for cut in [24, buf.len() / 2, buf.len() - 1] {
+        match open(&buf[..cut]) {
+            Err(SnapshotError::Corrupt {
+                what: "file length",
+                ..
+            }) => {}
             other => panic!("cut {cut}: {other:?}"),
         }
     }
     // wrong magic
     let mut bad = buf.clone();
     bad[1] = b'?';
-    assert!(matches!(
-        psh::graph::io::read_graph_snapshot(bad.as_slice()),
-        Err(SnapshotError::BadMagic { .. })
-    ));
+    assert!(matches!(open(&bad), Err(SnapshotError::BadMagic { .. })));
     // wrong version
     let mut bad = buf.clone();
     bad[4] = 200;
     assert!(matches!(
-        psh::graph::io::read_graph_snapshot(bad.as_slice()),
+        open(&bad),
         Err(SnapshotError::UnsupportedVersion { found: 200, .. })
     ));
-    // a graph snapshot is not an oracle
+    // a graph-kind snapshot is not an oracle, and the error names both
+    let mut bad = buf.clone();
+    bad[6..8].copy_from_slice(&psh::graph::io::KIND_GRAPH.to_le_bytes());
     assert!(matches!(
-        snapshot::read_oracle(buf.as_slice()),
+        open(&bad),
         Err(SnapshotError::WrongArtifact { .. })
     ));
-    // errors render human-readable messages
-    let msg = snapshot::read_oracle(buf.as_slice())
-        .unwrap_err()
-        .to_string();
+    let msg = open(&bad).unwrap_err().to_string();
     assert!(msg.contains("graph") && msg.contains("oracle"), "{msg}");
-}
-
-/// Hopset and spanner artifacts snapshot through the facade too.
-#[test]
-fn hopset_and_spanner_snapshots_round_trip_via_prelude() {
-    let g = generators::grid(9, 9);
-    let h = HopsetBuilder::unweighted()
-        .params(test_params())
-        .seed(Seed(6))
-        .build(&g)
-        .unwrap()
-        .artifact
-        .into_single();
-    let mut buf = Vec::new();
-    snapshot::write_hopset(&mut buf, &h).unwrap();
-    assert_eq!(snapshot::read_hopset(buf.as_slice()).unwrap(), h);
-
-    let s = SpannerBuilder::unweighted(3.0)
-        .seed(Seed(7))
-        .build(&g)
-        .unwrap()
-        .artifact;
-    let mut buf = Vec::new();
-    snapshot::write_spanner(&mut buf, &s).unwrap();
-    assert_eq!(snapshot::read_spanner(buf.as_slice()).unwrap(), s);
 }
