@@ -25,7 +25,9 @@
 //!   --workload-dist D         # uniform (default) or zipf:<theta>
 //!   --batch B                 # pairs per round-trip / stream chunk (256)
 //!   --clients K               # K concurrent sockets (default 1); the
-//!                             # server coalesces them into shared batches
+//!                             # server serves up to its --threads of
+//!                             # them side by side and coalesces the
+//!                             # rest into shared batches
 //!   --replay                  # stream one subscription instead of
 //!                             # batch round-trips (single socket)
 //!   --open-loop RATE          # issue single queries at a seeded
@@ -51,10 +53,14 @@
 //! Replay reports qps and p50/p99 latency in the same `ServiceStats`
 //! vocabulary the server uses, rebuilt client-side from per-round-trip
 //! samples. Exits non-zero on any protocol or remote error — typed
-//! `OP_ERROR` frames surface as messages, never panics.
+//! `OP_ERROR` frames surface as messages, never panics — and, before
+//! connecting, on an unknown flag or a value that does not parse.
 
 use psh_bench::json::{has_flag, parse_flag};
-use psh_bench::serving::{load_graph, obtain_oracle, parse_max_seconds};
+use psh_bench::serving::{
+    check_args, parse_max_seconds, parse_seed, parse_value, OracleArgs, ORACLE_FLAGS,
+    ORACLE_SWITCHES,
+};
 use psh_bench::table::{fmt_f, fmt_u, Table};
 use psh_bench::workloads::{read_pairs, WorkloadDist};
 use psh_bench::Report;
@@ -73,14 +79,36 @@ fn die(msg: impl std::fmt::Display) -> ! {
     psh_bench::serving::die(PROG, msg)
 }
 
-fn connect(addr: &str) -> NetClient {
+/// The flags psh-client reads that take a value, besides [`ORACLE_FLAGS`].
+const FLAGS: &[&str] = &[
+    "--addr",
+    "--timeout-secs",
+    "--seed",
+    "--json",
+    "--query",
+    "--workload",
+    "--queries",
+    "--workload-dist",
+    "--batch",
+    "--clients",
+    "--open-loop",
+    "--max-seconds",
+    "--verify-stretch",
+];
+
+/// The bare flags psh-client reads, besides [`ORACLE_SWITCHES`].
+const SWITCHES: &[&str] = &[
+    "--shutdown",
+    "--stats",
+    "--info",
+    "--reload",
+    "--replay",
+    "--verify-local",
+];
+
+fn connect(addr: &str, timeout: Duration) -> NetClient {
     let mut client = NetClient::connect(addr)
         .unwrap_or_else(|e| die(format_args!("cannot connect to {addr}: {e}")));
-    let timeout = Duration::from_secs(
-        parse_flag("--timeout-secs")
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(30),
-    );
     client
         .set_timeouts(Some(timeout), Some(timeout))
         .unwrap_or_else(|e| die(e));
@@ -95,27 +123,34 @@ fn print_wire_stats(label: &str, s: &psh_net::WireStats) {
 }
 
 fn main() {
+    check_args(
+        PROG,
+        &[ORACLE_FLAGS, FLAGS].concat(),
+        &[ORACLE_SWITCHES, SWITCHES].concat(),
+    );
     let addr = parse_flag("--addr").unwrap_or_else(env_addr);
-    let seed: u64 = parse_flag("--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20150625);
+    let seed = parse_seed(PROG);
+    let timeout = Duration::from_secs(
+        parse_value(PROG, "--timeout-secs", "whole seconds", |_| true).unwrap_or(30),
+    );
+    let source = OracleArgs::parse(PROG);
 
     if has_flag("--shutdown") {
-        let stats = connect(&addr)
+        let stats = connect(&addr, timeout)
             .shutdown_server()
             .unwrap_or_else(|e| die(format_args!("shutdown failed: {e}")));
         print_wire_stats("final server stats", &stats);
         return;
     }
     if has_flag("--stats") {
-        let stats = connect(&addr)
+        let stats = connect(&addr, timeout)
             .server_stats()
             .unwrap_or_else(|e| die(format_args!("stats failed: {e}")));
         print_wire_stats("server stats", &stats);
         return;
     }
     if has_flag("--info") {
-        let info = connect(&addr)
+        let info = connect(&addr, timeout)
             .server_info()
             .unwrap_or_else(|e| die(format_args!("info failed: {e}")));
         println!(
@@ -125,7 +160,7 @@ fn main() {
         return;
     }
     if has_flag("--reload") {
-        let r = connect(&addr)
+        let r = connect(&addr, timeout)
             .reload()
             .unwrap_or_else(|e| die(format_args!("reload failed: {e}")));
         if r.swapped {
@@ -146,7 +181,7 @@ fn main() {
             .split_once(',')
             .and_then(|(a, b)| Some((a.trim().parse().ok()?, b.trim().parse().ok()?)))
             .unwrap_or_else(|| die(format_args!("bad --query '{spec}' (want S,T)")));
-        let answer = connect(&addr)
+        let answer = connect(&addr, timeout)
             .query(s, t)
             .unwrap_or_else(|e| die(format_args!("query failed: {e}")));
         println!(
@@ -161,40 +196,31 @@ fn main() {
         return;
     }
 
-    replay(&addr, seed);
+    replay(&addr, seed, timeout, &source);
 }
 
 /// The default mode: replay a workload against the server and report
 /// client-observed throughput/latency, optionally cross-checking every
 /// answer against a locally built oracle.
-fn replay(addr: &str, seed: u64) {
+fn replay(addr: &str, seed: u64, timeout: Duration, source: &OracleArgs) {
     let mut report = Report::from_args(PROG);
     let max_seconds = parse_max_seconds(PROG);
-    let batch: usize = parse_flag("--batch")
-        .and_then(|s| s.parse().ok())
-        .filter(|&b| b > 0)
-        .unwrap_or(256);
-    let clients: usize = parse_flag("--clients")
-        .and_then(|s| s.parse().ok())
-        .filter(|&k| k > 0)
-        .unwrap_or(1);
+    let batch: usize = parse_value(PROG, "--batch", "a batch size ≥ 1", |&b| b > 0).unwrap_or(256);
+    let clients: usize =
+        parse_value(PROG, "--clients", "a client count ≥ 1", |&k| k > 0).unwrap_or(1);
+    let queries: usize = parse_value(PROG, "--queries", "a query count", |_| true).unwrap_or(1000);
     let dist = match parse_flag("--workload-dist") {
         None => WorkloadDist::Uniform,
         Some(s) => WorkloadDist::parse(&s).unwrap_or_else(|e| die(e)),
     };
-    let open_loop: Option<f64> = parse_flag("--open-loop").map(|s| {
-        s.trim()
-            .parse::<f64>()
-            .ok()
-            .filter(|r| r.is_finite() && *r > 0.0)
-            .unwrap_or_else(|| {
-                die(format_args!(
-                    "bad --open-loop '{s}' (want a rate > 0 in qps)"
-                ))
-            })
+    let open_loop = parse_value(PROG, "--open-loop", "a rate > 0 in qps", |r: &f64| {
+        r.is_finite() && *r > 0.0
+    });
+    let stretch = parse_value(PROG, "--verify-stretch", "a factor ≥ 1", |c: &f64| {
+        c.is_finite() && *c >= 1.0
     });
 
-    let mut probe = connect(addr);
+    let mut probe = connect(addr, timeout);
     let info = probe
         .server_info()
         .unwrap_or_else(|e| die(format_args!("info failed: {e}")));
@@ -210,12 +236,7 @@ fn replay(addr: &str, seed: u64) {
             read_pairs(BufReader::new(file), n)
                 .unwrap_or_else(|e| die(format_args!("bad workload {path}: {e}")))
         }
-        None => {
-            let q: usize = parse_flag("--queries")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(1000);
-            dist.pairs(n, q, seed ^ 0xC0FFEE)
-        }
+        None => dist.pairs(n, queries, seed ^ 0xC0FFEE),
     };
 
     // --- drive the wire ---------------------------------------------------
@@ -293,8 +314,9 @@ fn replay(addr: &str, seed: u64) {
         }
     } else {
         // K sockets replay contiguous shards concurrently; the server's
-        // admission queue coalesces across them. Results rejoin in pair
-        // order so --verify-local still checks the whole workload.
+        // admission queue overlaps and coalesces across them. Results
+        // rejoin in pair order so --verify-local still checks the whole
+        // workload.
         drop(probe);
         let shard = pairs.len().div_ceil(clients);
         let results: Vec<(usize, Vec<QueryResult>, Vec<f64>, bool)> = std::thread::scope(|scope| {
@@ -302,7 +324,7 @@ fn replay(addr: &str, seed: u64) {
             for (w, slice) in pairs.chunks(shard.max(1)).enumerate() {
                 let addr = &*addr;
                 handles.push(scope.spawn(move || {
-                    let mut client = connect(addr);
+                    let mut client = connect(addr, timeout);
                     let mut got = Vec::with_capacity(slice.len());
                     let mut lats = Vec::new();
                     let mut cut = false;
@@ -387,7 +409,7 @@ fn replay(addr: &str, seed: u64) {
 
     // --- the byte-identity contract, checkable from the CLI ---------------
     if has_flag("--verify-local") {
-        let (oracle, ..) = obtain_oracle(PROG, seed);
+        let (oracle, ..) = source.obtain(PROG, seed);
         let local_n = oracle.graph().n();
         if local_n != n {
             die(format_args!(
@@ -416,18 +438,8 @@ fn replay(addr: &str, seed: u64) {
     }
 
     // --- the stretch bound, checked against exact distances ---------------
-    if let Some(c) = parse_flag("--verify-stretch") {
-        let c: f64 = c
-            .trim()
-            .parse::<f64>()
-            .ok()
-            .filter(|c| c.is_finite() && *c >= 1.0)
-            .unwrap_or_else(|| {
-                die(format_args!(
-                    "bad --verify-stretch '{c}' (want a factor ≥ 1)"
-                ))
-            });
-        let g = load_graph(PROG, seed);
+    if let Some(c) = stretch {
+        let g = source.graph.load(PROG, seed);
         if g.n() != n {
             die(format_args!(
                 "local graph has n={} but the server serves n={n} — pass the same \

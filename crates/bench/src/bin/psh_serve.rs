@@ -34,10 +34,14 @@
 //! replay so a smoke can never hang a pipeline.
 //!
 //! Exits non-zero on unusable input (unreadable graph/workload/snapshot,
-//! out-of-range query ids) — never panics on malformed files.
+//! out-of-range query ids, an unknown flag or a value that does not
+//! parse) — never panics on malformed files.
 
 use psh_bench::json::{has_flag, parse_flag};
-use psh_bench::serving::{obtain_oracle, parse_max_seconds, parse_policy};
+use psh_bench::serving::{
+    check_args, parse_max_seconds, parse_policy, parse_seed, parse_value, OracleArgs, ORACLE_FLAGS,
+    ORACLE_SWITCHES,
+};
 use psh_bench::stats::percentile;
 use psh_bench::table::{fmt_f, fmt_u, Table};
 use psh_bench::workloads::{read_pairs, WorkloadDist};
@@ -53,29 +57,47 @@ fn die(msg: impl std::fmt::Display) -> ! {
     psh_bench::serving::die(PROG, msg)
 }
 
+/// The flags psh-serve reads that take a value, besides [`ORACLE_FLAGS`].
+const FLAGS: &[&str] = &[
+    "--seed",
+    "--json",
+    "--max-seconds",
+    "--workload",
+    "--workload-dist",
+    "--queries",
+    "--batch",
+    "--threads",
+];
+
 fn main() {
-    let seed: u64 = parse_flag("--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20150625);
+    check_args(
+        PROG,
+        &[ORACLE_FLAGS, FLAGS].concat(),
+        &[ORACLE_SWITCHES, &["--cleanup-snapshot"]].concat(),
+    );
+    // validate every value before the (potentially long) preprocessing
+    let seed = parse_seed(PROG);
     let mut report = Report::from_args("psh-serve");
-
-    // Runtime guard for smoke/CI use, validated before the (potentially
-    // long) preprocessing so a typo fails fast: stop issuing batches
-    // once the cap is reached (the in-flight batch finishes;
-    // preprocessing itself is not interruptible and counts separately).
+    let source = OracleArgs::parse(PROG);
+    // Runtime guard for smoke/CI use: stop issuing batches once the cap
+    // is reached (the in-flight batch finishes; preprocessing itself is
+    // not interruptible and counts separately).
     let max_seconds = parse_max_seconds(PROG);
+    let dist = match parse_flag("--workload-dist") {
+        None => WorkloadDist::Uniform,
+        Some(s) => WorkloadDist::parse(&s).unwrap_or_else(|e| die(e)),
+    };
+    let queries: usize = parse_value(PROG, "--queries", "a query count", |_| true).unwrap_or(1000);
+    let batch: usize = parse_value(PROG, "--batch", "a batch size ≥ 1", |&b| b > 0).unwrap_or(256);
+    let policy = parse_policy(PROG);
 
-    let (oracle, meta, loaded, prep_s) = obtain_oracle(PROG, seed);
+    let (oracle, meta, loaded, prep_s) = source.obtain(PROG, seed);
     let n = oracle.graph().n();
     let m = oracle.graph().m();
     if n == 0 {
         die("the graph has no vertices to query");
     }
 
-    let dist = match parse_flag("--workload-dist") {
-        None => WorkloadDist::Uniform,
-        Some(s) => WorkloadDist::parse(&s).unwrap_or_else(|e| die(e)),
-    };
     let pairs: Vec<(u32, u32)> = match parse_flag("--workload") {
         Some(path) => {
             let file = std::fs::File::open(&path)
@@ -83,18 +105,8 @@ fn main() {
             read_pairs(BufReader::new(file), n)
                 .unwrap_or_else(|e| die(format_args!("bad workload {path}: {e}")))
         }
-        None => {
-            let q: usize = parse_flag("--queries")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(1000);
-            dist.pairs(n, q, seed ^ 0xC0FFEE)
-        }
+        None => dist.pairs(n, queries, seed ^ 0xC0FFEE),
     };
-    let batch: usize = parse_flag("--batch")
-        .and_then(|s| s.parse().ok())
-        .filter(|&b| b > 0)
-        .unwrap_or(256);
-    let policy = parse_policy(PROG);
 
     // --- replay -----------------------------------------------------------
     let mut latencies_ms: Vec<f64> = Vec::with_capacity(pairs.len().div_ceil(batch));

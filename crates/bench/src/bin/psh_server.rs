@@ -3,10 +3,12 @@
 //! The long-running half of the wire tier: build or load an oracle
 //! snapshot (same `--family`/`--graph`/`--snapshot` vocabulary as
 //! `psh-serve`), bind a listener, and answer `psh-client` (or any
-//! `psh_net::NetClient`) until asked to stop. Queries arriving on
-//! different sockets coalesce into shared `query_batch` calls through
-//! the `OracleService` admission queue, so wire-side throughput scales
-//! with concurrent clients just like in-process threads do.
+//! `psh_net::NetClient`) until asked to stop. Sockets share the
+//! `OracleService` admission queue like in-process threads do: up to
+//! `--threads` of them (default `$PSH_THREADS`, else the host's cores)
+//! are served side by side, and queries arriving on different sockets
+//! coalesce into shared `query_batch` calls only when the callers
+//! outnumber that cap.
 //!
 //! Usage:
 //! ```text
@@ -42,7 +44,10 @@
 //! vocabulary as `psh-serve`).
 
 use psh_bench::json::{has_flag, parse_flag};
-use psh_bench::serving::{obtain_oracle, parse_max_seconds, parse_policy};
+use psh_bench::serving::{
+    check_args, parse_max_seconds, parse_policy, parse_seed, parse_value, OracleArgs, ORACLE_FLAGS,
+    ORACLE_SWITCHES,
+};
 use psh_bench::table::{fmt_f, fmt_u, Table};
 use psh_bench::Report;
 use psh_core::service::{CacheConfig, OracleService, ServiceConfig};
@@ -59,36 +64,44 @@ fn die(msg: impl std::fmt::Display) -> ! {
     psh_bench::serving::die(PROG, msg)
 }
 
+/// The flags psh-server reads that take a value, besides [`ORACLE_FLAGS`].
+const FLAGS: &[&str] = &[
+    "--seed",
+    "--json",
+    "--addr",
+    "--port-file",
+    "--max-seconds",
+    "--threads",
+    "--batch",
+    "--cache",
+    "--max-conns",
+    "--max-conn-requests",
+    "--max-requests",
+    "--timeout-secs",
+];
+
 fn parse_u64_flag(name: &str, default: u64) -> u64 {
-    match parse_flag(name) {
-        None => default,
-        Some(s) => s
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| die(format_args!("bad {name} '{s}' (want a count)"))),
-    }
+    parse_value(PROG, name, "a count", |_| true).unwrap_or(default)
 }
 
 fn main() {
-    let seed: u64 = parse_flag("--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20150625);
+    check_args(
+        PROG,
+        &[ORACLE_FLAGS, FLAGS].concat(),
+        &[ORACLE_SWITCHES, &["--watch-journal"]].concat(),
+    );
+    let seed = parse_seed(PROG);
     let mut report = Report::from_args(PROG);
 
     // validate every knob before the (potentially long) preprocessing
+    let source = OracleArgs::parse(PROG);
     let addr = parse_flag("--addr").unwrap_or_else(env_addr);
     let max_seconds = parse_max_seconds(PROG);
     let policy = parse_policy(PROG);
-    let max_batch: usize = parse_flag("--batch")
-        .and_then(|s| s.parse().ok())
-        .filter(|&b| b > 0)
-        .unwrap_or(256);
-    let cache = parse_flag("--cache").map(|s| match s.trim().parse::<usize>() {
-        Ok(capacity) if capacity > 0 => CacheConfig { capacity, seed },
-        _ => die(format_args!(
-            "bad --cache '{s}' (want a positive slot count)"
-        )),
-    });
+    let max_batch: usize =
+        parse_value(PROG, "--batch", "a batch size ≥ 1", |&b| b > 0).unwrap_or(256);
+    let cache = parse_value(PROG, "--cache", "a positive slot count", |&c: &usize| c > 0)
+        .map(|capacity| CacheConfig { capacity, seed });
     let config = ServerConfig {
         max_conns: parse_u64_flag("--max-conns", 64) as usize,
         max_conn_requests: parse_u64_flag("--max-conn-requests", u64::MAX),
@@ -104,7 +117,7 @@ fn main() {
         die("--watch-journal needs --snapshot PATH (the journal lives at <snapshot>.journal)");
     }
 
-    let (oracle, meta, loaded, prep_s) = obtain_oracle(PROG, seed);
+    let (oracle, meta, loaded, prep_s) = source.obtain(PROG, seed);
     let n = oracle.graph().n();
     let m = oracle.graph().m();
     if n == 0 {

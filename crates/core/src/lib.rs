@@ -21,9 +21,10 @@
 //!   full oracles, so preprocessing and serving run as separate
 //!   processes.
 //! * [`service`] — the concurrent serving front: an [`Arc`]-shared
-//!   oracle behind an admission queue that coalesces simultaneously
-//!   arriving queries into `query_batch` calls, with per-request latency
-//!   capture and [`service::ServiceStats`].
+//!   oracle behind an admission queue that serves up to the policy's
+//!   thread count of `query_batch` calls at once and coalesces the
+//!   queries arriving meanwhile into the next ones, with per-request
+//!   latency capture and [`service::ServiceStats`].
 //!
 //! [`Arc`]: std::sync::Arc
 //!

@@ -26,21 +26,33 @@
 //!
 //! Every call to [`OracleService::query`] enqueues its pair and then either
 //!
-//! * becomes the **leader** (no batch is in flight): it drains up to
-//!   [`ServiceConfig::max_batch`] queued requests — its own plus everything
-//!   that accumulated while the previous batch was being served — runs one
-//!   `query_batch`, publishes the answers, and wakes all waiters; or
-//! * **follows**: a leader is already serving, so the caller blocks until
-//!   woken, then either finds its answer published or takes leadership of
-//!   the requests that queued up in the meantime.
+//! * becomes a **leader** (fewer than [`ServiceConfig::policy`]`.threads()`
+//!   batches are in flight): it drains up to [`ServiceConfig::max_batch`]
+//!   queued requests — its own plus everything that accumulated while the
+//!   other leaders were serving — runs one `query_batch`, publishes the
+//!   answers, and wakes all waiters; or
+//! * **follows**: every leader slot is taken, so the caller blocks until
+//!   woken, then either finds its answer published or takes a free slot
+//!   for the requests that queued up in the meantime.
+//!
+//! The policy that fans each batch out therefore also caps the batches
+//! in flight: `Sequential` serves one batch at a time, `Parallel {
+//! threads: k }` lets up to `k` leaders sweep side by side. A sweep only
+//! reads the shared oracle and its own per-thread scratch, so concurrent
+//! batches share no mutable state. Callers coalesce into shared batches
+//! only when they outnumber the cap: with `k` slots free, `k` callers
+//! each serve their own request at once instead of waiting for one
+//! another's sweeps.
 //!
 //! Batch boundaries therefore depend on arrival timing — but **answers do
 //! not**: `query_batch` maps every pair independently through
 //! [`ApproxShortestPaths::query`], so each answer is byte-identical to a
 //! single-threaded `query(s, t)` no matter how requests were coalesced,
-//! which thread served them, or which [`ExecutionPolicy`] fanned the batch
-//! out (the `service_stress` integration suite pins this at 32 client
-//! threads).
+//! which thread served them, how many batches overlapped, or which
+//! [`ExecutionPolicy`] fanned the batch out (the `service_stress`
+//! integration suite pins this at 32 client threads). For the same
+//! batches, [`ServiceStats::total_cost`] does not depend on the order in
+//! which concurrent leaders publish either: [`Cost::then`] is commutative.
 //!
 //! ## The answer cache
 //!
@@ -68,7 +80,8 @@
 //! every batch — and therefore every request — is answered wholly by one
 //! epoch's oracle; no request ever sees a torn epoch. A batch already in
 //! flight when the swap lands completes on the epoch it captured; batches
-//! drained afterwards serve the new one.
+//! drained afterwards serve the new one. Two batches in flight may hold
+//! different epochs; each attributes its answers to its own.
 //!
 //! **The answer cache is flushed on swap.** Cached answers are only
 //! immutable *within* an epoch — after a swap the same `(s, t)` pair may
@@ -259,8 +272,10 @@ impl Default for CacheConfig {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServiceConfig {
     /// Execution policy for each coalesced `query_batch` call (default:
-    /// [`ExecutionPolicy::from_env`]). Answers are byte-identical for
-    /// every policy; only wall-clock changes.
+    /// [`ExecutionPolicy::from_env`]). It also caps the batches in
+    /// flight: up to [`ExecutionPolicy::threads`] leaders serve at once,
+    /// so `Sequential` serves one batch at a time. Answers are
+    /// byte-identical for every policy; only wall-clock changes.
     pub policy: ExecutionPolicy,
     /// Largest batch one leader drains at a time (default 256). Requests
     /// beyond the cap stay queued for the next leader, bounding per-batch
@@ -387,7 +402,7 @@ struct Pending {
 }
 
 /// Everything behind the service mutex: the admission queue, the
-/// published answers, the leader flag, and the latency log. A single
+/// published answers, the leader count, and the latency log. A single
 /// mutex keeps the check-then-wait transitions race-free (no lost
 /// wakeups between "is my answer published?" and the condvar wait).
 struct Shared {
@@ -410,7 +425,9 @@ struct Shared {
     /// in-flight batch: the publisher drops their answers instead of
     /// storing them for a collector that will never come.
     dead: HashSet<u64>,
-    leader_active: bool,
+    /// Leaders serving a drained batch right now, at most
+    /// `config.policy.threads()`.
+    leaders: usize,
     /// The answer cache's slot array (empty when the cache is off).
     /// Living under the same mutex as the queue keeps lookup-then-admit
     /// atomic; answers are immutable so stale reads cannot exist.
@@ -436,7 +453,7 @@ impl Shared {
             answers: HashMap::new(),
             abandoned: HashSet::new(),
             dead: HashSet::new(),
-            leader_active: false,
+            leaders: 0,
             cache: vec![None; cache_slots],
             served: 0,
             batches: 0,
@@ -640,7 +657,7 @@ impl OracleService {
     }
 
     /// Block until every ticket in `ids` has a published answer, taking
-    /// leadership of queued batches whenever no leader is active. Returns
+    /// leadership of queued batches whenever a leader slot is free. Returns
     /// the answers in ticket order.
     fn wait_for<'a>(
         &'a self,
@@ -674,12 +691,12 @@ impl OracleService {
                 std::mem::forget(cleanup);
                 return out;
             }
-            if !sh.leader_active && !sh.queue.is_empty() {
-                // Become the leader: drain one batch, then serve it with
-                // the admission lock *released* — arrivals during the
-                // service window queue up and form the next batch (that
+            if sh.leaders < self.config.policy.threads() && !sh.queue.is_empty() {
+                // Become a leader: drain one batch, then serve it with
+                // the admission lock *released* — arrivals while every
+                // slot is taken queue up and form the next batch (that
                 // concurrency is the coalescing window).
-                sh.leader_active = true;
+                sh.leaders += 1;
                 let take = sh.queue.len().min(self.config.max_batch);
                 let batch: Vec<Pending> = sh.queue.drain(..take).collect();
                 // Capture the batch's epoch while the lock pins it: the
@@ -733,7 +750,7 @@ impl OracleService {
                 sh.largest_batch = sh.largest_batch.max(batch.len());
                 sh.last_publication = Some(published);
                 sh.total_cost = sh.total_cost.then(cost);
-                sh.leader_active = false;
+                sh.leaders -= 1;
                 self.wakeup.notify_all();
                 // Loop: our tickets may have been in the batch we just
                 // served — or still be queued behind the max_batch cap.
@@ -789,7 +806,7 @@ impl OracleService {
     }
 }
 
-/// Unwind guard: if a leader panics mid-service, release leadership,
+/// Unwind guard: if a leader panics mid-service, release its slot,
 /// mark every ticket of the drained batch abandoned (its waiters
 /// re-raise the failure — the batch's answers are unrecoverable and
 /// must not deadlock), and wake everyone so requests outside the
@@ -810,7 +827,7 @@ impl Drop for LeaderReset<'_> {
                     sh.abandoned.insert(*id);
                 }
             }
-            sh.leader_active = false;
+            sh.leaders -= 1;
         }
         self.service.wakeup.notify_all();
     }
@@ -883,6 +900,8 @@ mod tests {
     use super::*;
     use crate::api::{OracleBuilder, Seed};
     use psh_graph::generators;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn test_oracle(seed: u64) -> ApproxShortestPaths {
         let g = generators::grid(10, 10);
@@ -1077,34 +1096,115 @@ mod tests {
 
     #[test]
     fn leader_panic_abandons_its_batch_but_the_service_stays_live() {
-        let oracle = test_oracle(6);
+        for policy in [
+            ExecutionPolicy::Sequential,
+            ExecutionPolicy::Parallel { threads: 2 },
+        ] {
+            let service = OracleService::new(
+                test_oracle(6),
+                ServiceConfig {
+                    policy,
+                    max_batch: 4,
+                    cache: None,
+                },
+            );
+            // An out-of-range id panics inside the leader's query_batch;
+            // the unwind guards must release its leader slot so later
+            // requests are served (not deadlocked), and reclaim every
+            // ticket the panicking client submitted — including the two
+            // still queued beyond the max_batch cap.
+            let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                service.query_batch(&[(0, 1), (0, 10_000), (1, 2), (2, 3), (3, 4), (4, 5)])
+            }));
+            assert!(poisoned.is_err(), "out-of-range id must panic ({policy:?})");
+            {
+                let sh = service.shared.lock().unwrap();
+                assert_eq!(sh.leaders, 0, "leader slot released ({policy:?})");
+                assert!(sh.queue.is_empty(), "queued tickets reclaimed");
+                assert!(sh.answers.is_empty(), "no orphaned answers");
+                assert!(sh.abandoned.is_empty(), "no lingering abandonment markers");
+                assert!(sh.dead.is_empty(), "no lingering dead markers");
+            }
+            let expect = service.oracle().query(3, 42).0;
+            assert_eq!(service.query(3, 42), expect, "service is still live");
+            assert_eq!(service.stats().served, 1, "only the live query counts");
+        }
+    }
+
+    /// A service under `policy` with one leader slot taken by a batch
+    /// that never publishes, as if its sweep were still running.
+    fn service_with_a_leader_in_flight(policy: ExecutionPolicy) -> OracleService {
         let service = OracleService::new(
-            oracle,
+            test_oracle(13),
             ServiceConfig {
-                policy: ExecutionPolicy::Sequential,
-                max_batch: 4,
+                policy,
+                max_batch: 16,
                 cache: None,
             },
         );
-        // An out-of-range id panics inside the leader's query_batch; the
-        // unwind guards must release leadership so later requests are
-        // served (not deadlocked), and reclaim every ticket the
-        // panicking client submitted — including the two still queued
-        // beyond the max_batch cap.
-        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            service.query_batch(&[(0, 1), (0, 10_000), (1, 2), (2, 3), (3, 4), (4, 5)])
-        }));
-        assert!(poisoned.is_err(), "out-of-range id must panic");
-        {
-            let sh = service.shared.lock().unwrap();
-            assert!(sh.queue.is_empty(), "queued tickets reclaimed");
-            assert!(sh.answers.is_empty(), "no orphaned answers");
-            assert!(sh.abandoned.is_empty(), "no lingering abandonment markers");
-            assert!(sh.dead.is_empty(), "no lingering dead markers");
-        }
-        let expect = service.oracle().query(3, 42).0;
-        assert_eq!(service.query(3, 42), expect, "service is still live");
-        assert_eq!(service.stats().served, 1, "only the live query counts");
+        service.shared.lock().unwrap().leaders += 1;
+        service
+    }
+
+    /// Give the slot taken above back and wake the waiters, as that
+    /// leader's publication would.
+    fn release_leader_slot(service: &OracleService) {
+        service.shared.lock().unwrap().leaders -= 1;
+        service.wakeup.notify_all();
+    }
+
+    #[test]
+    fn a_second_leader_serves_while_a_batch_is_in_flight() {
+        let service = service_with_a_leader_in_flight(ExecutionPolicy::Parallel { threads: 2 });
+        let expect = service.oracle().query(0, 99).0;
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let svc = &service;
+            scope.spawn(move || {
+                let _ = tx.send(svc.query(0, 99));
+            });
+            let got = rx.recv_timeout(Duration::from_secs(5));
+            // release before asserting, so the caller exits either way
+            release_leader_slot(&service);
+            assert_eq!(
+                got,
+                Ok(expect),
+                "Parallel {{ threads: 2 }} has a free leader slot"
+            );
+        });
+        assert_eq!(service.shared.lock().unwrap().leaders, 0);
+    }
+
+    #[test]
+    fn sequential_serves_one_batch_at_a_time() {
+        let service = service_with_a_leader_in_flight(ExecutionPolicy::Sequential);
+        let expect = service.oracle().query(0, 99).0;
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let svc = &service;
+            scope.spawn(move || {
+                let _ = tx.send(svc.query(0, 99));
+            });
+            // wait until the request is queued behind the taken slot,
+            // then wake it: a wake-up alone must not let it lead
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while service.shared.lock().unwrap().queue.is_empty() && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            service.wakeup.notify_all();
+            let early = rx.recv_timeout(Duration::from_millis(200));
+            let queued = service.shared.lock().unwrap().queue.len();
+            // release before asserting, so the caller exits either way
+            release_leader_slot(&service);
+            assert_eq!(
+                early,
+                Err(mpsc::RecvTimeoutError::Timeout),
+                "served while the only leader slot was taken"
+            );
+            assert_eq!(queued, 1, "the request waits in the queue");
+            assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(expect));
+        });
+        assert_eq!(service.shared.lock().unwrap().leaders, 0);
     }
 
     #[test]

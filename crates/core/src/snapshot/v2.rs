@@ -959,9 +959,8 @@ mod tests {
 
         // a `PSHM` sharded manifest left behind by older builds
         let pshm_path = dir.join("oracle.pshm");
-        let mut pshm = b"PSHM\x01\x00\x00\x00\x04\x00\x00\x00".to_vec();
-        pshm.resize(64, 0);
-        std::fs::write(&pshm_path, &pshm).unwrap();
+        let pshm = b"PSHM\x01\x00\x00\x00\x04\x00\x00\x00";
+        std::fs::write(&pshm_path, pshm).unwrap();
         for (how, opened) in open_every_way(&pshm_path) {
             assert!(
                 matches!(opened, Err(SnapshotError::BadMagic { found }) if found == *b"PSHM"),

@@ -406,20 +406,30 @@ impl SectionTable {
     /// with [`SnapshotError::UnsupportedVersion`], and every structural
     /// violation with a typed error.
     pub fn parse(bytes: &[u8]) -> Result<SectionTable, SnapshotError> {
-        if bytes.len() < V2_HEADER_BYTES {
-            return Err(SnapshotError::Truncated { what: "v2 header" });
-        }
-        if bytes[0..4] != SNAPSHOT_MAGIC {
+        // Magic, then version, then the rest of the header, each as soon
+        // as its bytes exist: a short file that is not a snapshot at all
+        // (or one of another version) says so instead of "truncated".
+        let truncated = Err(SnapshotError::Truncated { what: "v2 header" });
+        let Some(magic) = bytes.get(0..4) else {
+            return truncated;
+        };
+        if magic != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic {
-                found: bytes[0..4].try_into().expect("4 bytes checked"),
+                found: magic.try_into().expect("4 bytes"),
             });
         }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes"));
+        let Some(version) = bytes.get(4..6) else {
+            return truncated;
+        };
+        let version = u16::from_le_bytes(version.try_into().expect("2 bytes"));
         if version != SNAPSHOT_VERSION_V2 {
             return Err(SnapshotError::UnsupportedVersion {
                 found: version,
                 supported: SNAPSHOT_VERSION_V2,
             });
+        }
+        if bytes.len() < V2_HEADER_BYTES {
+            return truncated;
         }
         let kind = u16::from_le_bytes(bytes[6..8].try_into().expect("2 bytes"));
         let file_len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
@@ -1648,6 +1658,21 @@ mod tests {
                 Err(SnapshotError::Truncated { .. })
             ));
         }
+
+        // a short file is judged by its magic and version before its
+        // length: 14 bytes of text are not a snapshot, not a truncated one
+        assert!(matches!(
+            SectionTable::parse(b"not a snapshot"),
+            Err(SnapshotError::BadMagic { found }) if &found == b"not "
+        ));
+        assert!(matches!(
+            SectionTable::parse(&bad_magic[..4]),
+            Err(SnapshotError::BadMagic { .. })
+        ));
+        assert!(matches!(
+            SectionTable::parse(&v1[..6]),
+            Err(SnapshotError::UnsupportedVersion { found: 1, .. })
+        ));
     }
 
     #[test]

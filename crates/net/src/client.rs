@@ -4,7 +4,8 @@
 //! calls are synchronous request/response — the concurrency story lives
 //! server-side, where the shared
 //! [`OracleService`](psh_core::service::OracleService) admission queue
-//! coalesces requests arriving from *different* client sockets into
+//! serves requests arriving from *different* client sockets side by
+//! side, up to its policy's thread count, and coalesces the rest into
 //! shared batches (open several `NetClient`s from several threads to
 //! exploit it; one client is strictly serial).
 //!

@@ -12,7 +12,9 @@
 //! * [`server`] — [`NetServer`]: an accept loop plus
 //!   per-connection reader threads feeding one shared
 //!   [`OracleService`](psh_core::service::OracleService), so queries
-//!   from different sockets coalesce into shared batches; graceful
+//!   from different sockets are served side by side up to the service
+//!   policy's thread count and coalesce into shared batches beyond it;
+//!   graceful
 //!   shutdown, connection/request caps, read/write timeouts;
 //! * [`client`] — [`NetClient`]: blocking `query` /
 //!   `query_batch` / streaming `subscribe` replay, plus stats/info/

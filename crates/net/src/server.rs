@@ -3,14 +3,17 @@
 //!
 //! The serving architecture is deliberately thin: each connection gets a
 //! blocking reader thread that decodes [`Request`]s and calls straight
-//! into the service. Because [`OracleService`]'s leader–follower
-//! admission queue coalesces *concurrent callers* — it never asks where
-//! they came from — queries arriving on **different sockets** merge into
-//! shared `query_batch` calls exactly like same-process threads do, so
-//! the wire tier inherits the in-process batching for free. Answers stay
-//! byte-identical to in-process queries for the same reason: the service
-//! maps every pair independently through the oracle, and the wire codec
-//! ships `f64` bit patterns verbatim.
+//! into the service. [`OracleService`]'s leader–follower admission queue
+//! never asks where a caller came from, so sockets share it exactly like
+//! same-process threads do: up to the service policy's
+//! [`threads`](psh_exec::ExecutionPolicy::threads) connections are
+//! served side by side, each by its own sweep, and queries arriving on
+//! **different sockets** merge into shared `query_batch` calls only when
+//! the callers outnumber that cap. The wire tier inherits the
+//! in-process scheduling for free. Answers stay byte-identical to
+//! in-process queries for the same reason: the service maps every pair
+//! independently through the oracle, and the wire codec ships `f64` bit
+//! patterns verbatim.
 //!
 //! ## Lifecycle
 //!
