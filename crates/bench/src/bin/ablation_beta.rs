@@ -19,7 +19,7 @@ fn main() {
     let seed = 20150625u64;
     let n = 2_000usize;
     let k = 3.0;
-    let mut report = Report::from_args("ablation_beta");
+    let mut report = Report::from_json_flag("ablation_beta");
     report.meta("n", n).meta("seed", seed).meta("k", k);
     println!("# Ablation — β around the prescribed ln n/2k (k = {k})\n");
     let g = Family::Random.instantiate(n, seed);

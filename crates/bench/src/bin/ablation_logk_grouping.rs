@@ -39,7 +39,7 @@ fn main() {
     let seed = 20150625u64;
     let n = 2_000usize;
     let k = 4.0f64;
-    let mut report = Report::from_args("ablation_logk_grouping");
+    let mut report = Report::from_json_flag("ablation_logk_grouping");
     report.meta("n", n).meta("seed", seed).meta("k", k);
     println!("# Ablation — log k grouping vs naive per-bucket spanners (k = {k})\n");
     println!("(dense random instances, m = 13n, so the size bound binds)\n");

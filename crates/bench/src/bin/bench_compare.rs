@@ -70,9 +70,13 @@
 //! as a note. A genuinely broken path (10 ms → 500 ms) clears the floor.
 //!
 //! Exit status: 0 when the gate passes, 1 on severe/systemic regression
-//! or workload mismatch, 2 on unusable input.
+//! or workload mismatch, 2 on unusable input. An unknown flag, a third
+//! path or a `--noise`/`--severe`/`--systemic`/`--materiality` value
+//! that is not a fraction > 0 exits 1 naming it before any file is read,
+//! as every binary of this crate refuses a flag.
 
-use psh_bench::json::{parse_flag, JsonValue};
+use psh_bench::json::JsonValue;
+use psh_bench::serving::{check_args_with_paths, parse_value};
 
 const PROG: &str = "bench-compare";
 
@@ -196,23 +200,20 @@ fn load(path: &str) -> (JsonValue, Vec<(String, JsonValue)>) {
 }
 
 fn parse_fraction(flag: &str, default: f64) -> f64 {
-    match parse_flag(flag) {
-        None => default,
-        Some(s) => match s.trim().parse::<f64>() {
-            Ok(v) if v > 0.0 => v,
-            _ => die(format_args!("bad {flag} '{s}' (want a fraction > 0)")),
-        },
-    }
+    parse_value(PROG, flag, "a fraction > 0", |&v: &f64| v > 0.0).unwrap_or(default)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| !a.starts_with("--") && a.parse::<f64>().is_err())
-        .collect();
+    let args = check_args_with_paths(
+        PROG,
+        2,
+        &["--noise", "--severe", "--systemic", "--materiality"],
+        &[],
+    );
     let [baseline_path, fresh_path] = args.as_slice() else {
         die(
-            "usage: bench-compare BASELINE.json FRESH.json [--noise F] [--severe F] [--systemic F]",
+            "usage: bench-compare BASELINE.json FRESH.json [--noise F] [--severe F] [--systemic F] \
+             [--materiality F]",
         );
     };
     let noise = parse_fraction("--noise", 0.25);

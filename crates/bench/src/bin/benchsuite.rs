@@ -66,6 +66,8 @@
 //! Usage: `cargo run --release -p psh-bench --bin benchsuite \
 //!             [--quick] [--n N] [--queries Q] [--load-n N] [--seed S]
 //!             [--json PATH]`
+//! Any other argument, or a value that does not parse, exits 1 naming
+//! the flag before anything runs.
 //!
 //! The JSON schema (`meta.schema_version = 1`): the standard
 //! [`psh_bench::Report`] envelope (`bin`, `threads`, `policy`, `wall_clock_s`,
@@ -81,6 +83,7 @@
 
 use psh_bench::alloc::{live_bytes, peak_above, reset_peak, CountingAlloc};
 use psh_bench::json::{has_flag, parse_flag};
+use psh_bench::serving::{check_args, parse_seed, parse_value};
 use psh_bench::table::{fmt_f, fmt_u, Table};
 use psh_bench::workloads::{random_pairs, Family};
 use psh_bench::Report;
@@ -418,19 +421,20 @@ fn head_to_head(
 }
 
 fn main() {
+    const PROG: &str = "benchsuite";
+    check_args(
+        PROG,
+        &["--n", "--queries", "--seed", "--load-n", "--json"],
+        &["--quick"],
+    );
     let quick = has_flag("--quick");
-    let n: usize = parse_flag("--n")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if quick { 256 } else { 800 });
-    let queries: usize = parse_flag("--queries")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if quick { 160 } else { 512 });
-    let seed: u64 = parse_flag("--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20150625);
-    let load_n: usize = parse_flag("--load-n")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(120_000);
+    let (default_n, default_queries) = if quick { (256, 160) } else { (800, 512) };
+    let n: usize = parse_value(PROG, "--n", "a vertex count", |_| true).unwrap_or(default_n);
+    let queries: usize =
+        parse_value(PROG, "--queries", "a query count", |_| true).unwrap_or(default_queries);
+    let seed = parse_seed(PROG);
+    let load_n: usize =
+        parse_value(PROG, "--load-n", "a vertex count", |_| true).unwrap_or(120_000);
     let json_path = parse_flag("--json").unwrap_or_else(|| "BENCH_9.json".into());
     let mut report = Report::new("benchsuite", Some(PathBuf::from(&json_path)));
 

@@ -20,7 +20,7 @@ use psh_graph::INF;
 fn main() {
     let seed = 20150625u64;
     let n = 4_096usize;
-    let mut report = Report::from_args("hopset_quality");
+    let mut report = Report::from_json_flag("hopset_quality");
     report.meta("n", n).meta("seed", seed);
     println!("# Lemma 4.2 — hops and distortion vs predicted\n");
     let mut t = Table::new([

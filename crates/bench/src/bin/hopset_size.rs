@@ -21,7 +21,7 @@ fn main() {
         gamma2: 0.75,
         k_conf: 1.0,
     };
-    let mut report = Report::from_args("hopset_size");
+    let mut report = Report::from_json_flag("hopset_size");
     report
         .meta("seed", seed)
         .meta("epsilon", params.epsilon)

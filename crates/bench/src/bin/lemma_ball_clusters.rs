@@ -23,7 +23,7 @@ fn main() {
     let n = 3_000usize;
     let trials = 12u64;
     let samples_per_trial = 60;
-    let mut report = Report::from_args("lemma_ball_clusters");
+    let mut report = Report::from_json_flag("lemma_ball_clusters");
     report
         .meta("n", n)
         .meta("seed", seed)

@@ -18,7 +18,7 @@ fn main() {
     let seed = 20150625u64;
     let n = 4_000usize;
     let trials = 15u64;
-    let mut report = Report::from_args("lemma_cluster_diameter");
+    let mut report = Report::from_json_flag("lemma_cluster_diameter");
     report
         .meta("n", n)
         .meta("seed", seed)

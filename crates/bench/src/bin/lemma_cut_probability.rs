@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 fn main() {
     let seed = 20150625u64;
     let trials = 60;
-    let mut report = Report::from_args("lemma_cut_probability");
+    let mut report = Report::from_json_flag("lemma_cut_probability");
     report.meta("seed", seed).meta("trials", trials);
 
     println!("# Corollary 2.3 — P(edge cut) vs β·w\n");

@@ -31,10 +31,10 @@ fn hops_for_pair(g: &CsrGraph, edges: &[Edge], s: u32, t: u32) -> (u64, f64) {
 fn main() {
     let seed = 20150625u64;
     let n = 2_048usize;
+    let mut report = Report::from_json_flag("limited_hopsets");
+    report.meta("n", n).meta("seed", seed);
     let g = generators::path(n);
     let (s, t) = (0u32, (n - 1) as u32);
-    let mut report = Report::from_args("limited_hopsets");
-    report.meta("n", n).meta("seed", seed);
 
     println!("# Appendix C — iterated limited hopsets on a {n}-vertex path\n");
     println!("## Per-iteration hop reduction (Theorem C.2 loop, α = 0.6)\n");

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 fn main() {
     let seed = 20150625u64;
     let sizes = [500usize, 1_000, 2_000, 4_000, 8_000];
-    let mut report = Report::from_args("spanner_size_scaling");
+    let mut report = Report::from_json_flag("spanner_size_scaling");
     report.meta("seed", seed);
     println!("# Lemma 3.2 — spanner size vs n^(1+1/k)\n");
     for k in [2usize, 4] {

@@ -29,7 +29,7 @@ fn main() {
         k_conf: 1.0,
     };
     let queries = 30;
-    let mut report = Report::from_args("sssp_endtoend");
+    let mut report = Report::from_json_flag("sssp_endtoend");
     report
         .meta("n", n)
         .meta("seed", seed)

@@ -25,7 +25,7 @@ use rand::SeedableRng;
 fn main() {
     let n = 2_000usize;
     let seed: u64 = 20150625; // the paper's revision date, for luck
-    let mut report = Report::from_args("table1_spanners");
+    let mut report = Report::from_json_flag("table1_spanners");
     report.meta("n", n).meta("seed", seed);
     println!("# Figure 1 reproduction — spanner constructions\n");
     println!("workloads: random/power-law/grid at n≈{n}; greedy runs at n=300 (quadratic)\n");

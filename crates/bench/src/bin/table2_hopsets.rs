@@ -97,7 +97,7 @@ fn main() {
     let n = 2_000usize;
     let seed: u64 = 20150625;
     let eps = 0.25;
-    let mut report = Report::from_args("table2_hopsets");
+    let mut report = Report::from_json_flag("table2_hopsets");
     report.meta("n", n).meta("seed", seed).meta("eps", eps);
     let params = HopsetParams {
         epsilon: 0.5,

@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 fn main() {
     let seed = 20150625u64;
     let eps = 0.2;
-    let mut report = Report::from_args("weight_decomposition");
+    let mut report = Report::from_json_flag("weight_decomposition");
     report.meta("seed", seed).meta("eps", eps);
     println!("# Appendix B — weight-class decomposition (ε = {eps})\n");
     let mut t = Table::new([

@@ -26,7 +26,7 @@ fn main() {
         gamma2: 0.75,
         k_conf: 1.0,
     };
-    let mut report = Report::from_args("weighted_hopsets");
+    let mut report = Report::from_json_flag("weighted_hopsets");
     report
         .meta("seed", seed)
         .meta("eta", 0.4)

@@ -415,6 +415,14 @@ impl Report {
         Report::new(bin, parse_flag("--json").map(PathBuf::from))
     }
 
+    /// [`Report::from_args`] for an experiment binary whose only flag is
+    /// `--json PATH`: any other argument exits 1 naming it (see
+    /// [`crate::serving::check_args`]). Call it first in `main`.
+    pub fn from_json_flag(bin: &str) -> Report {
+        crate::serving::check_args(bin, &["--json"], &[]);
+        Report::from_args(bin)
+    }
+
     /// Build a report with an explicit output path (`None` disables it).
     pub fn new(bin: &str, path: Option<PathBuf>) -> Report {
         Report {

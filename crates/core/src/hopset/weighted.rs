@@ -25,6 +25,17 @@
 //! oracle builds no band after the first such band; at the default
 //! parameters that is the second band for every `n` below about 10¹³.
 //! [`crate::api::HopsetBuilder::weighted`] still builds every band.
+//!
+//! A band whose rounding leaves every input weight as it is
+//! ([`Rounding::is_identity_on`]: `ŵ = 1` and every weight at most 2⁵³)
+//! *is* the input graph: it builds its hopset on the input graph, sweeps
+//! it, and holds no copy of its own. Only a band whose rounding moves a
+//! weight holds a rounded [`CsrGraph`]. A family holds one copy of its
+//! input, [`WeightedHopsets::graph`]. At the default parameters every
+//! band the oracle keeps has `ŵ = 1`, so an oracle holds no band copy
+//! there. This is a change of representation only: the hopsets, answers
+//! and `Cost`s are those of a sweep over explicit copies, and §5's cost
+//! model still charges every band its `O(m)` rounding pass.
 
 use super::rounding::Rounding;
 use super::unweighted::build_hopset_with_beta0_on;
@@ -36,16 +47,20 @@ use psh_pram::Cost;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One distance band's rounded graph and hopset.
+/// One distance band's hopset, with its rounded graph when rounding
+/// moves an input weight.
 #[derive(Clone, Debug)]
 pub struct EstimateBand {
     /// Lower end of the distance band covered by this estimate.
     pub d: u64,
     /// The rounding applied (`ŵ = ζd/k`).
     pub rounding: Rounding,
-    /// The rounded graph.
-    pub graph: CsrGraph,
-    /// The hopset built on the rounded graph.
+    /// The rounded graph, or `None` when the rounding leaves every input
+    /// weight as it is ([`Rounding::is_identity_on`]): the band then
+    /// sweeps the family's input graph, [`WeightedHopsets::graph`].
+    pub graph: Option<CsrGraph>,
+    /// The hopset built on the rounded graph (the input graph when
+    /// `graph` is `None`).
     pub hopset: Hopset,
     /// Compiled adjacency of the hopset.
     pub extra: ExtraEdges,
@@ -62,10 +77,15 @@ pub struct WeightedHopsets {
     pub eta: f64,
     /// Distortion parameter used at construction.
     pub epsilon: f64,
-    n: usize,
+    graph: CsrGraph,
 }
 
 impl WeightedHopsets {
+    /// The input graph: every band whose `graph` is `None` sweeps it.
+    pub fn graph(&self) -> &CsrGraph {
+        &self.graph
+    }
+
     /// Total hopset edges across all bands.
     pub fn total_size(&self) -> usize {
         self.bands.iter().map(|b| b.hopset.size()).sum()
@@ -84,10 +104,10 @@ impl WeightedHopsets {
         if s == t {
             return (0.0, Cost::ZERO);
         }
-        let bands = self
-            .bands
-            .iter()
-            .map(|b| (&b.rounding, b.h, &b.graph, b.extra.view()));
+        let bands = self.bands.iter().map(|b| {
+            let graph = b.graph.as_ref().unwrap_or(&self.graph);
+            (&b.rounding, b.h, graph, b.extra.view())
+        });
         query_bands(bands, s, t)
     }
 }
@@ -100,10 +120,11 @@ fn is_exact(rounding: &Rounding, h: usize, n: usize) -> bool {
 }
 
 /// §5's query over one band family, whatever its storage: `bands` yields
-/// each band's rounding, hop budget, rounded graph and hopset adjacency
-/// in increasing `d`. Returns the minimum of the unrounded h-hop values
-/// (`f64::INFINITY` if no band connects `s` and `t`) and the cost of the
-/// bands that ran, composed with `then`. The loop stops after a band with
+/// each band's rounding, hop budget, rounded graph (the base graph for a
+/// band that shares it) and hopset adjacency in increasing `d`. Returns
+/// the minimum of the unrounded h-hop values (`f64::INFINITY` if no band
+/// connects `s` and `t`) and the cost of the bands that ran, composed
+/// with `then`. The loop stops after a band with
 /// `ŵ = 1` whose sweep settled `t` or whose budget is `h ≥ n − 1`: that
 /// value is the exact distance, and every later band's is at least that.
 pub(crate) fn query_bands<'a, G: GraphView + 'a>(
@@ -144,7 +165,8 @@ pub(crate) enum Bands {
 /// schedule). Every band's `d`, rounding, hop budget and seed are fixed
 /// in band order before the fan-out, and `keep` cuts that list only
 /// afterwards, so the family is byte-identical for any policy and a cut
-/// family is a prefix of the full one.
+/// family is a prefix of the full one. Whichever `keep` asks, a band
+/// copies `g` only when its rounding moves a weight.
 pub(crate) fn build_weighted_hopsets_impl<R: Rng>(
     exec: &Executor,
     g: &CsrGraph,
@@ -182,10 +204,12 @@ pub(crate) fn build_weighted_hopsets_impl<R: Rng>(
     }
 
     let bands: Vec<(EstimateBand, Cost)> = exec.par_map(&tasks, 1, |(d, rounding, h, seed)| {
-        let graph = rounding.round_graph(g);
+        // CSR layout is a function of the edge list, so a copy that
+        // rounds nothing would equal `g`: build and sweep on `g` itself
+        let graph = (!rounding.is_identity_on(g.edges())).then(|| rounding.round_graph(g));
         let (hopset, hcost) = build_hopset_with_beta0_on(
             exec,
-            &graph,
+            graph.as_ref().unwrap_or(g),
             params,
             beta0,
             &mut StdRng::seed_from_u64(*seed),
@@ -200,6 +224,7 @@ pub(crate) fn build_weighted_hopsets_impl<R: Rng>(
                 extra,
                 h: *h,
             },
+            // §5's rounding pass, charged whether or not it copies
             hcost.then(Cost::flat(g.m() as u64)),
         )
     });
@@ -211,7 +236,7 @@ pub(crate) fn build_weighted_hopsets_impl<R: Rng>(
             bands,
             eta,
             epsilon: params.epsilon,
-            n,
+            graph: g.clone(),
         },
         cost,
     )
@@ -220,7 +245,7 @@ pub(crate) fn build_weighted_hopsets_impl<R: Rng>(
 /// Convenience: number of vertices the construction covers.
 impl WeightedHopsets {
     pub fn n(&self) -> usize {
-        self.n
+        self.graph.n()
     }
 }
 
@@ -294,6 +319,50 @@ mod tests {
             checked += 1;
         }
         assert_eq!(checked, 4);
+    }
+
+    /// A band holds a rounded copy exactly when its rounding moves an
+    /// input weight, and the family answers every pair, `Cost` included,
+    /// as a sweep over an explicit `round_graph` copy per band does.
+    #[test]
+    fn bands_copy_the_graph_only_when_rounding_moves_a_weight() {
+        let g = weighted_instance(10);
+        let wh = build(&g, 0.4, &mut StdRng::seed_from_u64(11));
+        let copies: Vec<CsrGraph> = wh
+            .bands
+            .iter()
+            .map(|b| b.rounding.round_graph(&g))
+            .collect();
+        let mut shared = 0;
+        for (band, copy) in wh.bands.iter().zip(&copies) {
+            let identity = band.rounding.is_identity_on(g.edges());
+            match &band.graph {
+                None => {
+                    assert!(identity, "band at d = {} shares wrongly", band.d);
+                    assert_eq!(copy, &g);
+                    shared += 1;
+                }
+                Some(own) => {
+                    assert!(!identity, "band at d = {} copies needlessly", band.d);
+                    assert_eq!(own, copy);
+                }
+            }
+        }
+        assert!(
+            shared >= 1 && shared < wh.num_bands(),
+            "the fixture needs both kinds of band"
+        );
+        let n = g.n() as VertexId;
+        for s in (0..n).step_by(3) {
+            for t in (0..n).filter(|&t| t != s) {
+                let bands = wh
+                    .bands
+                    .iter()
+                    .zip(&copies)
+                    .map(|(b, copy)| (&b.rounding, b.h, copy, b.extra.view()));
+                assert_eq!(wh.query(s, t), query_bands(bands, s, t), "({s}, {t})");
+            }
+        }
     }
 
     #[test]

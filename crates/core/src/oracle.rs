@@ -24,13 +24,18 @@
 //! what a fresh build produces) or **mapped** (every slab borrowed
 //! straight out of a snapshot region opened through
 //! [`psh_graph::SnapshotSource`] — what
-//! [`crate::snapshot::load_oracle_v2`] produces; the base graph and every
-//! weighted band are [`MmapView`]s sharing one set of offset, target and
-//! edge-id slabs). The two representations answer every query
-//! byte-identically, **costs included**, under every
-//! [`ExecutionPolicy`]: both route through the same generic hop-limited
-//! relaxation, and the mapped slabs are validated at load time to iterate
-//! exactly like the owned structures they mirror.
+//! [`crate::snapshot::load_oracle_v2`] produces). Either way the oracle
+//! holds one base graph, and a weighted band whose rounding leaves every
+//! base weight as it is (`ŵ = 1`; see [`crate::hopset::weighted`]) sweeps
+//! that base graph. Only a band whose rounding moves a weight holds a
+//! graph of its own: an owned `CsrGraph`, or an [`MmapView`] sharing the
+//! base graph's offset, target and edge-id slabs with its own weights and
+//! edge records. At the default parameters no kept band does. The two
+//! representations answer every query byte-identically, **costs
+//! included**, under every [`ExecutionPolicy`]: both route through the
+//! same generic hop-limited relaxation, and the mapped slabs are
+//! validated at load time to iterate exactly like the owned structures
+//! they mirror.
 
 use crate::hopset::rounding::Rounding;
 use crate::hopset::unweighted::build_hopset_with_beta0_on;
@@ -62,21 +67,30 @@ impl std::fmt::Debug for ApproxShortestPaths {
 
 /// Storage representation: owned heap buffers or borrowed snapshot slabs.
 pub(crate) enum Repr {
-    Owned { graph: CsrGraph, mode: Mode },
+    Owned(Mode),
     Mapped(MappedOracle),
 }
 
 pub(crate) enum Mode {
     Unweighted {
+        graph: CsrGraph,
         hopset: Hopset,
         extra: psh_graph::traversal::bellman_ford::ExtraEdges,
         /// Hop budget for the worst case `d = n` (queries stop early at
         /// the Bellman–Ford fixpoint anyway).
         h_max: usize,
     },
-    Weighted {
-        hopsets: WeightedHopsets,
-    },
+    /// The band family holds the base graph ([`WeightedHopsets::graph`]).
+    Weighted { hopsets: WeightedHopsets },
+}
+
+impl Mode {
+    fn graph(&self) -> &CsrGraph {
+        match self {
+            Mode::Unweighted { graph, .. } => graph,
+            Mode::Weighted { hopsets } => hopsets.graph(),
+        }
+    }
 }
 
 /// An oracle whose every slab lives inside one shared
@@ -139,14 +153,17 @@ pub(crate) enum MappedMode {
     },
 }
 
-/// One distance band of a mapped weighted oracle: the rounded graph as a
-/// view (offsets/targets/eids shared with the base graph; weights and
-/// edge records band-specific) plus the band's hopset.
+/// One distance band of a mapped weighted oracle: its hopset, and its
+/// rounded graph when the file stores one.
 pub(crate) struct MappedBand {
     pub(crate) d: u64,
     pub(crate) rounding: Rounding,
     pub(crate) h: usize,
-    pub(crate) graph: MmapView,
+    /// The rounded graph as a view (offsets, targets and edge ids shared
+    /// with the base graph; weights and edge records the band's own), or
+    /// `None` for a band with `ŵ = 1` and no weight slabs of its own,
+    /// which sweeps [`MappedOracle::graph`].
+    pub(crate) graph: Option<MmapView>,
     pub(crate) hopset: MappedHopset,
 }
 
@@ -217,9 +234,9 @@ pub(crate) struct BandParts<'a> {
     pub(crate) what: f64,
     pub(crate) h: usize,
     pub(crate) hopset: HopsetParts<'a>,
-    /// The band's rounded edge list (same `(u, v)` pairs as the base
-    /// graph, weights `⌈w/ŵ⌉`).
-    pub(crate) band_edges: &'a [Edge],
+    /// The band's own rounded edge list (same `(u, v)` pairs as the base
+    /// graph, weights `⌈w/ŵ⌉`), or `None` when it sweeps the base graph.
+    pub(crate) band_edges: Option<&'a [Edge]>,
 }
 
 /// Borrowed mode-specific fields, whatever the storage.
@@ -279,14 +296,12 @@ impl ApproxShortestPaths {
         let h_max = params.hop_bound(g.n(), beta0, g.n() as u64);
         (
             ApproxShortestPaths {
-                repr: Repr::Owned {
+                repr: Repr::Owned(Mode::Unweighted {
                     graph: g.clone(),
-                    mode: Mode::Unweighted {
-                        hopset,
-                        extra,
-                        h_max,
-                    },
-                },
+                    hopset,
+                    extra,
+                    h_max,
+                }),
             },
             cost,
         )
@@ -306,10 +321,7 @@ impl ApproxShortestPaths {
             build_weighted_hopsets_impl(exec, g, params, eta, beta0, Bands::ThroughFirstExact, rng);
         (
             ApproxShortestPaths {
-                repr: Repr::Owned {
-                    graph: g.clone(),
-                    mode: Mode::Weighted { hopsets },
-                },
+                repr: Repr::Owned(Mode::Weighted { hopsets }),
             },
             cost,
         )
@@ -327,8 +339,13 @@ impl ApproxShortestPaths {
             );
         }
         let (distance, cost) = match &self.repr {
-            Repr::Owned { graph, mode } => match mode {
-                Mode::Unweighted { extra, h_max, .. } => {
+            Repr::Owned(mode) => match mode {
+                Mode::Unweighted {
+                    graph,
+                    extra,
+                    h_max,
+                    ..
+                } => {
                     let (PairQuery { dist: d, .. }, cost) =
                         hop_limited_pair(graph, Some(extra), s, t, *h_max);
                     (if d == INF { f64::INFINITY } else { d as f64 }, cost)
@@ -342,9 +359,10 @@ impl ApproxShortestPaths {
                     (if d == INF { f64::INFINITY } else { d as f64 }, cost)
                 }
                 MappedMode::Weighted { bands, .. } => {
-                    let bands = bands
-                        .iter()
-                        .map(|b| (&b.rounding, b.h, &b.graph, b.hopset.extra.view()));
+                    let bands = bands.iter().map(|b| {
+                        let graph = b.graph.as_ref().unwrap_or(&m.graph);
+                        (&b.rounding, b.h, graph, b.hopset.extra.view())
+                    });
                     query_bands(bands, s, t)
                 }
             },
@@ -387,7 +405,7 @@ impl ApproxShortestPaths {
     /// Exact reference distance (Dijkstra) — the verification oracle.
     pub fn query_exact(&self, s: VertexId, t: VertexId) -> Weight {
         match &self.repr {
-            Repr::Owned { graph, .. } => dijkstra_pair(graph, s, t),
+            Repr::Owned(mode) => dijkstra_pair(mode.graph(), s, t),
             Repr::Mapped(m) => dijkstra_pair(&m.graph, s, t),
         }
     }
@@ -395,7 +413,7 @@ impl ApproxShortestPaths {
     /// Number of hopset edges backing this oracle.
     pub fn hopset_size(&self) -> usize {
         match &self.repr {
-            Repr::Owned { mode, .. } => match mode {
+            Repr::Owned(mode) => match mode {
                 Mode::Unweighted { hopset, .. } => hopset.size(),
                 Mode::Weighted { hopsets } => hopsets.total_size(),
             },
@@ -411,7 +429,7 @@ impl ApproxShortestPaths {
     /// The underlying graph, as a representation-independent view.
     pub fn graph(&self) -> OracleGraph<'_> {
         match &self.repr {
-            Repr::Owned { graph, .. } => OracleGraph::Owned(graph),
+            Repr::Owned(mode) => OracleGraph::Owned(mode.graph()),
             Repr::Mapped(m) => OracleGraph::Mapped(&m.graph),
         }
     }
@@ -425,7 +443,7 @@ impl ApproxShortestPaths {
     /// The query-time hop budget (unweighted mode).
     pub fn hop_budget(&self) -> Option<usize> {
         match &self.repr {
-            Repr::Owned { mode, .. } => match mode {
+            Repr::Owned(mode) => match mode {
                 Mode::Unweighted { h_max, .. } => Some(*h_max),
                 Mode::Weighted { .. } => None,
             },
@@ -439,7 +457,7 @@ impl ApproxShortestPaths {
     /// Mode-specific fields as borrowed parts (snapshot writers' view).
     pub(crate) fn mode_parts(&self) -> ModeParts<'_> {
         match &self.repr {
-            Repr::Owned { mode, .. } => match mode {
+            Repr::Owned(mode) => match mode {
                 Mode::Unweighted { hopset, h_max, .. } => ModeParts::Unweighted {
                     h_max: *h_max,
                     hopset: owned_hopset_parts(hopset),
@@ -455,7 +473,7 @@ impl ApproxShortestPaths {
                             what: b.rounding.what,
                             h: b.h,
                             hopset: owned_hopset_parts(&b.hopset),
-                            band_edges: b.graph.edges(),
+                            band_edges: b.graph.as_ref().map(|g| g.edges()),
                         })
                         .collect(),
                 },
@@ -479,7 +497,7 @@ impl ApproxShortestPaths {
                             what: b.rounding.what,
                             h: b.h,
                             hopset: b.hopset.parts(),
-                            band_edges: b.graph.edges(),
+                            band_edges: b.graph.as_ref().map(|g| g.edges()),
                         })
                         .collect(),
                 },
@@ -657,12 +675,9 @@ mod tests {
                 .build(&g)
                 .unwrap();
             let full = ApproxShortestPaths {
-                repr: Repr::Owned {
-                    graph: g.clone(),
-                    mode: Mode::Weighted {
-                        hopsets: full_family(&g, eta, 4),
-                    },
-                },
+                repr: Repr::Owned(Mode::Weighted {
+                    hopsets: full_family(&g, eta, 4),
+                }),
             };
             assert!(full.hopset_size() > run.artifact.hopset_size());
             let meta = OracleMeta::of_run(&run, HopsetParams::default());
