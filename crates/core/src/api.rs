@@ -48,6 +48,17 @@ fn component_count(g: &CsrGraph) -> usize {
     components_union_find(g).0.count
 }
 
+/// Refuse a graph of `n` vertices whose heaviest edge weighs `max_weight`
+/// when a shortest path can weigh more than 2⁵³, where `f64` distances
+/// and §5's rounding stop being exact ([`PshError::DistancesExceedF64`]).
+/// Both banded builders apply it, and so does `Verify::Deep` on a v2 file.
+pub(crate) fn check_distance_cap(n: usize, max_weight: u64) -> Result<(), PshError> {
+    if n.saturating_sub(1) as u128 * max_weight as u128 > 1 << 53 {
+        return Err(PshError::DistancesExceedF64 { n, max_weight });
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // Spanners (Theorem 1.1)
 // ---------------------------------------------------------------------------
@@ -293,7 +304,9 @@ impl HopsetBuilder {
         Self::with_kind(HopsetKind::Unweighted)
     }
 
-    /// §5's banded construction with band exponent `eta ∈ (0, 1)`.
+    /// §5's banded construction with band exponent `eta ∈ (0, 1)`. Its
+    /// build refuses a graph whose distances can exceed 2⁵³
+    /// ([`PshError::DistancesExceedF64`]).
     pub fn weighted(eta: f64) -> Self {
         Self::with_kind(HopsetKind::Weighted { eta })
     }
@@ -438,6 +451,7 @@ impl HopsetBuilder {
                 Ok((HopsetArtifact::Single(h), cost))
             }
             HopsetKind::Weighted { eta } => {
+                check_distance_cap(g.n(), g.max_weight().unwrap_or(0))?;
                 let beta0 = self
                     .beta0_override
                     .unwrap_or_else(|| self.params.beta0_weighted(g.n()));
@@ -555,7 +569,8 @@ impl OracleBuilder {
 
     /// Skip the polynomial weight-ratio precondition check (Corollary 5.4
     /// assumes `w_max/w_min ≤ n³`; beyond that, accuracy degrades unless
-    /// the Appendix B decomposition is applied first).
+    /// the Appendix B decomposition is applied first). The 2⁵³ distance
+    /// cap ([`PshError::DistancesExceedF64`]) still applies.
     pub fn allow_large_weights(mut self, yes: bool) -> Self {
         self.allow_large_weights = yes;
         self
@@ -586,6 +601,7 @@ impl OracleBuilder {
                     return Err(PshError::WeightRangeTooLarge { ratio, bound });
                 }
             }
+            check_distance_cap(g.n(), g.max_weight().unwrap_or(0))?;
         } else if !g.is_unit_weight() {
             return Err(PshError::RequiresUnitWeights {
                 algorithm: "the unweighted oracle path",
@@ -819,5 +835,28 @@ mod tests {
             .allow_large_weights(true)
             .build(&g)
             .is_ok());
+    }
+
+    #[test]
+    fn banded_builders_refuse_distances_above_2_pow_53() {
+        use psh_graph::Edge;
+        let path = |w| CsrGraph::from_edges(3, [Edge::new(0, 1, w), Edge::new(1, 2, w)]);
+        // weight ratio 1, so only the cap refuses it, whatever
+        // allow_large_weights says; 2·2⁵² = 2⁵³ itself is in range
+        let (big, at_cap) = (path((1 << 52) + 1), path(1 << 52));
+        let expect = Err(PshError::DistancesExceedF64 {
+            n: 3,
+            max_weight: (1 << 52) + 1,
+        });
+        for oracle in [
+            OracleBuilder::new(),
+            OracleBuilder::new().allow_large_weights(true),
+        ] {
+            assert_eq!(oracle.build(&big).map(|_| ()), expect);
+            assert!(oracle.build(&at_cap).is_ok());
+        }
+        let hopsets = HopsetBuilder::weighted(0.5);
+        assert_eq!(hopsets.build(&big).map(|_| ()), expect);
+        assert!(hopsets.build(&at_cap).is_ok());
     }
 }

@@ -45,6 +45,12 @@ pub enum PshError {
     /// [`crate::hopset::WeightClassDecomposition`] first, or opt out with
     /// `allow_large_weights(true)`.
     WeightRangeTooLarge { ratio: f64, bound: f64 },
+    /// A shortest path can weigh more than 2⁵³: `(n − 1)·w_max` exceeds
+    /// the range in which an `f64` distance and §5's rounding `⌈w/ŵ⌉`
+    /// are exact. The banded constructions (the weighted oracle and
+    /// `HopsetBuilder::weighted`) refuse such graphs whatever
+    /// `allow_large_weights` says.
+    DistancesExceedF64 { n: usize, max_weight: u64 },
 }
 
 impl fmt::Display for PshError {
@@ -89,6 +95,14 @@ impl fmt::Display for PshError {
                     f,
                     "weight ratio {ratio:.3e} exceeds the polynomial bound {bound:.3e}; \
                      apply the Appendix B weight-class decomposition first"
+                )
+            }
+            PshError::DistancesExceedF64 { n, max_weight } => {
+                write!(
+                    f,
+                    "distances up to (n - 1)·w_max = {}·{max_weight} exceed 2^53, \
+                     past which f64 distances are not exact; scale the weights down",
+                    n.saturating_sub(1)
                 )
             }
         }

@@ -38,7 +38,9 @@ impl Rounding {
         Rounding { what }
     }
 
-    /// Round one weight: `⌈w/ŵ⌉` (always ≥ 1).
+    /// Round one weight: `⌈w/ŵ⌉` (always ≥ 1). The f64 quotient is exact
+    /// for every `w ≤ 2⁵³`, the range the banded builders accept, so at
+    /// `ŵ = 1` this is the identity.
     #[inline]
     pub fn round_weight(&self, w: Weight) -> Weight {
         ((w as f64 / self.what).ceil() as u64).max(1)
@@ -49,17 +51,6 @@ impl Rounding {
     #[inline]
     pub fn unround(&self, rounded: Weight) -> f64 {
         rounded as f64 * self.what
-    }
-
-    /// Whether this rounding leaves every weight in `edges` as it is, so a
-    /// band can sweep the graph itself instead of a rounded copy: `ŵ = 1`
-    /// and `⌈w/ŵ⌉ = w` for every `w`. At `ŵ = 1` the second part holds
-    /// for every weight up to 2⁵³; above that, `w as f64` can move an odd
-    /// weight, so it is checked rather than assumed. (A grid `ŵ > 1` also
-    /// fixes every weight below `ŵ/(ŵ−1)`; such a band still keeps its
-    /// copy, so a snapshot can mark a shared band by its `ŵ` alone.)
-    pub fn is_identity_on(&self, edges: &[Edge]) -> bool {
-        self.what == 1.0 && edges.iter().all(|e| self.round_weight(e.w) == e.w)
     }
 
     /// Rounded copy of a graph.
@@ -141,26 +132,6 @@ mod tests {
             assert_eq!((e.u, e.v), (re.u, re.v));
             assert_eq!(re.w, r.round_weight(e.w));
         }
-    }
-
-    #[test]
-    fn identity_needs_unit_grid_and_exact_weights() {
-        let unit = Rounding::for_band(10, 100, 0.5);
-        let small = [
-            Edge::new(0, 1, 1),
-            Edge::new(1, 2, 3),
-            Edge::new(2, 3, 1 << 53),
-        ];
-        assert!(unit.is_identity_on(&small));
-        assert!(unit.is_identity_on(&[]));
-        // 2⁵³ + 1 is not an f64, so ⌈w/1⌉ moves it
-        let odd = [Edge::new(0, 1, (1 << 53) + 1)];
-        assert_ne!(unit.round_weight(odd[0].w), odd[0].w);
-        assert!(!unit.is_identity_on(&odd));
-        // ŵ = 1.4 fixes 1, 2 and 3, but only ŵ = 1 shares the graph
-        let coarse = Rounding { what: 1.4 };
-        assert!(small[..2].iter().all(|e| coarse.round_weight(e.w) == e.w));
-        assert!(!coarse.is_identity_on(&small[..2]));
     }
 
     use rand::SeedableRng;

@@ -26,41 +26,42 @@
 //! parameters that is the second band for every `n` below about 10¹³.
 //! [`crate::api::HopsetBuilder::weighted`] still builds every band.
 //!
-//! A band whose rounding leaves every input weight as it is
-//! ([`Rounding::is_identity_on`]: `ŵ = 1` and every weight at most 2⁵³)
-//! *is* the input graph: it builds its hopset on the input graph, sweeps
-//! it, and holds no copy of its own. Only a band whose rounding moves a
-//! weight holds a rounded [`CsrGraph`]. A family holds one copy of its
-//! input, [`WeightedHopsets::graph`]. At the default parameters every
-//! band the oracle keeps has `ŵ = 1`, so an oracle holds no band copy
-//! there. This is a change of representation only: the hopsets, answers
-//! and `Cost`s are those of a sweep over explicit copies, and §5's cost
-//! model still charges every band its `O(m)` rounding pass.
+//! A band is a grid over the input graph, not a graph of its own: its
+//! `d`, `ŵ`, `h` and hopset. A `ŵ > 1` band sweeps the input graph with
+//! every weight `w` read as `⌈w/ŵ⌉` as the sweep relaxes it (hopset edges
+//! are in grid units already); its hopset is built on a
+//! [`Rounding::round_graph`] copy that is dropped once the hopset exists.
+//! A `ŵ = 1` band sweeps the input weights with the plain sweep, which is
+//! exact because both banded builders refuse a graph whose distances can
+//! exceed 2⁵³ ([`crate::PshError::DistancesExceedF64`]), so `⌈w/1⌉ = w`
+//! for every weight they accept. A family holds one graph, its input
+//! ([`WeightedHopsets::graph`]). The hopsets, answers and `Cost`s are
+//! those of sweeps over explicit rounded copies, and §5's cost model
+//! still charges every band its `O(m)` rounding pass.
 
 use super::rounding::Rounding;
 use super::unweighted::build_hopset_with_beta0_on;
 use super::{Hopset, HopsetParams};
 use psh_exec::Executor;
-use psh_graph::traversal::bellman_ford::{hop_limited_pair_on, ExtraEdges, ExtraView};
+use psh_graph::traversal::bellman_ford::{
+    hop_limited_pair_mapped_on, hop_limited_pair_on, ExtraEdges, ExtraView, PairQuery,
+};
 use psh_graph::{CsrGraph, GraphView, VertexId, INF};
 use psh_pram::Cost;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One distance band's hopset, with its rounded graph when rounding
-/// moves an input weight.
+/// One distance band: a grid over the family's input graph and the
+/// hopset built on the input graph rounded to that grid.
 #[derive(Clone, Debug)]
 pub struct EstimateBand {
     /// Lower end of the distance band covered by this estimate.
     pub d: u64,
-    /// The rounding applied (`ŵ = ζd/k`).
+    /// The rounding applied (`ŵ = ζd/k`): the band sweeps the input
+    /// graph, [`WeightedHopsets::graph`], with every weight `w` read as
+    /// `⌈w/ŵ⌉`.
     pub rounding: Rounding,
-    /// The rounded graph, or `None` when the rounding leaves every input
-    /// weight as it is ([`Rounding::is_identity_on`]): the band then
-    /// sweeps the family's input graph, [`WeightedHopsets::graph`].
-    pub graph: Option<CsrGraph>,
-    /// The hopset built on the rounded graph (the input graph when
-    /// `graph` is `None`).
+    /// The hopset built on the rounded graph, in grid units.
     pub hopset: Hopset,
     /// Compiled adjacency of the hopset.
     pub extra: ExtraEdges,
@@ -81,7 +82,7 @@ pub struct WeightedHopsets {
 }
 
 impl WeightedHopsets {
-    /// The input graph: every band whose `graph` is `None` sweeps it.
+    /// The input graph, which every band sweeps on its own grid.
     pub fn graph(&self) -> &CsrGraph {
         &self.graph
     }
@@ -104,11 +105,11 @@ impl WeightedHopsets {
         if s == t {
             return (0.0, Cost::ZERO);
         }
-        let bands = self.bands.iter().map(|b| {
-            let graph = b.graph.as_ref().unwrap_or(&self.graph);
-            (&b.rounding, b.h, graph, b.extra.view())
-        });
-        query_bands(bands, s, t)
+        let bands = self
+            .bands
+            .iter()
+            .map(|b| (&b.rounding, b.h, b.extra.view()));
+        query_bands(&self.graph, bands, s, t)
     }
 }
 
@@ -119,23 +120,46 @@ fn is_exact(rounding: &Rounding, h: usize, n: usize) -> bool {
     rounding.what == 1.0 && h + 1 >= n
 }
 
+/// One band's `s`–`t` sweep over the base graph `graph`: the
+/// hop-limited pair sweep with budget `h`, every base weight `w` read as
+/// `⌈w/ŵ⌉` and the band's hopset edges, in grid units already, as
+/// stored. A `ŵ = 1` grid leaves every weight the builders accept as it
+/// is, so that band takes the plain sweep, with no per-edge float work.
+pub(crate) fn sweep_band<G: GraphView>(
+    graph: &G,
+    rounding: &Rounding,
+    h: usize,
+    extra: ExtraView<'_>,
+    s: VertexId,
+    t: VertexId,
+) -> (PairQuery, Cost) {
+    if rounding.what == 1.0 {
+        hop_limited_pair_on(graph, Some(extra), s, t, h)
+    } else {
+        let grid = |w| rounding.round_weight(w);
+        hop_limited_pair_mapped_on(graph, grid, Some(extra), s, t, h)
+    }
+}
+
 /// §5's query over one band family, whatever its storage: `bands` yields
-/// each band's rounding, hop budget, rounded graph (the base graph for a
-/// band that shares it) and hopset adjacency in increasing `d`. Returns
-/// the minimum of the unrounded h-hop values (`f64::INFINITY` if no band
-/// connects `s` and `t`) and the cost of the bands that ran, composed
-/// with `then`. The loop stops after a band with
-/// `ŵ = 1` whose sweep settled `t` or whose budget is `h ≥ n − 1`: that
-/// value is the exact distance, and every later band's is at least that.
-pub(crate) fn query_bands<'a, G: GraphView + 'a>(
-    bands: impl IntoIterator<Item = (&'a Rounding, usize, &'a G, ExtraView<'a>)>,
+/// each band's rounding, hop budget and hopset adjacency in increasing
+/// `d`, and every band sweeps the base graph `graph` on its own grid
+/// ([`sweep_band`]). Returns the minimum of the unrounded h-hop values
+/// (`f64::INFINITY` if no band connects `s` and `t`) and the cost of the
+/// bands that ran, composed with `then`. The loop stops after a band
+/// with `ŵ = 1` whose sweep settled `t` or whose budget is `h ≥ n − 1`:
+/// that value is the exact distance, and every later band's is at least
+/// that.
+pub(crate) fn query_bands<'a, G: GraphView>(
+    graph: &G,
+    bands: impl IntoIterator<Item = (&'a Rounding, usize, ExtraView<'a>)>,
     s: VertexId,
     t: VertexId,
 ) -> (f64, Cost) {
     let mut best = f64::INFINITY;
     let mut cost = Cost::ZERO;
-    for (rounding, h, graph, extra) in bands {
-        let (q, c) = hop_limited_pair_on(graph, Some(extra), s, t, h);
+    for (rounding, h, extra) in bands {
+        let (q, c) = sweep_band(graph, rounding, h, extra, s, t);
         cost = cost.then(c);
         if q.dist != INF {
             best = best.min(rounding.unround(q.dist));
@@ -165,8 +189,10 @@ pub(crate) enum Bands {
 /// schedule). Every band's `d`, rounding, hop budget and seed are fixed
 /// in band order before the fan-out, and `keep` cuts that list only
 /// afterwards, so the family is byte-identical for any policy and a cut
-/// family is a prefix of the full one. Whichever `keep` asks, a band
-/// copies `g` only when its rounding moves a weight.
+/// family is a prefix of the full one. A `ŵ > 1` band builds its hopset
+/// on a rounded copy of `g` and drops the copy once the hopset exists;
+/// the caller has checked that `g`'s distances stay within 2⁵³, so a
+/// `ŵ = 1` band builds on `g` itself.
 pub(crate) fn build_weighted_hopsets_impl<R: Rng>(
     exec: &Executor,
     g: &CsrGraph,
@@ -204,22 +230,22 @@ pub(crate) fn build_weighted_hopsets_impl<R: Rng>(
     }
 
     let bands: Vec<(EstimateBand, Cost)> = exec.par_map(&tasks, 1, |(d, rounding, h, seed)| {
-        // CSR layout is a function of the edge list, so a copy that
-        // rounds nothing would equal `g`: build and sweep on `g` itself
-        let graph = (!rounding.is_identity_on(g.edges())).then(|| rounding.round_graph(g));
+        // at ŵ = 1 the copy would equal `g`; a ŵ > 1 copy lives only as
+        // long as its hopset's construction
+        let copy = (rounding.what != 1.0).then(|| rounding.round_graph(g));
         let (hopset, hcost) = build_hopset_with_beta0_on(
             exec,
-            graph.as_ref().unwrap_or(g),
+            copy.as_ref().unwrap_or(g),
             params,
             beta0,
             &mut StdRng::seed_from_u64(*seed),
         );
+        drop(copy);
         let extra = hopset.to_extra_edges();
         (
             EstimateBand {
                 d: *d,
                 rounding: rounding.clone(),
-                graph,
                 hopset,
                 extra,
                 h: *h,
@@ -319,50 +345,6 @@ mod tests {
             checked += 1;
         }
         assert_eq!(checked, 4);
-    }
-
-    /// A band holds a rounded copy exactly when its rounding moves an
-    /// input weight, and the family answers every pair, `Cost` included,
-    /// as a sweep over an explicit `round_graph` copy per band does.
-    #[test]
-    fn bands_copy_the_graph_only_when_rounding_moves_a_weight() {
-        let g = weighted_instance(10);
-        let wh = build(&g, 0.4, &mut StdRng::seed_from_u64(11));
-        let copies: Vec<CsrGraph> = wh
-            .bands
-            .iter()
-            .map(|b| b.rounding.round_graph(&g))
-            .collect();
-        let mut shared = 0;
-        for (band, copy) in wh.bands.iter().zip(&copies) {
-            let identity = band.rounding.is_identity_on(g.edges());
-            match &band.graph {
-                None => {
-                    assert!(identity, "band at d = {} shares wrongly", band.d);
-                    assert_eq!(copy, &g);
-                    shared += 1;
-                }
-                Some(own) => {
-                    assert!(!identity, "band at d = {} copies needlessly", band.d);
-                    assert_eq!(own, copy);
-                }
-            }
-        }
-        assert!(
-            shared >= 1 && shared < wh.num_bands(),
-            "the fixture needs both kinds of band"
-        );
-        let n = g.n() as VertexId;
-        for s in (0..n).step_by(3) {
-            for t in (0..n).filter(|&t| t != s) {
-                let bands = wh
-                    .bands
-                    .iter()
-                    .zip(&copies)
-                    .map(|(b, copy)| (&b.rounding, b.h, copy, b.extra.view()));
-                assert_eq!(wh.query(s, t), query_bands(bands, s, t), "({s}, {t})");
-            }
-        }
     }
 
     #[test]

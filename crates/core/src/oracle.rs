@@ -25,17 +25,13 @@
 //! straight out of a snapshot region opened through
 //! [`psh_graph::SnapshotSource`] — what
 //! [`crate::snapshot::load_oracle_v2`] produces). Either way the oracle
-//! holds one base graph, and a weighted band whose rounding leaves every
-//! base weight as it is (`ŵ = 1`; see [`crate::hopset::weighted`]) sweeps
-//! that base graph. Only a band whose rounding moves a weight holds a
-//! graph of its own: an owned `CsrGraph`, or an [`MmapView`] sharing the
-//! base graph's offset, target and edge-id slabs with its own weights and
-//! edge records. At the default parameters no kept band does. The two
-//! representations answer every query byte-identically, **costs
-//! included**, under every [`ExecutionPolicy`]: both route through the
-//! same generic hop-limited relaxation, and the mapped slabs are
-//! validated at load time to iterate exactly like the owned structures
-//! they mirror.
+//! holds one graph, its base graph. A weighted band holds none: it is its
+//! `d`, grid `ŵ`, hop budget and hopset, and it sweeps the base graph on
+//! its grid (see [`crate::hopset::weighted`]). The two representations
+//! answer every query byte-identically, **costs included**, under every
+//! [`ExecutionPolicy`]: both route through the same generic hop-limited
+//! relaxation, and the mapped slabs are validated at load time to
+//! iterate exactly like the owned structures they mirror.
 
 use crate::hopset::rounding::Rounding;
 use crate::hopset::unweighted::build_hopset_with_beta0_on;
@@ -153,17 +149,12 @@ pub(crate) enum MappedMode {
     },
 }
 
-/// One distance band of a mapped weighted oracle: its hopset, and its
-/// rounded graph when the file stores one.
+/// One distance band of a mapped weighted oracle: a grid over
+/// [`MappedOracle::graph`] and its hopset.
 pub(crate) struct MappedBand {
     pub(crate) d: u64,
     pub(crate) rounding: Rounding,
     pub(crate) h: usize,
-    /// The rounded graph as a view (offsets, targets and edge ids shared
-    /// with the base graph; weights and edge records the band's own), or
-    /// `None` for a band with `ŵ = 1` and no weight slabs of its own,
-    /// which sweeps [`MappedOracle::graph`].
-    pub(crate) graph: Option<MmapView>,
     pub(crate) hopset: MappedHopset,
 }
 
@@ -234,9 +225,6 @@ pub(crate) struct BandParts<'a> {
     pub(crate) what: f64,
     pub(crate) h: usize,
     pub(crate) hopset: HopsetParts<'a>,
-    /// The band's own rounded edge list (same `(u, v)` pairs as the base
-    /// graph, weights `⌈w/ŵ⌉`), or `None` when it sweeps the base graph.
-    pub(crate) band_edges: Option<&'a [Edge]>,
 }
 
 /// Borrowed mode-specific fields, whatever the storage.
@@ -359,11 +347,10 @@ impl ApproxShortestPaths {
                     (if d == INF { f64::INFINITY } else { d as f64 }, cost)
                 }
                 MappedMode::Weighted { bands, .. } => {
-                    let bands = bands.iter().map(|b| {
-                        let graph = b.graph.as_ref().unwrap_or(&m.graph);
-                        (&b.rounding, b.h, graph, b.hopset.extra.view())
-                    });
-                    query_bands(bands, s, t)
+                    let bands = bands
+                        .iter()
+                        .map(|b| (&b.rounding, b.h, b.hopset.extra.view()));
+                    query_bands(&m.graph, bands, s, t)
                 }
             },
         };
@@ -473,7 +460,6 @@ impl ApproxShortestPaths {
                             what: b.rounding.what,
                             h: b.h,
                             hopset: owned_hopset_parts(&b.hopset),
-                            band_edges: b.graph.as_ref().map(|g| g.edges()),
                         })
                         .collect(),
                 },
@@ -497,7 +483,6 @@ impl ApproxShortestPaths {
                             what: b.rounding.what,
                             h: b.h,
                             hopset: b.hopset.parts(),
-                            band_edges: b.graph.as_ref().map(|g| g.edges()),
                         })
                         .collect(),
                 },
@@ -689,6 +674,63 @@ mod tests {
                     let cut = run.artifact.query(s, t);
                     assert_eq!(full.query(s, t), cut, "({s}, {t}), η = {eta}");
                     assert_eq!(mapped.query(s, t), cut, "({s}, {t}), η = {eta}");
+                }
+            }
+        }
+    }
+
+    /// Every band of a full `HopsetBuilder::weighted` family, `ŵ > 1`
+    /// bands included, swept on its own (not through the band loop, which
+    /// stops early) answers as `hop_limited_pair` over the band's explicit
+    /// `round_graph` copy — dist, hops, settled flag and `Cost` — and so
+    /// does each band of the family loaded from v2 under both levels.
+    #[test]
+    fn every_band_sweeps_the_base_graph_like_its_explicit_rounded_copy() {
+        use crate::hopset::weighted::sweep_band;
+        use crate::snapshot::{read_oracle_v2, write_oracle_v2_bytes, OracleMeta};
+        use psh_graph::{SnapshotSource, Verify};
+        use std::sync::Arc;
+        let g = weighted_king_grid(7, 2);
+        for eta in [0.25, 0.5] {
+            let family = full_family(&g, eta, 4);
+            let wide = family.bands.iter().filter(|b| b.rounding.what > 1.0);
+            assert!(wide.count() >= 1, "η = {eta}: no ŵ > 1 band");
+            let owned = ApproxShortestPaths {
+                repr: Repr::Owned(Mode::Weighted {
+                    hopsets: family.clone(),
+                }),
+            };
+            let meta = OracleMeta {
+                params: HopsetParams::default(),
+                seed: Seed(4),
+                build_cost: Cost::ZERO,
+            };
+            let bytes = write_oracle_v2_bytes(&owned, &meta).unwrap();
+            let loads = [Verify::Bounds, Verify::Deep].map(|verify| {
+                let src = Arc::new(SnapshotSource::from_bytes(&bytes));
+                match read_oracle_v2(src, verify).unwrap().0.repr {
+                    Repr::Mapped(MappedOracle {
+                        graph,
+                        mode: MappedMode::Weighted { bands, .. },
+                    }) => (graph, bands),
+                    _ => panic!("a banded file loads as a mapped banded oracle"),
+                }
+            });
+            let n = g.n() as VertexId;
+            for (i, band) in family.bands.iter().enumerate() {
+                let copy = band.rounding.round_graph(&g);
+                for s in 0..n {
+                    for t in 0..n {
+                        let explicit = hop_limited_pair(&copy, Some(&band.extra), s, t, band.h);
+                        let swept = sweep_band(&g, &band.rounding, band.h, band.extra.view(), s, t);
+                        assert_eq!(swept, explicit, "owned band {i}, ({s}, {t})");
+                        for (graph, bands) in &loads {
+                            let b = &bands[i];
+                            let swept =
+                                sweep_band(graph, &b.rounding, b.h, b.hopset.extra.view(), s, t);
+                            assert_eq!(swept, explicit, "mapped band {i}, ({s}, {t})");
+                        }
+                    }
                 }
             }
         }

@@ -44,6 +44,7 @@
 
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use psh_graph::{CsrGraph, DeltaOp, GraphDelta, LoadMode};
 
@@ -379,9 +380,30 @@ pub struct ReloadReport {
 /// resets its record cursor and keeps serving without a reload.
 pub struct JournalReloader {
     journal: PathBuf,
-    graph: CsrGraph,
+    served: Served,
     meta: OracleMeta,
     consumed: usize,
+}
+
+/// The graph the service answers for: the one handed to
+/// [`JournalReloader::new`] until the first rebuild, then the graph
+/// inside the oracle that rebuild swapped in, shared with the service
+/// rather than copied.
+enum Served {
+    Given(CsrGraph),
+    Rebuilt(Arc<ApproxShortestPaths>),
+}
+
+impl Served {
+    fn graph(&self) -> &CsrGraph {
+        match self {
+            Served::Given(g) => g,
+            Served::Rebuilt(oracle) => match oracle.graph() {
+                OracleGraph::Owned(g) => g,
+                OracleGraph::Mapped(_) => unreachable!("a rebuilt oracle is owned"),
+            },
+        }
+    }
 }
 
 impl JournalReloader {
@@ -389,10 +411,13 @@ impl JournalReloader {
     /// derived via [`journal_path`]). `graph` and `meta` must describe
     /// the oracle the service currently serves — use
     /// [`owned_base_graph`] on it and the meta its snapshot loaded with.
+    /// The reloader keeps `graph` only until its first rebuild; from then
+    /// on it applies new records to the graph of the oracle it swapped
+    /// in, so it and the service hold one copy between them.
     pub fn new(base_path: impl AsRef<Path>, graph: CsrGraph, meta: OracleMeta) -> JournalReloader {
         JournalReloader {
             journal: journal_path(base_path),
-            graph,
+            served: Served::Given(graph),
             meta,
             consumed: 0,
         }
@@ -422,12 +447,13 @@ impl JournalReloader {
             }
             Err(e) => return Err(e),
         };
-        if jn != self.graph.n() {
+        let graph = self.served.graph();
+        if jn != graph.n() {
             return Err(corrupt(
                 "journal vertex count",
                 format!(
                     "journal targets n = {jn}, served graph has n = {}",
-                    self.graph.n()
+                    graph.n()
                 ),
             ));
         }
@@ -441,12 +467,14 @@ impl JournalReloader {
             return Ok(None);
         }
         let fresh = &deltas[self.consumed..];
-        let mutated = apply_deltas(&self.graph, fresh)?;
+        let mutated = apply_deltas(graph, fresh)?;
         // The rebuild runs here — on this thread, fanning out on the
         // psh-exec pool — while the service keeps answering from the old
-        // epoch; only the swap itself takes the service lock.
+        // epoch; only the swap itself takes the service lock. A refused
+        // rebuild returns before anything changes.
         let (rebuilt, new_meta) = rebuild_oracle(&mutated, &self.meta)?;
-        let epoch = service.swap_oracle(std::sync::Arc::new(rebuilt));
+        let rebuilt = Arc::new(rebuilt);
+        let epoch = service.swap_oracle(Arc::clone(&rebuilt));
         let report = ReloadReport {
             epoch,
             records: fresh.len(),
@@ -454,7 +482,7 @@ impl JournalReloader {
             n: mutated.n() as u64,
             m: mutated.m() as u64,
         };
-        self.graph = mutated;
+        self.served = Served::Rebuilt(rebuilt);
         self.meta = new_meta;
         self.consumed = deltas.len();
         Ok(Some(report))

@@ -1,9 +1,8 @@
 //! `SNAPSHOT_VERSION = 2` oracle snapshots — the one on-disk format.
 //!
 //! A v2 snapshot is a *region*: all query-time state — including the
-//! derived state a fresh build computes (the rounded weights of a band
-//! whose rounding moves a base weight, every hopset's query adjacency) —
-//! is stored as page-aligned little-endian slabs indexed by a section
+//! derived state a fresh build computes (every hopset's query adjacency)
+//! — is stored as page-aligned little-endian slabs indexed by a section
 //! directory (framework in
 //! [`psh_graph::source`]), so loading is one `mmap` (or one bulk read
 //! into an aligned buffer) plus validation, and queries run straight off
@@ -20,23 +19,19 @@
 //! | `7` (`SEC_HOPSET_EDGES`)  | unweighted hopset shortcut edges, construction order, 16 B each |
 //! | `8`–`10` (`SEC_EXTRA_*`)  | unweighted hopset adjacency: offsets `(n+1)×u32`, targets `2m'×u32`, weights `2m'×u64` |
 //! | `11` (`SEC_BANDS`)        | weighted mode: one 56-byte record per band (`d`, `ŵ`, `h`, star/clique/level/edge counts) |
-//! | `0x100 + 16·b + s`        | weighted band `b`, sub-slab `s` (see [`band_tag`]) |
+//! | `0x100 + 16·b + s`        | weighted band `b`, sub-slab `s ∈ 2..=5`: its hopset (see [`band_tag`]) |
 //!
 //! `SEC_META` is a fixed-offset scalar block: build params (5×f64), seed,
 //! build cost (2×u64), mode, `n`, `m`, then mode-specific scalars.
 //!
-//! Sub-slabs 2–5 (the band's hopset) are always present. Sub-slabs 0 and
-//! 1 ([`BAND_SUB_SLOT_WEIGHTS`], [`BAND_SUB_EDGES`]: the rounded weights,
-//! `2m × u64`, and edge records, `m × 16` bytes) are written only for a
-//! band whose rounding moves a base weight, where
-//! [`Rounding::is_identity_on`] fails: one with `ŵ > 1`, or with `ŵ = 1`
-//! over a weight above 2⁵³. Any other band sweeps the base graph's slabs,
-//! so at the default parameters, where every kept band has `ŵ = 1`, no
-//! band stores either. The rule, not how the oracle holds a
-//! band, decides, so re-saving a load of an older file, which stores both
-//! for every band, writes the bytes a fresh build does. An older build
-//! refuses a file without them as [`SnapshotError::Corrupt`] naming
-//! `band weights`.
+//! A band stores no graph: it is a grid over the base graph, which every
+//! band sweeps with each weight `w` read as `⌈w/ŵ⌉`. Sub-slabs 0 and 1
+//! (tags `0x100 + 16·b + {0, 1}`), where older builds stored a band's
+//! rounded slot weights and edge records, are retired: no reader looks
+//! at them at either level, so an older file that stores them serves,
+//! and re-saving a load of it writes the bytes a fresh build does. A
+//! build that still reads them refuses a file with a `ŵ > 1` band as
+//! [`SnapshotError::Corrupt`] naming `band weights`.
 //!
 //! ## Trust model
 //!
@@ -50,33 +45,29 @@
 //! slabs — the weight and edge-record slabs stay cold, which is what
 //! makes an `mmap` open lazy and fast.
 //!
-//! A band's sub-slabs 0 and 1 come as a pair: both absent marks a band
-//! that sweeps the base graph, and its record must say `ŵ = 1`; only one
-//! present is [`SnapshotError::Corrupt`] naming the missing one. Both
-//! checks are structural, so `Bounds` makes them too.
-//!
 //! [`Verify::Deep`] ([`verify_oracle_v2`]; used by `psh-snap` and the
-//! corruption suites) additionally pins every *derived* slab to exactly
+//! corruption suites) additionally pins every *derived* value to exactly
 //! what a fresh build computes: the CSR slabs must replay the canonical
-//! fill sweep, each stored band weight must equal `⌈w/ŵ⌉` of its base
-//! weight, every base weight a band without stored weights sweeps must
-//! round to itself, and each hopset adjacency must replay the
-//! `ExtraEdges` fill order. A snapshot that deep-validates therefore
-//! answers every query — costs included — byte-identically to the owned
-//! oracle it was saved from, under every `ExecutionPolicy`; since the
-//! writer is canonical, every snapshot this crate produces
+//! fill sweep, the base weights must keep every distance within 2⁵³
+//! (the builders' cap, [`crate::PshError::DistancesExceedF64`]), each
+//! band's `ŵ` must equal [`Rounding::for_band`] of its `d`, `n` and `ε`
+//! (else `Corrupt` naming `band grid`), and each hopset adjacency must
+//! replay the `ExtraEdges` fill order. A snapshot that deep-validates
+//! therefore answers every query — costs included — byte-identically to
+//! the owned oracle it was saved from, under every `ExecutionPolicy`;
+//! since the writer is canonical, every snapshot this crate produces
 //! deep-validates, so the byte-identity guarantee holds for the `Bounds`
 //! serving path on any untampered file. Malformed input is a typed
 //! [`SnapshotError`] at either level, never a panic or out-of-bounds
 //! access — in-bounds tampering below `Deep`'s radar can change answers,
 //! never memory safety. Every graph, hopset and band section above is
-//! required, bar the band sub-slab pair: a file without one (such as an
-//! older build's file that stored the base adjacency under the retired
-//! tags 12 and 13) is a [`SnapshotError::Corrupt`] naming the missing
-//! section. A file of any other version (the retired version-1 stream
-//! format included) is [`SnapshotError::UnsupportedVersion`] on every
-//! open path.
+//! required: a file without one (such as an older build's file that
+//! stored the base adjacency under the retired tags 12 and 13) is a
+//! [`SnapshotError::Corrupt`] naming the missing section. A file of any
+//! other version (the retired version-1 stream format included) is
+//! [`SnapshotError::UnsupportedVersion`] on every open path.
 
+use crate::api::check_distance_cap;
 use crate::hopset::rounding::Rounding;
 use crate::hopset::HopsetParams;
 use crate::oracle::{
@@ -91,7 +82,7 @@ use psh_graph::source::{
     validate_edges_any_order, SectionTable, SectionWriter, SEC_GRAPH_EDGES, SEC_GRAPH_EIDS,
     SEC_GRAPH_OFFSETS, SEC_GRAPH_TARGETS, SEC_GRAPH_WEIGHTS, SEC_META,
 };
-use psh_graph::{ExtraSlabsView, GraphView, LoadMode, MmapView, SnapshotSource, Verify};
+use psh_graph::{ExtraSlabsView, LoadMode, MmapView, SnapshotSource, Verify};
 use psh_pram::Cost;
 use std::path::Path;
 use std::sync::Arc;
@@ -115,13 +106,8 @@ pub const BAND_RECORD_BYTES: usize = 56;
 /// First tag of the per-band slab space.
 pub const SEC_BAND_BASE: u32 = 0x100;
 
-/// Per-band sub-slab: rounded adjacency slot weights, `2m × u64` (only
-/// for a band whose rounding moves a base weight; see the module docs).
-pub const BAND_SUB_SLOT_WEIGHTS: u32 = 0;
-/// Per-band sub-slab: rounded edge records, `m × 16` bytes (present
-/// exactly when [`BAND_SUB_SLOT_WEIGHTS`] is).
-pub const BAND_SUB_EDGES: u32 = 1;
 /// Per-band sub-slab: hopset shortcut edges, construction order.
+/// (Sub-slabs 0 and 1 are retired; see the module docs.)
 pub const BAND_SUB_HOPSET_EDGES: u32 = 2;
 /// Per-band sub-slab: hopset adjacency offsets.
 pub const BAND_SUB_EXTRA_OFFSETS: u32 = 3;
@@ -357,27 +343,6 @@ pub fn write_oracle_v2_bytes(
             }
             w.section(SEC_BANDS, records);
             for (i, band) in bands.iter().enumerate() {
-                // a band whose rounding moves a base weight stores its
-                // slot weights and edge records (it shares offsets,
-                // targets and eids with the base graph); any other band
-                // sweeps the base graph and stores neither. The rule
-                // decides, not how the band is held, so a load of an
-                // older file re-saves to a fresh build's bytes
-                let rounding = Rounding { what: band.what };
-                if !rounding.is_identity_on(edges) {
-                    let own = band.band_edges.ok_or_else(|| {
-                        corrupt(
-                            "band weights",
-                            format_args!(
-                                "band {i} sweeps the base graph, but ⌈w/ŵ⌉ moves a base weight"
-                            ),
-                        )
-                    })?;
-                    debug_assert_eq!(own.len(), edges.len());
-                    let band_csr = encode_csr_slabs(n, own);
-                    w.section(band_tag(i, BAND_SUB_SLOT_WEIGHTS), band_csr.weights);
-                    w.section(band_tag(i, BAND_SUB_EDGES), band_csr.edges);
-                }
                 hopset_sections(
                     &mut w,
                     n,
@@ -484,112 +449,6 @@ fn load_hopset(
     })
 }
 
-/// Band `i`'s own rounded graph, or `None` when the band sweeps the base
-/// graph `base`. The two sub-slabs come together: both absent marks a
-/// band with `ŵ = 1` whose rounding leaves every base weight as it is,
-/// which [`Verify::Deep`] checks; both present is a band's own rounded
-/// graph (every band of an older file, or one with `ŵ > 1`), whose
-/// weights `Deep` re-derives from the base weights.
-fn load_band_graph(
-    src: &Arc<SnapshotSource>,
-    table: &SectionTable,
-    base: &MmapView,
-    [offsets, targets, slot_eids]: [&[u32]; 3],
-    i: usize,
-    rounding: &Rounding,
-    verify: Verify,
-) -> Result<Option<MmapView>, SnapshotError> {
-    let bytes = src.bytes();
-    let base_edges = base.edges();
-    let (band_weights, band_edges) = match (
-        table.slice(bytes, band_tag(i, BAND_SUB_SLOT_WEIGHTS)),
-        table.slice(bytes, band_tag(i, BAND_SUB_EDGES)),
-    ) {
-        (None, None) => {
-            if rounding.what != 1.0 {
-                return Err(corrupt(
-                    "band weights",
-                    format_args!(
-                        "band {i} stores no weights, so it must sweep the base graph, \
-                         but its grid is ŵ = {}, not 1",
-                        rounding.what
-                    ),
-                ));
-            }
-            // the base graph is the band's rounded graph only if ⌈w/ŵ⌉
-            // leaves every base weight as it is
-            if verify == Verify::Deep && !rounding.is_identity_on(base_edges) {
-                return Err(corrupt(
-                    "band weight",
-                    format_args!("band {i} sweeps the base graph, but ⌈w/ŵ⌉ moves a base weight"),
-                ));
-            }
-            return Ok(None);
-        }
-        (Some(weights), Some(edges)) => (
-            cast_u64s(weights, "band weights")?,
-            cast_edges(edges, "band edges")?,
-        ),
-        (None, Some(_)) => {
-            return Err(corrupt(
-                "band weights",
-                format_args!("band {i} stores edge records but no slot weights"),
-            ))
-        }
-        (Some(_), None) => {
-            return Err(corrupt(
-                "band edges",
-                format_args!("band {i} stores slot weights but no edge records"),
-            ))
-        }
-    };
-    if band_edges.len() != base_edges.len() {
-        return Err(corrupt(
-            "band edges",
-            format_args!(
-                "band {i} stores {} edges, graph has {}",
-                band_edges.len(),
-                base_edges.len()
-            ),
-        ));
-    }
-    let graph = match verify {
-        // the band shares the base graph's adjacency structure — reuse
-        // its validated slabs instead of re-scanning them once per band
-        Verify::Bounds => base.reweighted(band_weights, band_edges)?,
-        Verify::Deep => {
-            // the stored rounded weights must be exactly what a fresh
-            // build rounds from the base graph — that equality is what
-            // makes the mapped oracle answer-identical to the owned one
-            for (j, (be, ge)) in band_edges.iter().zip(base_edges).enumerate() {
-                if be.w != rounding.round_weight(ge.w) {
-                    return Err(corrupt(
-                        "band weight",
-                        format_args!(
-                            "band {i} edge {j} stores weight {}, rounding ⌈{}/ŵ⌉ gives {}",
-                            be.w,
-                            ge.w,
-                            rounding.round_weight(ge.w)
-                        ),
-                    ));
-                }
-            }
-            // the fill-sweep replay inside from_parts also pins the band
-            // edges to the base (u, v) pairs in order
-            MmapView::from_parts(
-                Arc::clone(src),
-                offsets,
-                targets,
-                band_weights,
-                slot_eids,
-                band_edges,
-                Verify::Deep,
-            )?
-        }
-    };
-    Ok(Some(graph))
-}
-
 /// Parse and validate a v2 oracle snapshot held in `src` at the given
 /// [`Verify`] level, returning an oracle that serves straight off the
 /// region.
@@ -655,6 +514,12 @@ pub fn read_oracle_v2(
         edges,
         verify,
     )?;
+    if verify == Verify::Deep {
+        // every builder refuses such weights, and §5's grid is exact
+        // only below them
+        let max_weight = edges.iter().map(|e| e.w).max().unwrap_or(0);
+        check_distance_cap(n, max_weight).map_err(|e| corrupt("graph weights", e))?;
+    }
 
     let mode = match meta.mode {
         0 => {
@@ -693,6 +558,12 @@ pub fn read_oracle_v2(
                 return Err(corrupt("eta", format_args!("must be in (0,1), got {eta}")));
             }
             let epsilon = f64::from_bits(meta.tail[1]);
+            if !(epsilon > 0.0 && epsilon < 1.0) {
+                return Err(corrupt(
+                    "epsilon",
+                    format_args!("must be in (0,1), got {epsilon}"),
+                ));
+            }
             let band_count = meta.tail[2] as usize;
             if band_count == 0 && n > 0 {
                 return Err(corrupt(
@@ -735,6 +606,19 @@ pub fn read_oracle_v2(
                         format_args!("grid ŵ must be finite and ≥ 1, got {what}"),
                     ));
                 }
+                if verify == Verify::Deep {
+                    // the grid is a function of d, n and ε, as the build
+                    // derives it
+                    let derived = Rounding::for_band(d, n.max(2) as u64, epsilon / 2.0).what;
+                    if what != derived {
+                        return Err(corrupt(
+                            "band grid",
+                            format_args!(
+                                "band {i} at d = {d} stores ŵ = {what}, the build derives {derived}"
+                            ),
+                        ));
+                    }
+                }
                 let h = meta_u64(rec, 16) as usize;
                 if h == 0 {
                     return Err(corrupt(
@@ -742,16 +626,6 @@ pub fn read_oracle_v2(
                         format_args!("band {i} has a hop budget of 0"),
                     ));
                 }
-                let rounding = Rounding { what };
-                let band_graph = load_band_graph(
-                    &src,
-                    &table,
-                    &graph,
-                    [offsets, targets, slot_eids],
-                    i,
-                    &rounding,
-                    verify,
-                )?;
                 let hopset = load_hopset(
                     &src,
                     &table,
@@ -772,9 +646,8 @@ pub fn read_oracle_v2(
                 )?;
                 bands.push(MappedBand {
                     d,
-                    rounding,
+                    rounding: Rounding { what },
                     h,
-                    graph: band_graph,
                     hopset,
                 });
             }
@@ -866,8 +739,8 @@ pub fn section_name(tag: u32) -> String {
         t if t >= SEC_BAND_BASE => {
             let band = (t - SEC_BAND_BASE) / 16;
             let sub = match (t - SEC_BAND_BASE) % 16 {
-                BAND_SUB_SLOT_WEIGHTS => "slot_weights",
-                BAND_SUB_EDGES => "edges",
+                0 => "slot_weights (retired)",
+                1 => "edges (retired)",
                 BAND_SUB_HOPSET_EDGES => "hopset.edges",
                 BAND_SUB_EXTRA_OFFSETS => "hopset.extra.offsets",
                 BAND_SUB_EXTRA_TARGETS => "hopset.extra.targets",
@@ -904,8 +777,8 @@ pub fn inspect_v2(bytes: &[u8]) -> Result<OracleSections, SnapshotError> {
 mod tests {
     use super::*;
     use crate::api::{OracleBuilder, OracleMode};
-    use crate::hopset::weighted::query_bands;
-    use crate::oracle::{Mode, OracleGraph, QueryResult};
+    use crate::oracle::OracleGraph;
+    use crate::PshError;
     use proptest::prelude::*;
     use psh_exec::ExecutionPolicy;
     use psh_graph::{generators, CsrGraph, Edge, VertexId};
@@ -977,21 +850,10 @@ mod tests {
         (g, run.artifact, meta)
     }
 
-    /// Odd weights just above 2⁵³, which `⌈w/1⌉` in f64 moves: even the
-    /// `ŵ = 1` bands fail the sharing rule.
-    fn above_2_pow_53() -> (CsrGraph, ApproxShortestPaths, OracleMeta) {
-        let base = generators::grid2d(4, 4);
-        let g = CsrGraph::from_edges(
-            base.n(),
-            base.edges()
-                .iter()
-                .enumerate()
-                .map(|(i, e)| Edge::new(e.u, e.v, (1 << 53) + 2 * i as u64 + 1)),
-        );
-        let run = OracleBuilder::new().seed(Seed(5)).build(&g).unwrap();
-        let meta = OracleMeta::of_run(&run, HopsetParams::default());
-        (g, run.artifact, meta)
-    }
+    /// The retired per-band sub-slabs older builds wrote: a band's
+    /// rounded slot weights and its rounded edge records.
+    const RETIRED_SLOT_WEIGHTS: u32 = 0;
+    const RETIRED_EDGES: u32 = 1;
 
     fn band_parts(oracle: &ApproxShortestPaths) -> Vec<crate::oracle::BandParts<'_>> {
         match oracle.mode_parts() {
@@ -1000,13 +862,13 @@ mod tests {
         }
     }
 
-    /// The per-band weight and edge-record sections `bytes` holds.
+    /// The retired per-band weight and edge-record sections `bytes` holds.
     fn band_weight_sections(bytes: &[u8]) -> Vec<String> {
         let info = inspect_v2(bytes).unwrap();
         info.sections
             .into_iter()
             .map(|(_, name, _, _)| name)
-            .filter(|name| name.ends_with(".slot_weights") || name.ends_with("].edges"))
+            .filter(|name| name.ends_with("(retired)"))
             .collect()
     }
 
@@ -1023,10 +885,12 @@ mod tests {
         w.finish()
     }
 
-    /// `bytes` with band `i`'s slot-weight and edge-record sub-slabs,
-    /// rounded from `g` by the band's `ŵ`, added where `add(i)` says —
-    /// just before its hopset sections, where older builds wrote them.
-    /// With both for every band this is the layout of those builds.
+    /// `bytes` with band `i`'s retired slot-weight and edge-record
+    /// sub-slabs, rounded from `g` by the band's `ŵ`, added where `add(i)`
+    /// says — just before its hopset sections, where older builds wrote
+    /// them. With both for every band this is the layout of builds before
+    /// the base slabs were shared; with both for each `ŵ > 1` band only,
+    /// that of the build after.
     fn with_band_slabs(
         bytes: &[u8],
         g: OracleGraph<'_>,
@@ -1051,10 +915,10 @@ mod tests {
                 let csr = encode_csr_slabs(g.n(), &rounded);
                 let [weights, edges] = add(i);
                 if weights {
-                    out.push((band_tag(i, BAND_SUB_SLOT_WEIGHTS), csr.weights));
+                    out.push((band_tag(i, RETIRED_SLOT_WEIGHTS), csr.weights));
                 }
                 if edges {
-                    out.push((band_tag(i, BAND_SUB_EDGES), csr.edges));
+                    out.push((band_tag(i, RETIRED_EDGES), csr.edges));
                 }
             }
             out.push((tag, payload.to_vec()));
@@ -1259,17 +1123,9 @@ mod tests {
             ("eta", put(meta_off + 88, 0f64.to_bits())),
             ("eta", put(meta_off + 88, 1f64.to_bits())),
             ("eta", put(meta_off + 88, f64::NAN.to_bits())),
-            // band 0 (ŵ = 1) stores no weights: its record may not claim
-            // ŵ = 2, and it may not store just one of its two sub-slabs
-            ("band weights", put(bands_off + 8, 2.0f64.to_bits())),
-            (
-                "band edges",
-                with_band_slabs(&bytes, fresh.graph(), |i| [i == 0, false]),
-            ),
-            (
-                "band weights",
-                with_band_slabs(&bytes, fresh.graph(), |i| [false, i == 0]),
-            ),
+            ("epsilon", put(meta_off + 96, 0f64.to_bits())),
+            ("epsilon", put(meta_off + 96, 1f64.to_bits())),
+            ("epsilon", put(meta_off + 96, f64::NAN.to_bits())),
         ];
         for (field, bad) in &cases {
             for verify in [Verify::Bounds, Verify::Deep] {
@@ -1283,16 +1139,11 @@ mod tests {
         }
     }
 
-    /// At the default parameters every kept band sweeps the base graph:
-    /// the owned bands hold no graph, and the file holds no per-band
+    /// The file lists every section by name, and no band stores a
     /// weight or edge-record section.
     #[test]
     fn inspect_reports_the_section_directory() {
         let (_, fresh, meta) = default_weighted();
-        for band in band_parts(&fresh) {
-            assert_eq!(band.what, 1.0);
-            assert!(band.band_edges.is_none(), "band at d = {}", band.d);
-        }
         let bytes = write_oracle_v2_bytes(&fresh, &meta).unwrap();
         let info = inspect_v2(&bytes).unwrap();
         assert_eq!(info.kind, KIND_ORACLE);
@@ -1375,220 +1226,147 @@ mod tests {
         ));
     }
 
-    /// Stored band weights are re-derived under `Deep`: the test tampers
-    /// the one band that stores them, the `ŵ > 1` band of
-    /// [`coarse_weighted`].
+    /// A band's grid is re-derived from its `d`, `n` and `ε` under
+    /// `Deep`, so a record claiming another `ŵ` is `band grid` there;
+    /// `Bounds` reads the grid as stored and serves the file (with other
+    /// answers, never a panic). Tried on a `ŵ = 1` band and on the `ŵ > 1`
+    /// band of [`coarse_weighted`].
     #[test]
-    fn tampered_band_weights_fail_the_derivation_check() {
-        let (_, fresh, meta) = coarse_weighted();
+    fn a_band_grid_the_build_would_not_derive_fails_deep() {
+        let (g, fresh, meta) = coarse_weighted();
         let bytes = write_oracle_v2_bytes(&fresh, &meta).unwrap();
         let info = inspect_v2(&bytes).unwrap();
-        let last = info.bands - 1;
-        // bump one stored band edge weight (bytes 8..16 of the first
-        // record) so it no longer equals ⌈w/ŵ⌉ — both the edge slab and
-        // the slot-weight slab are cross-checked against the base graph
-        let edges_name = format!("band[{last}].edges");
-        let edges_off = info.sections.iter().find(|s| s.1 == edges_name).unwrap().2 as usize;
-        let mut bad = bytes.clone();
-        let w = u64::from_le_bytes(bad[edges_off + 8..edges_off + 16].try_into().unwrap());
-        bad[edges_off + 8..edges_off + 16].copy_from_slice(&(w + 1).to_le_bytes());
-        let err =
-            read_oracle_v2(Arc::new(SnapshotSource::from_bytes(&bad)), Verify::Deep).unwrap_err();
+        let bands_off = info.sections.iter().find(|s| s.1 == "bands").unwrap().2 as usize;
+        let parts = band_parts(&fresh);
+        let last = parts.len() - 1;
+        assert_eq!(parts[0].what, 1.0);
         assert!(
-            matches!(
-                err,
-                SnapshotError::Corrupt {
-                    what: "band weight" | "csr adjacency" | "csr edges",
-                    ..
-                }
-            ),
-            "got {err}"
+            parts[last].what > 1.0,
+            "the fixture needs a band with ŵ > 1"
         );
-        // the fast path serves the tamper (in bounds, content unchecked)
-        // — safely: the slot-weight slab queries read is untouched here
-        let (served, _) =
-            read_oracle_v2(Arc::new(SnapshotSource::from_bytes(&bad)), Verify::Bounds).unwrap();
-        assert_eq!(served.query(0, 143), fresh.query(0, 143));
+        for (band, what) in [(0, 2.0), (last, 1.0), (last, parts[last].what * 2.0)] {
+            let at = bands_off + band * BAND_RECORD_BYTES + 8;
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&f64::to_bits(what).to_le_bytes());
+            let src = Arc::new(SnapshotSource::from_bytes(&bad));
+            let err = read_oracle_v2(Arc::clone(&src), Verify::Deep).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SnapshotError::Corrupt {
+                        what: "band grid",
+                        ..
+                    }
+                ),
+                "band {band} at ŵ = {what}: got {err}"
+            );
+            let (served, _) = read_oracle_v2(src, Verify::Bounds).unwrap();
+            for (s, t) in pairs(g.n(), 5) {
+                let (r, _) = served.query(s, t);
+                assert!(r.distance >= 0.0, "({s}, {t})");
+            }
+        }
     }
 
-    /// A file in the layout older builds wrote, with both weight
-    /// sub-slabs for every band, opens under both levels, answers every
-    /// pair with the fresh build's distance and `Cost` under every
-    /// policy, and re-saves to the fresh build's bytes.
+    /// Files in the layouts older builds wrote — the retired weight
+    /// sub-slabs for every band of [`default_weighted`], or for the `ŵ > 1`
+    /// band of [`coarse_weighted`] only, or just one of the two for one
+    /// band — open under both levels, answer every pair with the fresh
+    /// build's distance and `Cost` under every policy, and re-save to the
+    /// fresh build's bytes, which store no band weights even for a
+    /// `ŵ > 1` band: no reader looks at a retired tag.
     #[test]
     fn files_with_slabs_for_every_band_serve_and_resave_like_a_fresh_build() {
         let (g, fresh, meta) = default_weighted();
         let bytes = write_oracle_v2_bytes(&fresh, &meta).unwrap();
-        let older = with_band_slabs(&bytes, fresh.graph(), |_| [true, true]);
         let bands = inspect_v2(&bytes).unwrap().bands as usize;
         assert!(bands >= 2, "the fixture needs two bands");
-        assert_eq!(band_weight_sections(&older).len(), 2 * bands);
-        let pairs = pairs(g.n(), 1);
-        for verify in [Verify::Bounds, Verify::Deep] {
-            let src = Arc::new(SnapshotSource::from_bytes(&older));
-            let (served, meta2) = read_oracle_v2(src, verify).unwrap();
-            assert_eq!(meta2, meta);
-            assert!(band_parts(&served).iter().all(|b| b.band_edges.is_some()));
-            for policy in [
-                ExecutionPolicy::Sequential,
-                ExecutionPolicy::Parallel { threads: 4 },
-            ] {
-                assert_eq!(
-                    served.query_batch(&pairs, policy),
-                    fresh.query_batch(&pairs, policy),
-                    "{verify:?} {policy}"
-                );
-            }
-            for &(s, t) in &pairs {
-                assert_eq!(
-                    served.query(s, t),
-                    fresh.query(s, t),
-                    "({s}, {t}) {verify:?}"
-                );
-            }
-            assert_eq!(write_oracle_v2_bytes(&served, &meta2).unwrap(), bytes);
-        }
-    }
+        let every = with_band_slabs(&bytes, fresh.graph(), |_| [true, true]);
+        assert_eq!(band_weight_sections(&every).len(), 2 * bands);
+        let half = with_band_slabs(&bytes, fresh.graph(), |i| [i == 0, i == 1]);
+        assert_eq!(band_weight_sections(&half).len(), 2);
 
-    /// Under parameters that keep a band with `ŵ > 1`, that band alone
-    /// holds a rounded graph and stores its weight sub-slabs; owned and
-    /// mapped oracles answer alike, and the mapped one re-saves to the
-    /// same bytes.
-    #[test]
-    fn a_band_with_a_coarser_grid_keeps_its_rounded_graph_and_slabs() {
-        let (g, fresh, meta) = coarse_weighted();
-        let bands = band_parts(&fresh);
-        let last = bands.len() - 1;
-        assert!(
-            bands[last].what > 1.0,
-            "the fixture needs a band with ŵ > 1"
-        );
-        for (i, band) in bands.iter().enumerate() {
-            assert_eq!(band.band_edges.is_some(), i == last, "band {i}");
-        }
-        let rounded = Rounding {
-            what: bands[last].what,
-        }
-        .round_graph(&g);
-        assert_ne!(rounded.edges(), g.edges());
-        assert_eq!(bands[last].band_edges, Some(rounded.edges()));
-        let bytes = write_oracle_v2_bytes(&fresh, &meta).unwrap();
-        assert_eq!(
-            band_weight_sections(&bytes),
-            [
-                format!("band[{last}].slot_weights"),
-                format!("band[{last}].edges")
-            ]
-        );
-        for verify in [Verify::Bounds, Verify::Deep] {
-            let src = Arc::new(SnapshotSource::from_bytes(&bytes));
-            let (served, meta2) = read_oracle_v2(src, verify).unwrap();
-            for (s, t) in pairs(g.n(), 7) {
-                assert_eq!(
-                    served.query(s, t),
-                    fresh.query(s, t),
-                    "({s}, {t}) {verify:?}"
-                );
-            }
-            assert_eq!(write_oracle_v2_bytes(&served, &meta2).unwrap(), bytes);
-        }
-    }
+        let (coarse_g, coarse, coarse_meta) = coarse_weighted();
+        let coarse_bytes = write_oracle_v2_bytes(&coarse, &coarse_meta).unwrap();
+        assert_eq!(band_weight_sections(&coarse_bytes), Vec::<String>::new());
+        let parts = band_parts(&coarse);
+        let wide: Vec<bool> = parts.iter().map(|b| b.what > 1.0).collect();
+        assert_eq!(wide.iter().filter(|&&w| w).count(), 1, "one ŵ > 1 band");
+        let coarse_older = with_band_slabs(&coarse_bytes, coarse.graph(), |i| [wide[i], wide[i]]);
+        assert_eq!(band_weight_sections(&coarse_older).len(), 2);
 
-    /// Above 2⁵³ every band holds a `round_graph` copy and stores its
-    /// slabs, and owned and mapped oracles answer exactly as a sweep
-    /// over explicit copies does.
-    #[test]
-    fn weights_above_2_pow_53_keep_a_rounded_copy_in_every_band() {
-        let (g, fresh, meta) = above_2_pow_53();
-        let Repr::Owned(Mode::Weighted { hopsets }) = &fresh.repr else {
-            panic!("a fresh weighted build is owned and banded");
-        };
-        assert_eq!(hopsets.bands[0].rounding.what, 1.0);
-        let copies: Vec<CsrGraph> = hopsets
-            .bands
-            .iter()
-            .map(|b| b.rounding.round_graph(&g))
-            .collect();
-        for (band, copy) in hopsets.bands.iter().zip(&copies) {
-            assert_ne!(copy.edges(), g.edges(), "⌈w/ŵ⌉ moves an odd weight");
-            assert_eq!(band.graph.as_ref(), Some(copy));
-        }
-        let bytes = write_oracle_v2_bytes(&fresh, &meta).unwrap();
-        assert_eq!(band_weight_sections(&bytes).len(), 2 * copies.len());
-        let mapped: Vec<ApproxShortestPaths> = [Verify::Bounds, Verify::Deep]
-            .into_iter()
-            .map(|verify| {
-                let src = Arc::new(SnapshotSource::from_bytes(&bytes));
-                read_oracle_v2(src, verify).unwrap().0
-            })
-            .collect();
-        for (s, t) in pairs(g.n(), 1) {
-            if s == t {
-                continue;
-            }
-            let bands = hopsets
-                .bands
-                .iter()
-                .zip(&copies)
-                .map(|(b, copy)| (&b.rounding, b.h, copy, b.extra.view()));
-            let (distance, cost) = query_bands(bands, s, t);
-            let explicit = (
-                QueryResult {
-                    distance,
-                    upper_bound: true,
-                },
-                cost,
-            );
-            assert_eq!(fresh.query(s, t), explicit, "({s}, {t})");
-            for served in &mapped {
-                assert_eq!(served.query(s, t), explicit, "({s}, {t})");
-            }
-        }
-    }
-
-    /// A band that stores no weights must round every base weight to
-    /// itself: band 0 of the 2⁵³ fixture with its sub-slabs dropped (ŵ = 1,
-    /// but ⌈w/1⌉ moves a base weight) opens under `Bounds`, which reads no
-    /// weights, and saving it again is a typed error; `Deep` refuses it.
-    #[test]
-    fn a_shared_band_over_a_weight_its_rounding_moves_fails_deep() {
-        let (_, big, big_meta) = above_2_pow_53();
-        let big_bytes = write_oracle_v2_bytes(&big, &big_meta).unwrap();
-        let dropped = [
-            band_tag(0, BAND_SUB_SLOT_WEIGHTS),
-            band_tag(0, BAND_SUB_EDGES),
-        ];
-        let shared = rewrite(&big_bytes, |tag, payload| {
-            if dropped.contains(&tag) {
-                Vec::new()
-            } else {
-                vec![(tag, payload.to_vec())]
-            }
-        });
-        let (served, served_meta) = read_oracle_v2(
-            Arc::new(SnapshotSource::from_bytes(&shared)),
-            Verify::Bounds,
-        )
-        .unwrap();
-        assert!(matches!(
-            write_oracle_v2_bytes(&served, &served_meta),
-            Err(SnapshotError::Corrupt {
-                what: "band weights",
-                ..
-            })
-        ));
-        let err = read_oracle_v2(Arc::new(SnapshotSource::from_bytes(&shared)), Verify::Deep)
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                SnapshotError::Corrupt {
-                    what: "band weight",
-                    ..
+        for (older, g, fresh, bytes, stride) in [
+            (&every, &g, &fresh, &bytes, 1),
+            (&half, &g, &fresh, &bytes, 3),
+            (&coarse_older, &coarse_g, &coarse, &coarse_bytes, 5),
+        ] {
+            let pairs = pairs(g.n(), stride);
+            for verify in [Verify::Bounds, Verify::Deep] {
+                let src = Arc::new(SnapshotSource::from_bytes(older));
+                let (served, meta2) = read_oracle_v2(src, verify).unwrap();
+                for policy in [
+                    ExecutionPolicy::Sequential,
+                    ExecutionPolicy::Parallel { threads: 4 },
+                ] {
+                    assert_eq!(
+                        served.query_batch(&pairs, policy),
+                        fresh.query_batch(&pairs, policy),
+                        "{verify:?} {policy}"
+                    );
                 }
-            ),
-            "got {err}"
+                for &(s, t) in &pairs {
+                    assert_eq!(
+                        served.query(s, t),
+                        fresh.query(s, t),
+                        "({s}, {t}) {verify:?}"
+                    );
+                }
+                assert_eq!(&write_oracle_v2_bytes(&served, &meta2).unwrap(), bytes);
+            }
+        }
+    }
+
+    /// A 4×4 king grid with odd weights just above 2⁵³, where `f64`
+    /// distances and `⌈w/1⌉` stop being exact, is a typed build error; a
+    /// file carrying those weights (a valid file with its weight slabs
+    /// rewritten) fails `Deep` and opens and answers without a panic
+    /// under `Bounds`.
+    #[test]
+    fn weights_above_2_pow_53_are_a_typed_error_at_build_and_under_deep() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let light = generators::with_log_uniform_weights(&generators::grid2d(4, 4), 64.0, &mut rng);
+        let odd = |(i, e): (usize, &Edge)| Edge::new(e.u, e.v, (1 << 53) + 2 * i as u64 + 1);
+        let heavy = CsrGraph::from_edges(16, light.edges().iter().enumerate().map(odd));
+        let build = |g: &CsrGraph| OracleBuilder::new().seed(Seed(5)).build(g);
+        let err = build(&heavy).unwrap_err();
+        assert!(
+            matches!(err, PshError::DistancesExceedF64 { n: 16, .. }),
+            "{err}"
         );
+        let run = build(&light).unwrap();
+        let meta = OracleMeta::of_run(&run, HopsetParams::default());
+        let bytes = write_oracle_v2_bytes(&run.artifact, &meta).unwrap();
+        let slabs = encode_csr_slabs(16, heavy.edges());
+        let file = rewrite(&bytes, |tag, payload| match tag {
+            SEC_GRAPH_WEIGHTS => vec![(tag, slabs.weights.clone())],
+            SEC_GRAPH_EDGES => vec![(tag, slabs.edges.clone())],
+            _ => vec![(tag, payload.to_vec())],
+        });
+        let src = Arc::new(SnapshotSource::from_bytes(&file));
+        let err = read_oracle_v2(Arc::clone(&src), Verify::Deep).unwrap_err();
+        assert!(err.to_string().contains("exceed 2^53"), "{err}");
+        assert!(matches!(
+            err,
+            SnapshotError::Corrupt {
+                what: "graph weights",
+                ..
+            }
+        ));
+        let (served, _) = read_oracle_v2(src, Verify::Bounds).unwrap();
+        assert_eq!(served.graph().edges(), heavy.edges());
+        for (s, t) in pairs(16, 1) {
+            assert!(served.query(s, t).0.distance >= 0.0, "({s}, {t})");
+        }
     }
 
     #[test]

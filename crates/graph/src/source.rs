@@ -1040,53 +1040,6 @@ impl MmapView {
         })
     }
 
-    /// A second view over this view's already-validated adjacency
-    /// structure with substituted weight and edge slabs — how a rounded
-    /// band shares the base graph's offsets/targets/eids without
-    /// re-scanning them once per band.
-    ///
-    /// Only the substituted slabs are checked (same lengths as the
-    /// originals, and inside the same source region); the structural
-    /// guarantees of `self`'s [`Verify`] level carry over because the
-    /// index slabs are literally the same memory.
-    pub fn reweighted(
-        &self,
-        weights: &[Weight],
-        edges: &[Edge],
-    ) -> Result<MmapView, SnapshotError> {
-        let region = self.src.bytes().as_ptr_range();
-        let inside = |ptr: *const u8, bytes: usize| {
-            bytes == 0 || (region.start <= ptr && unsafe { ptr.add(bytes) } <= region.end)
-        };
-        assert!(
-            inside(
-                weights.as_ptr() as *const u8,
-                std::mem::size_of_val(weights)
-            ) && inside(edges.as_ptr() as *const u8, std::mem::size_of_val(edges)),
-            "MmapView slabs must live inside the SnapshotSource that owns them"
-        );
-        if weights.len() != self.weights.len || edges.len() != self.edges.len {
-            return Err(corrupt(
-                "csr shape",
-                format_args!(
-                    "substituted slabs disagree: {} weights / {} edges, base has {} / {}",
-                    weights.len(),
-                    edges.len(),
-                    self.weights.len,
-                    self.edges.len
-                ),
-            ));
-        }
-        Ok(MmapView {
-            src: Arc::clone(&self.src),
-            offsets: self.offsets.clone(),
-            targets: self.targets.clone(),
-            weights: Slab::of(weights),
-            slot_eids: self.slot_eids.clone(),
-            edges: Slab::of(edges),
-        })
-    }
-
     /// The source region this view (and possibly others) is backed by.
     pub fn source(&self) -> &Arc<SnapshotSource> {
         &self.src
@@ -1527,36 +1480,6 @@ mod tests {
                 "{verify:?}"
             );
         }
-    }
-
-    #[test]
-    fn reweighted_views_share_structure_and_check_shape() {
-        let g = sample_graph();
-        let bytes = v2_graph_file(&g);
-        let src = Arc::new(SnapshotSource::from_bytes(&bytes));
-        let view = view_of(&src).unwrap();
-        let table = SectionTable::parse(src.bytes()).unwrap();
-        let weights = cast_u64s(
-            table
-                .require(src.bytes(), SEC_GRAPH_WEIGHTS, "weights")
-                .unwrap(),
-            "weights",
-        )
-        .unwrap();
-        // substituting the view's own slabs is the identity
-        let again = view.reweighted(weights, view.edges()).unwrap();
-        assert_eq!(again.edges(), g.edges());
-        for v in 0..g.n() as u32 {
-            assert_eq!(
-                again.neighbors(v).collect::<Vec<_>>(),
-                g.neighbors(v).collect::<Vec<_>>()
-            );
-        }
-        // wrong-length substitutes are a typed error
-        assert!(matches!(
-            view.reweighted(&weights[1..], view.edges()),
-            Err(SnapshotError::Corrupt { .. })
-        ));
     }
 
     #[test]

@@ -27,6 +27,13 @@
 //! larger `h` too. [`hop_limited_sssp`] has no target and sweeps
 //! unbounded.
 //!
+//! [`hop_limited_pair_mapped_on`] reads every base-edge weight `w` as
+//! `map(w)` while it relaxes the edge, and hopset edges as stored: a
+//! weight band of §5 sweeps the base graph on its own grid that way,
+//! without a rounded copy. It answers, `Cost` included, as the plain
+//! sweep over a copy of the graph with mapped weights. The plain entries
+//! are their own instantiation of the loop, with no mapping.
+//!
 //! Sweeps run on a per-thread scratch (distances, settle rounds,
 //! candidates and the two frontier lists) that keeps its buffers from one
 //! sweep to the next, so a steady stream of queries allocates nothing and
@@ -196,7 +203,7 @@ pub fn hop_limited_sssp_on<G: GraphView>(
     h: usize,
 ) -> (HopQuery, Cost) {
     SCRATCH.with_borrow_mut(|scratch| {
-        let (rounds_run, cost) = scratch.sweep(g, extra, sources, None, h);
+        let (rounds_run, cost) = scratch.sweep(g, |w| w, extra, sources, None, h);
         (
             HopQuery {
                 dist: scratch.dist.clone(),
@@ -243,8 +250,23 @@ pub fn hop_limited_pair_on<G: GraphView>(
     t: VertexId,
     h: usize,
 ) -> (PairQuery, Cost) {
+    hop_limited_pair_mapped_on(g, |w| w, extra, s, t, h)
+}
+
+/// [`hop_limited_pair_on`] with every base-edge weight `w` read as
+/// `map(w)`; `extra`'s weights are read as stored. The answer and the
+/// [`Cost`] are those of [`hop_limited_pair_on`] over a copy of `g`
+/// whose weights are mapped (see the module docs).
+pub fn hop_limited_pair_mapped_on<G: GraphView>(
+    g: &G,
+    map: impl Fn(Weight) -> Weight,
+    extra: Option<ExtraView<'_>>,
+    s: VertexId,
+    t: VertexId,
+    h: usize,
+) -> (PairQuery, Cost) {
     SCRATCH.with_borrow_mut(|scratch| {
-        let (_, cost) = scratch.sweep(g, extra, &[s], Some(t), h);
+        let (_, cost) = scratch.sweep(g, map, extra, &[s], Some(t), h);
         let q = PairQuery {
             dist: scratch.dist[t as usize],
             hops: scratch.hops[t as usize],
@@ -282,16 +304,18 @@ struct Scratch {
 }
 
 impl Scratch {
-    /// Relax from `sources` for up to `h` rounds, leaving the answer in
-    /// `dist` and `hops`. With a `target`, each round first drops the
-    /// frontier vertices at or beyond the target's distance and keeps
-    /// only candidates below it; the sweep ends early once no frontier
-    /// vertex is left. Returns the rounds run and the sweep's cost: `n`
-    /// for the start state, then per round one unit per adjacency slot
-    /// scanned plus one per vertex improved.
+    /// Relax from `sources` for up to `h` rounds, reading each base-edge
+    /// weight `w` as `map(w)`, leaving the answer in `dist` and `hops`.
+    /// With a `target`, each round first drops the frontier vertices at
+    /// or beyond the target's distance and keeps only candidates below
+    /// it; the sweep ends early once no frontier vertex is left. Returns
+    /// the rounds run and the sweep's cost: `n` for the start state, then
+    /// per round one unit per adjacency slot scanned plus one per vertex
+    /// improved.
     fn sweep<G: GraphView>(
         &mut self,
         g: &G,
+        map: impl Fn(Weight) -> Weight,
         extra: Option<ExtraView<'_>>,
         sources: &[VertexId],
         target: Option<VertexId>,
@@ -349,7 +373,7 @@ impl Scratch {
                     }
                 };
                 for (v, w) in g.neighbors(u) {
-                    relax(v, w);
+                    relax(v, map(w));
                 }
                 if let Some(e) = extra {
                     for (v, w) in e.neighbors(u) {
@@ -660,6 +684,34 @@ mod tests {
                 if q.settled {
                     prop_assert_eq!(q.dist, unlimited.dist[t]);
                 }
+            }
+        }
+
+        /// A sweep that maps base weights answers, hop counts, settled
+        /// flag and `Cost` included, as the plain sweep over a copy whose
+        /// weights are mapped; extra edges keep their stored weights.
+        #[test]
+        fn prop_mapped_sweep_matches_a_mapped_copy(
+            seed in 0u64..1_000,
+            n in 2usize..60,
+            h_pick in 0usize..1_000,
+            grid in 1u64..8,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (g, extra) = random_instance(n, true, &mut rng);
+            let h = 1 + h_pick % n;
+            let map = |w: Weight| w.div_ceil(grid);
+            let copy = CsrGraph::from_edges(
+                n,
+                g.edges().iter().map(|e| Edge::new(e.u, e.v, map(e.w))),
+            );
+            let extra = extra.as_ref().map(ExtraEdges::view);
+            let s = rng.random_range(0..n as VertexId);
+            for t in 0..n as VertexId {
+                prop_assert_eq!(
+                    hop_limited_pair_mapped_on(&g, map, extra, s, t, h),
+                    hop_limited_pair_on(&copy, extra, s, t, h)
+                );
             }
         }
 

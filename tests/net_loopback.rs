@@ -455,6 +455,76 @@ fn wire_reload_hot_swaps_and_matches_a_fresh_build_of_the_mutated_graph() {
     std::fs::remove_file(&jpath).ok();
 }
 
+/// Fault injection on the reload path: a journal record whose insert
+/// breaks the 2⁵³ distance cap makes `JournalReloader::poll` a typed
+/// error naming the cap, and a wire `Reload` `ERR_RELOAD_FAILED` with the
+/// same message, on a server whose hook shares the reloader behind a
+/// mutex with a direct poller, as `psh-server --watch-journal` wires it.
+/// The old epoch keeps serving every answer as before, and once the
+/// journal is gone `poll` returns `Ok(None)`.
+#[test]
+fn a_refused_journal_rebuild_keeps_the_old_epoch_serving() {
+    use psh::core::snapshot::{append_journal, journal_path, JournalReloader, OracleMeta};
+    use psh::net::protocol::ERR_RELOAD_FAILED;
+    use std::sync::{Mutex, PoisonError};
+
+    // 63·w_max stays under 2⁵³ at a weight ratio of at most 20
+    let mut rng = StdRng::seed_from_u64(43);
+    let g = generators::with_uniform_weights(&generators::grid(8, 8), 1 << 42, 20 << 42, &mut rng);
+    let run = OracleBuilder::new()
+        .params(test_params())
+        .seed(Seed(43))
+        .build(&g)
+        .unwrap();
+    let meta = OracleMeta::of_run(&run, test_params());
+    let base = std::env::temp_dir().join(format!("psh_loopback_refused_{}", std::process::id()));
+    let jpath = journal_path(&base);
+    std::fs::remove_file(&jpath).ok();
+    let service = Arc::new(OracleService::new(run.artifact, ServiceConfig::default()));
+    let server = NetServer::bind("127.0.0.1:0", Arc::clone(&service), ServerConfig::default())
+        .expect("bind loopback");
+    let reloader = Arc::new(Mutex::new(JournalReloader::new(&base, g, meta)));
+    let poll = {
+        let (reloader, service) = (Arc::clone(&reloader), Arc::clone(&service));
+        move || {
+            let mut reloader = reloader.lock().unwrap_or_else(PoisonError::into_inner);
+            reloader.poll(&service)
+        }
+    };
+    let hook = poll.clone();
+    server.set_reload_hook(Box::new(move || hook().map_err(|e| e.to_string())));
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let pairs = workload(64, 40, 17);
+    let before = client.query_batch(&pairs).expect("pre-reload batch");
+
+    // 63·2⁴⁸ > 2⁵³ at a weight ratio of at most 64: only the cap refuses it
+    let mut delta = GraphDelta::new(64);
+    delta.insert(0, 63, 1 << 48).expect("delta insert");
+    append_journal(&jpath, &delta).expect("journal append");
+    let err = poll().unwrap_err();
+    assert!(err.to_string().contains("exceed 2^53"), "{err}");
+    assert!(matches!(
+        err,
+        SnapshotError::Corrupt {
+            what: "oracle rebuild",
+            ..
+        }
+    ));
+    match client.reload() {
+        Err(ProtocolError::Remote { code, message }) => {
+            assert_eq!((code, message), (ERR_RELOAD_FAILED, err.to_string()));
+        }
+        other => panic!("expected ERR_RELOAD_FAILED, got {other:?}"),
+    }
+    assert_eq!(service.epoch(), 0);
+    let after = client.query_batch(&pairs).expect("post-refusal batch");
+    assert_bitwise(&after, &before, "after the refused reload");
+    std::fs::remove_file(&jpath).expect("remove journal");
+    assert_eq!(poll().expect("poll without a journal"), None);
+    let again = client.reload().expect("reload without a journal");
+    assert_eq!((again.swapped, again.epoch), (false, 0));
+}
+
 /// Reload against a server with no reload source is a typed remote
 /// error, and the connection survives it.
 #[test]
