@@ -87,7 +87,7 @@ use psh_bench::serving::{check_args, parse_seed, parse_value};
 use psh_bench::table::{fmt_f, fmt_u, Table};
 use psh_bench::workloads::{random_pairs, Family};
 use psh_bench::Report;
-use psh_core::api::{OracleBuilder, Seed};
+use psh_core::api::{HopsetBuilder, OracleBuilder, Seed};
 use psh_core::oracle::{ApproxShortestPaths, QueryResult};
 use psh_core::service::{CacheConfig, OracleService, ServiceConfig, ServiceStats};
 use psh_core::snapshot::{
@@ -288,6 +288,21 @@ struct SwapCell {
     identical: bool,
 }
 
+/// Shortcut edges of the hopset the oracle served before it moved to an
+/// exact search, built here only for the `hopset` column: Algorithm 4's
+/// hopset on a unit graph, every §5 band at `η = 0.5` on a weighted one.
+fn hopset_size(g: &CsrGraph, seed: u64) -> usize {
+    let builder = if g.is_unit_weight() {
+        HopsetBuilder::unweighted()
+    } else {
+        HopsetBuilder::weighted(0.5)
+    };
+    let run = builder.seed(Seed(seed)).build(g);
+    run.unwrap_or_else(|e| die(format_args!("hopset build failed: {e}")))
+        .artifact
+        .size()
+}
+
 /// Hammer one shared service from `clients` threads without pause while
 /// the main thread first idles (the steady window), then rebuilds an
 /// oracle for the graph-plus-one-edge mutation and hot-swaps it in.
@@ -296,7 +311,6 @@ struct SwapCell {
 fn measure_swap(
     g: &CsrGraph,
     base: &Arc<ApproxShortestPaths>,
-    params: HopsetParams,
     gseed: u64,
     pairs: &[(u32, u32)],
     policy: ExecutionPolicy,
@@ -348,7 +362,6 @@ fn measure_swap(
         phase.store(1, Ordering::Release);
         let t1 = Instant::now();
         let rebuilt = OracleBuilder::new()
-            .params(params)
             .seed(Seed(gseed))
             .build(&g2)
             .unwrap_or_else(|e| die(format_args!("swap cell: rebuild failed: {e}")));
@@ -574,14 +587,11 @@ fn main() {
                 Some(u) => family.instantiate_weighted(n, u, gseed),
                 None => family.instantiate(n, gseed),
             };
-            let params = HopsetParams::default();
-
             // --- build, measured ------------------------------------------
             reset_peak();
             let base = live_bytes();
             let start = Instant::now();
             let run = OracleBuilder::new()
-                .params(params)
                 .seed(Seed(gseed))
                 .build(&g)
                 .unwrap_or_else(|e| {
@@ -591,7 +601,7 @@ fn main() {
             let peak_bytes = peak_above(base);
 
             // --- snapshot round trip: the mapped oracle production serves -
-            let meta = OracleMeta::of_run(&run, params);
+            let meta = OracleMeta::of_run(&run, HopsetParams::default());
             let buf = write_oracle_v2_bytes(&run.artifact, &meta)
                 .unwrap_or_else(|e| die(format_args!("{fname}/{wname}: snapshot write: {e}")));
             let (loaded, _) =
@@ -607,7 +617,7 @@ fn main() {
                 fmt_u(run.cost.work),
                 fmt_u(run.cost.depth),
                 fmt_u(peak_bytes as u64),
-                fmt_u(run.artifact.hopset_size() as u64),
+                fmt_u(hopset_size(&g, gseed) as u64),
                 fmt_u(buf.len() as u64),
             ]);
 
@@ -736,7 +746,7 @@ fn main() {
 
             // --- hot-swap cells: serve while a rebuild runs ----------------
             for &policy in &net_policies {
-                let cell = measure_swap(&g, &fresh, params, gseed, &pairs, policy, 8);
+                let cell = measure_swap(&g, &fresh, gseed, &pairs, policy, 8);
                 mismatches += usize::from(!cell.identical);
                 cells += 1;
                 swap_table.row([
@@ -771,13 +781,11 @@ fn main() {
     println!("building the n={load_n} load-latency oracle …");
     let big_seed = seed ^ 0xB16;
     let g_big = Family::Grid2d.instantiate(load_n, big_seed);
-    let params = HopsetParams::default();
     let run_big = OracleBuilder::new()
-        .params(params)
         .seed(Seed(big_seed))
         .build(&g_big)
         .unwrap_or_else(|e| die(format_args!("load-n build failed: {e}")));
-    let meta_big = OracleMeta::of_run(&run_big, params);
+    let meta_big = OracleMeta::of_run(&run_big, HopsetParams::default());
     let buf_big = write_oracle_v2_bytes(&run_big.artifact, &meta_big)
         .unwrap_or_else(|e| die(format_args!("load-n snapshot write: {e}")));
     let probe_big = (0u32, (g_big.n() - 1) as u32);
@@ -815,7 +823,6 @@ fn main() {
     let ol_seed = seed ^ 0x09E2;
     let g_ol = Family::Random.instantiate(n, ol_seed);
     let run_ol = OracleBuilder::new()
-        .params(HopsetParams::default())
         .seed(Seed(ol_seed))
         .build(&g_ol)
         .unwrap_or_else(|e| die(format_args!("open-loop build failed: {e}")));

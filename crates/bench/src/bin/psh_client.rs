@@ -154,8 +154,8 @@ fn main() {
             .server_info()
             .unwrap_or_else(|e| die(format_args!("info failed: {e}")));
         println!(
-            "serving n={} m={} | hopset size {} | build seed {}",
-            info.n, info.m, info.hopset, info.seed
+            "serving n={} m={} | build seed {}",
+            info.n, info.m, info.seed
         );
         return;
     }

@@ -181,6 +181,9 @@ fn main() {
 
     let start = Instant::now();
     let mut swaps: u64 = 0;
+    // a refused journal record fails every poll until the journal
+    // changes; log each refusal once
+    let mut refused: Option<String> = None;
     let why = loop {
         if server.stopping() {
             break "wire shutdown request";
@@ -195,15 +198,22 @@ fn main() {
             match lock_reloader(rl).poll(&service) {
                 Ok(Some(r)) => {
                     swaps += 1;
+                    refused = None;
                     println!(
                         "hot-swap: epoch {} now serving (applied {} journal records, {} ops; n={} m={})",
                         r.epoch, r.records, r.ops, r.n, r.m
                     );
                 }
-                Ok(None) => {}
-                Err(e) => eprintln!(
-                    "{PROG}: journal reload failed: {e} (still serving the previous epoch)"
-                ),
+                Ok(None) => refused = None,
+                Err(e) => {
+                    let e = e.to_string();
+                    if refused.as_ref() != Some(&e) {
+                        eprintln!(
+                            "{PROG}: journal reload failed: {e} (still serving the previous epoch)"
+                        );
+                        refused = Some(e);
+                    }
+                }
             }
         }
         std::thread::sleep(Duration::from_millis(25));

@@ -27,6 +27,7 @@
 //! retired version-1 format included ("snapshot version 1 unsupported";
 //! rebuild it from its seed) — and never panics on malformed files.
 
+use psh_core::snapshot::v2::META_EXACT;
 use psh_core::snapshot::{
     append_journal, compact_oracle, inspect_v2, journal_path, load_journal, verify_oracle_v2,
     OracleSections,
@@ -74,7 +75,6 @@ fn inspect(path: &str) {
             n,
             m,
             mode,
-            bands,
             sections,
         },
         len,
@@ -83,10 +83,12 @@ fn inspect(path: &str) {
         "{path}: v2 oracle snapshot (kind {kind}, {}, mmap-able)",
         human(len)
     );
-    println!(
-        "  n={n} m={m} | mode {} | {bands} band(s)",
-        if mode == 0 { "unweighted" } else { "weighted" }
-    );
+    let layout = match mode {
+        META_EXACT => "graph only",
+        0 => "unweighted hopset, retired",
+        _ => "weighted bands, retired",
+    };
+    println!("  n={n} m={m} | layout {mode} ({layout})");
     println!(
         "  {:>6}  {:<26} {:>12} {:>12}",
         "tag", "section", "offset", "bytes"

@@ -205,29 +205,25 @@ impl OracleArgs {
                 .unwrap_or_else(|e| die(prog, format_args!("cannot load {}: {e}", path.display())));
             let secs = start.elapsed().as_secs_f64();
             println!(
-                "loaded snapshot {} ({} vertices, hopset size {}, served in place) in {:.3}s",
+                "loaded snapshot {} ({} vertices, served in place) in {:.3}s",
                 path.display(),
                 oracle.graph().n(),
-                oracle.hopset_size(),
                 secs
             );
             return (oracle, meta, true, secs);
         }
         let g = self.graph.load(prog, seed);
-        let params = HopsetParams::default();
         let start = Instant::now();
         let run = OracleBuilder::new()
-            .params(params)
             .seed(Seed(seed))
             .build(&g)
             .unwrap_or_else(|e| die(prog, format_args!("preprocessing failed: {e}")));
         let secs = start.elapsed().as_secs_f64();
-        let meta = OracleMeta::of_run(&run, params);
+        let meta = OracleMeta::of_run(&run, HopsetParams::default());
         println!(
-            "preprocessed n={} m={} (hopset size {}, {}) in {:.3}s",
+            "preprocessed n={} m={} ({}) in {:.3}s",
             g.n(),
             g.m(),
-            run.artifact.hopset_size(),
             run.cost,
             secs
         );
@@ -236,11 +232,6 @@ impl OracleArgs {
                 .unwrap_or_else(|e| die(prog, format_args!("cannot save {}: {e}", path.display())));
             println!("snapshot saved to {} (v2)", path.display());
         }
-        // Preprocessing is over: release the build-time split scratch
-        // this thread's arena pool retained, so the long-lived serving
-        // process doesn't carry O(n + m) recursion buffers into its
-        // steady state.
-        psh_graph::view::drain_arena_pool();
         (run.artifact, meta, false, secs)
     }
 }

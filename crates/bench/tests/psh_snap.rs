@@ -42,11 +42,7 @@ fn vertex_ids_beyond_u32_are_refused_not_truncated() {
     let base = dir.join("base.snap");
     let g = generators::grid(16, 16);
     let params = HopsetParams::default();
-    let built = OracleBuilder::new()
-        .params(params)
-        .seed(Seed(1))
-        .build(&g)
-        .unwrap();
+    let built = OracleBuilder::new().seed(Seed(1)).build(&g).unwrap();
     save_oracle_v2(&base, &built.artifact, &OracleMeta::of_run(&built, params)).unwrap();
 
     // 2^32 used to be cast to vertex 0 and appended as edge (0, 5)

@@ -27,7 +27,7 @@
 
 use crate::error::PshError;
 use crate::hopset::unweighted::build_hopset_with_beta0_on;
-use crate::hopset::weighted::{build_weighted_hopsets_impl, Bands};
+use crate::hopset::weighted::build_weighted_hopsets_impl;
 use crate::hopset::{limited, Hopset, HopsetParams, WeightedHopsets};
 use crate::oracle::ApproxShortestPaths;
 use crate::spanner::unweighted::{beta_for, spanner_from_clustering_with};
@@ -51,7 +51,8 @@ fn component_count(g: &CsrGraph) -> usize {
 /// Refuse a graph of `n` vertices whose heaviest edge weighs `max_weight`
 /// when a shortest path can weigh more than 2⁵³, where `f64` distances
 /// and §5's rounding stop being exact ([`PshError::DistancesExceedF64`]).
-/// Both banded builders apply it, and so does `Verify::Deep` on a v2 file.
+/// The oracle and the weighted hopset builders apply it, and so does
+/// `Verify::Deep` on a v2 file.
 pub(crate) fn check_distance_cap(n: usize, max_weight: u64) -> Result<(), PshError> {
     if n.saturating_sub(1) as u128 * max_weight as u128 > 1 << 53 {
         return Err(PshError::DistancesExceedF64 { n, max_weight });
@@ -455,15 +456,8 @@ impl HopsetBuilder {
                 let beta0 = self
                     .beta0_override
                     .unwrap_or_else(|| self.params.beta0_weighted(g.n()));
-                let (b, cost) = build_weighted_hopsets_impl(
-                    &exec,
-                    g,
-                    &self.params,
-                    eta,
-                    beta0,
-                    Bands::All,
-                    rng,
-                );
+                let (b, cost) =
+                    build_weighted_hopsets_impl(&exec, g, &self.params, eta, beta0, rng);
                 Ok((HopsetArtifact::Banded(b), cost))
             }
             HopsetKind::Limited { alpha } => {
@@ -476,85 +470,32 @@ impl HopsetBuilder {
 }
 
 // ---------------------------------------------------------------------------
-// The approximate-distance oracle (Theorem 1.2 end-to-end)
+// The served oracle
 // ---------------------------------------------------------------------------
 
-/// How the oracle chooses its preprocessing path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OracleMode {
-    /// Unit-weight graphs take the unweighted path, everything else the
-    /// weighted path.
-    Auto,
-    /// Force Corollary 4.5's unweighted path (errors on weighted input).
-    Unweighted,
-    /// Force the §5 banded path (works on unit weights too).
-    Weighted,
-}
-
-/// Builder for the end-to-end `(1+ε)`-approximate shortest-path oracle.
-#[derive(Clone, Debug)]
+/// Builder for the served shortest-path oracle: it validates the graph
+/// and copies it, and builds no hopset (see [`crate::oracle`] for why).
+#[derive(Clone, Debug, Default)]
 pub struct OracleBuilder {
-    params: HopsetParams,
-    eta: f64,
-    mode: OracleMode,
     seed: Seed,
     require_connected: bool,
-    allow_large_weights: bool,
-    policy: ExecutionPolicy,
-}
-
-impl Default for OracleBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl OracleBuilder {
     pub fn new() -> Self {
-        OracleBuilder {
-            params: HopsetParams::default(),
-            eta: 0.5,
-            mode: OracleMode::Auto,
-            seed: Seed::default(),
-            require_connected: false,
-            allow_large_weights: false,
-            policy: ExecutionPolicy::default(),
-        }
+        Self::default()
     }
 
-    /// Choose how preprocessing executes (default:
-    /// [`ExecutionPolicy::from_env`]). Artifacts and costs are
-    /// byte-identical for every policy; only wall-clock changes.
-    pub fn execution(mut self, policy: ExecutionPolicy) -> Self {
-        self.policy = policy;
+    /// Accepted for the builder contract. The build is one validation
+    /// scan and one copy on the calling thread, so no policy changes its
+    /// artifact, its cost or (measurably) its time.
+    pub fn execution(self, _policy: ExecutionPolicy) -> Self {
         self
     }
 
-    /// Replace the hopset parameter set.
-    pub fn params(mut self, params: HopsetParams) -> Self {
-        self.params = params;
-        self
-    }
-
-    /// Per-level distortion budget `ε ∈ (0, 1)`.
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.params.epsilon = epsilon;
-        self
-    }
-
-    /// Band exponent for the weighted path (default `0.5`).
-    pub fn eta(mut self, eta: f64) -> Self {
-        self.eta = eta;
-        self
-    }
-
-    /// Select the preprocessing path (default [`OracleMode::Auto`]).
-    pub fn mode(mut self, mode: OracleMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Set the RNG seed (default `Seed(0)`).
+    /// Set the seed recorded in the [`Run`] and in a snapshot's META
+    /// (default `Seed(0)`). The oracle draws nothing from it, so it does
+    /// not change the artifact.
     pub fn seed(mut self, seed: impl Into<Seed>) -> Self {
         self.seed = seed.into();
         self
@@ -567,46 +508,11 @@ impl OracleBuilder {
         self
     }
 
-    /// Skip the polynomial weight-ratio precondition check (Corollary 5.4
-    /// assumes `w_max/w_min ≤ n³`; beyond that, accuracy degrades unless
-    /// the Appendix B decomposition is applied first). The 2⁵³ distance
-    /// cap ([`PshError::DistancesExceedF64`]) still applies.
-    pub fn allow_large_weights(mut self, yes: bool) -> Self {
-        self.allow_large_weights = yes;
-        self
-    }
-
-    fn takes_weighted_path(&self, g: &CsrGraph) -> bool {
-        match self.mode {
-            OracleMode::Auto => !g.is_unit_weight(),
-            OracleMode::Unweighted => false,
-            OracleMode::Weighted => true,
-        }
-    }
-
-    /// Check parameters and preconditions against `g` without building.
+    /// Check preconditions against `g` without building: every distance
+    /// must fit `f64` exactly ([`PshError::DistancesExceedF64`]), since
+    /// answers are `f64`.
     pub fn validate(&self, g: &CsrGraph) -> Result<(), PshError> {
-        self.params
-            .validate()
-            .map_err(|reason| PshError::InvalidHopsetParams { reason })?;
-        let weighted = self.takes_weighted_path(g);
-        if weighted {
-            if !(self.eta > 0.0 && self.eta < 1.0) {
-                return Err(PshError::InvalidEta { eta: self.eta });
-            }
-            if !self.allow_large_weights {
-                let ratio = g.weight_ratio();
-                let bound = (g.n().max(2) as f64).powi(3);
-                if ratio > bound {
-                    return Err(PshError::WeightRangeTooLarge { ratio, bound });
-                }
-            }
-            check_distance_cap(g.n(), g.max_weight().unwrap_or(0))?;
-        } else if !g.is_unit_weight() {
-            return Err(PshError::RequiresUnitWeights {
-                algorithm: "the unweighted oracle path",
-            });
-        }
+        check_distance_cap(g.n(), g.max_weight().unwrap_or(0))?;
         if self.require_connected && g.n() > 0 {
             let components = component_count(g);
             if components > 1 {
@@ -616,7 +522,7 @@ impl OracleBuilder {
         Ok(())
     }
 
-    /// Preprocess `g` with this builder's seed.
+    /// Validate and copy `g`, recording this builder's seed.
     pub fn build(&self, g: &CsrGraph) -> Result<Run<ApproxShortestPaths>, PshError> {
         let mut rng = self.seed.rng();
         let (artifact, cost) = self.build_with_rng(g, &mut rng)?;
@@ -627,32 +533,18 @@ impl OracleBuilder {
         })
     }
 
-    /// Preprocess against a caller-supplied generator, for callers that
-    /// pass in their own RNG. [`OracleBuilder::build`] runs this on a
-    /// generator seeded from the builder's [`Seed`] and records the seed.
+    /// [`OracleBuilder::build`] for callers that pass in their own RNG,
+    /// like every other builder. The oracle draws nothing from it. The
+    /// [`Cost`] charges the validation scan over the `m` edges and the
+    /// `n + m` copy, one flat round each.
     pub fn build_with_rng<R: Rng>(
         &self,
         g: &CsrGraph,
-        rng: &mut R,
+        _rng: &mut R,
     ) -> Result<(ApproxShortestPaths, Cost), PshError> {
         self.validate(g)?;
-        let exec = self.policy.executor();
-        if self.takes_weighted_path(g) {
-            Ok(ApproxShortestPaths::build_weighted_impl(
-                &exec,
-                g,
-                &self.params,
-                self.eta,
-                rng,
-            ))
-        } else {
-            Ok(ApproxShortestPaths::build_unweighted_impl(
-                &exec,
-                g,
-                &self.params,
-                rng,
-            ))
-        }
+        let cost = Cost::flat(g.m() as u64).then(Cost::flat((g.n() + g.m()) as u64));
+        Ok((ApproxShortestPaths::owned(g.clone()), cost))
     }
 }
 
@@ -790,71 +682,37 @@ mod tests {
     }
 
     #[test]
-    fn oracle_auto_routes_by_weights_and_answers() {
-        let g = generators::grid(8, 8);
-        let run = OracleBuilder::new()
-            .params(HopsetParams {
-                epsilon: 0.5,
-                delta: 1.5,
-                gamma1: 0.25,
-                gamma2: 0.75,
-                k_conf: 1.0,
-            })
-            .seed(Seed(6))
-            .build(&g)
-            .unwrap();
-        let (r, _) = run.artifact.query(0, 63);
-        let exact = run.artifact.query_exact(0, 63) as f64;
-        assert!(r.distance >= exact && r.distance <= 2.0 * exact);
-    }
-
-    #[test]
-    fn oracle_unweighted_mode_rejects_weighted_graphs() {
+    fn oracle_answers_unit_and_weighted_graphs_and_charges_the_copy() {
         let g = CsrGraph::from_edges(3, [psh_graph::Edge::new(0, 1, 7)]);
-        let err = OracleBuilder::new()
-            .mode(OracleMode::Unweighted)
-            .build(&g)
-            .unwrap_err();
-        assert!(matches!(err, PshError::RequiresUnitWeights { .. }));
-    }
-
-    #[test]
-    fn oracle_flags_polynomial_weight_range_violations() {
-        // ratio 10^12 over n = 3 vertices blows the n³ bound
-        let g = CsrGraph::from_edges(
+        let run = OracleBuilder::new().seed(Seed(6)).build(&g).unwrap();
+        assert_eq!(run.artifact.query(0, 1).0.distance, 7.0);
+        // one scan of m = 1 edges, one copy of n + m = 4 entries
+        assert_eq!(run.cost, Cost::new(5, 2));
+        // a weight ratio far above n³ is served like any other
+        let wide = CsrGraph::from_edges(
             3,
             [
                 psh_graph::Edge::new(0, 1, 1),
                 psh_graph::Edge::new(1, 2, 1_000_000_000_000),
             ],
         );
-        let err = OracleBuilder::new().build(&g).unwrap_err();
-        assert!(matches!(err, PshError::WeightRangeTooLarge { .. }));
-        // explicit opt-out restores the legacy behaviour
-        assert!(OracleBuilder::new()
-            .allow_large_weights(true)
-            .build(&g)
-            .is_ok());
+        let run = OracleBuilder::new().build(&wide).unwrap();
+        assert_eq!(run.artifact.query(0, 2).0.distance, 1_000_000_000_001.0);
     }
 
     #[test]
     fn banded_builders_refuse_distances_above_2_pow_53() {
         use psh_graph::Edge;
         let path = |w| CsrGraph::from_edges(3, [Edge::new(0, 1, w), Edge::new(1, 2, w)]);
-        // weight ratio 1, so only the cap refuses it, whatever
-        // allow_large_weights says; 2·2⁵² = 2⁵³ itself is in range
+        // 2·2⁵² = 2⁵³ itself is in range
         let (big, at_cap) = (path((1 << 52) + 1), path(1 << 52));
         let expect = Err(PshError::DistancesExceedF64 {
             n: 3,
             max_weight: (1 << 52) + 1,
         });
-        for oracle in [
-            OracleBuilder::new(),
-            OracleBuilder::new().allow_large_weights(true),
-        ] {
-            assert_eq!(oracle.build(&big).map(|_| ()), expect);
-            assert!(oracle.build(&at_cap).is_ok());
-        }
+        let oracle = OracleBuilder::new();
+        assert_eq!(oracle.build(&big).map(|_| ()), expect);
+        assert!(oracle.build(&at_cap).is_ok());
         let hopsets = HopsetBuilder::weighted(0.5);
         assert_eq!(hopsets.build(&big).map(|_| ()), expect);
         assert!(hopsets.build(&at_cap).is_ok());

@@ -40,16 +40,10 @@ pub enum PshError {
     /// The input graph must be connected for this run
     /// (`require_connected(true)` was set) but has `components` pieces.
     Disconnected { components: usize },
-    /// The weight ratio `w_max/w_min` exceeds the polynomial bound the
-    /// construction assumes (Corollary 5.4); apply Appendix B's
-    /// [`crate::hopset::WeightClassDecomposition`] first, or opt out with
-    /// `allow_large_weights(true)`.
-    WeightRangeTooLarge { ratio: f64, bound: f64 },
     /// A shortest path can weigh more than 2⁵³: `(n − 1)·w_max` exceeds
     /// the range in which an `f64` distance and §5's rounding `⌈w/ŵ⌉`
-    /// are exact. The banded constructions (the weighted oracle and
-    /// `HopsetBuilder::weighted`) refuse such graphs whatever
-    /// `allow_large_weights` says.
+    /// are exact. The oracle and `HopsetBuilder::weighted` refuse such
+    /// graphs.
     DistancesExceedF64 { n: usize, max_weight: u64 },
 }
 
@@ -88,13 +82,6 @@ impl fmt::Display for PshError {
                 write!(
                     f,
                     "input graph must be connected, found {components} components"
-                )
-            }
-            PshError::WeightRangeTooLarge { ratio, bound } => {
-                write!(
-                    f,
-                    "weight ratio {ratio:.3e} exceeds the polynomial bound {bound:.3e}; \
-                     apply the Appendix B weight-class decomposition first"
                 )
             }
             PshError::DistancesExceedF64 { n, max_weight } => {

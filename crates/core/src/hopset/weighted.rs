@@ -21,10 +21,13 @@
 //! runs the bands in parallel; this one runs them in order, so their
 //! costs compose with `then`.
 //!
-//! A band with `ŵ = 1` and `h ≥ n − 1` is exact for every pair, so the
-//! oracle builds no band after the first such band; at the default
-//! parameters that is the second band for every `n` below about 10¹³.
-//! [`crate::api::HopsetBuilder::weighted`] still builds every band.
+//! A band with `ŵ = 1` and `h ≥ n − 1` is exact for every pair; at the
+//! default parameters that is the second band for every `n` below about
+//! 10¹³, so [`WeightedHopsets::query`] answers every pair exactly there.
+//! The served oracle ran exactly that query until it moved to a
+//! bidirectional Dijkstra (see [`crate::oracle`]); the experiment binaries
+//! still run it, on families [`crate::api::HopsetBuilder::weighted`]
+//! builds with every band.
 //!
 //! A band is a grid over the input graph, not a graph of its own: its
 //! `d`, `ŵ`, `h` and hopset. A `ŵ > 1` band sweeps the input graph with
@@ -171,25 +174,15 @@ pub(crate) fn query_bands<'a, G: GraphView>(
     (best, cost)
 }
 
-/// Which bands of the §5 family a build keeps.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Bands {
-    /// Every band up to `d = n·w_max`: the paper's construction.
-    All,
-    /// The bands up to and including the first exact one (`ŵ = 1` and
-    /// `h ≥ n − 1`); no later band can set a query's answer.
-    ThroughFirstExact,
-}
-
 /// §5's construction body with band exponent `eta ∈ (0, 1)` and an
 /// explicit `β₀` — [`crate::api::HopsetBuilder::weighted`] validates the
 /// parameters before this runs.
 ///
 /// The bands really are built in parallel on `exec` (the paper's
-/// schedule). Every band's `d`, rounding, hop budget and seed are fixed
-/// in band order before the fan-out, and `keep` cuts that list only
-/// afterwards, so the family is byte-identical for any policy and a cut
-/// family is a prefix of the full one. A `ŵ > 1` band builds its hopset
+/// schedule), every band up to `d = n·w_max`. Every band's `d`,
+/// rounding, hop budget and seed are fixed in band order before the
+/// fan-out, so the family is byte-identical for any policy. A `ŵ > 1`
+/// band builds its hopset
 /// on a rounded copy of `g` and drops the copy once the hopset exists;
 /// the caller has checked that `g`'s distances stay within 2⁵³, so a
 /// `ŵ = 1` band builds on `g` itself.
@@ -199,7 +192,6 @@ pub(crate) fn build_weighted_hopsets_impl<R: Rng>(
     params: &HopsetParams,
     eta: f64,
     beta0: f64,
-    keep: Bands,
     rng: &mut R,
 ) -> (WeightedHopsets, Cost) {
     let n = g.n();
@@ -223,12 +215,6 @@ pub(crate) fn build_weighted_hopsets_impl<R: Rng>(
         let next = (d as f64 * c).ceil() as u64;
         d = next.max(d + 1);
     }
-    if keep == Bands::ThroughFirstExact {
-        if let Some(i) = tasks.iter().position(|(_, r, h, _)| is_exact(r, *h, n)) {
-            tasks.truncate(i + 1);
-        }
-    }
-
     let bands: Vec<(EstimateBand, Cost)> = exec.par_map(&tasks, 1, |(d, rounding, h, seed)| {
         // at ŵ = 1 the copy would equal `g`; a ŵ > 1 copy lives only as
         // long as its hopset's construction
@@ -297,7 +283,7 @@ mod tests {
         let params = test_params();
         let beta0 = params.beta0_weighted(g.n());
         let exec = Executor::sequential();
-        build_weighted_hopsets_impl(&exec, g, &params, eta, beta0, Bands::All, rng).0
+        build_weighted_hopsets_impl(&exec, g, &params, eta, beta0, rng).0
     }
 
     fn weighted_instance(seed: u64) -> CsrGraph {
@@ -363,6 +349,38 @@ mod tests {
         let wh = build(&g, 0.5, &mut rng);
         let (d, _) = wh.query(0, 3);
         assert!(d.is_infinite());
+    }
+
+    /// Every band of a full `HopsetBuilder::weighted` family, `ŵ > 1`
+    /// bands included, swept on its own (not through the band loop, which
+    /// stops early) answers as `hop_limited_pair` over the band's explicit
+    /// `round_graph` copy — dist, hops, settled flag and `Cost`.
+    #[test]
+    fn every_band_sweeps_the_base_graph_like_its_explicit_rounded_copy() {
+        use crate::api::{HopsetBuilder, Seed};
+        use psh_graph::traversal::bellman_ford::hop_limited_pair;
+        let mut rng = StdRng::seed_from_u64(2);
+        let g = generators::with_log_uniform_weights(&generators::grid2d(7, 7), 64.0, &mut rng);
+        for eta in [0.25, 0.5] {
+            let run = HopsetBuilder::weighted(eta)
+                .seed(Seed(4))
+                .build(&g)
+                .unwrap();
+            let family = run.artifact.as_banded().unwrap();
+            let wide = family.bands.iter().filter(|b| b.rounding.what > 1.0);
+            assert!(wide.count() >= 1, "η = {eta}: no ŵ > 1 band");
+            let n = g.n() as VertexId;
+            for (i, band) in family.bands.iter().enumerate() {
+                let copy = band.rounding.round_graph(&g);
+                for s in 0..n {
+                    for t in 0..n {
+                        let explicit = hop_limited_pair(&copy, Some(&band.extra), s, t, band.h);
+                        let swept = sweep_band(&g, &band.rounding, band.h, band.extra.view(), s, t);
+                        assert_eq!(swept, explicit, "band {i}, ({s}, {t})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

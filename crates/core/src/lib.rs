@@ -13,13 +13,14 @@
 //!   Klein–Subramanian rounding (§5), the polynomially-bounded-weight
 //!   preprocessing (Appendix B), and the low-depth limited hopsets
 //!   (Appendix C).
-//! * [`oracle`] — the end-to-end `(1+ε)`-approximate shortest-path oracle
-//!   of Theorem 1.2: preprocess once, then answer `s`–`t` queries (or
-//!   whole batches, fanned across the psh-exec pool) with an
-//!   `h`-hop-limited parallel Bellman–Ford.
-//! * [`snapshot`] — versioned binary snapshots of hopsets, spanners, and
-//!   full oracles, so preprocessing and serving run as separate
-//!   processes.
+//! * [`oracle`] — the served shortest-path oracle: a graph and an exact
+//!   bidirectional Dijkstra, answering `s`–`t` queries (or whole batches,
+//!   fanned across the psh-exec pool). Theorem 1.2's `(1+ε)`-approximate
+//!   oracle left the serving path: at the default parameters its hopsets
+//!   were one star per band, its answers were already exact, and it
+//!   answered slower (see the module docs).
+//! * [`snapshot`] — zero-copy oracle snapshots and delta journals, so
+//!   preprocessing and serving run as separate processes.
 //! * [`service`] — the concurrent serving front: an [`Arc`]-shared
 //!   oracle behind an admission queue that serves up to the policy's
 //!   thread count of `query_batch` calls at once and coalesces the
@@ -40,8 +41,8 @@ pub mod snapshot;
 pub mod spanner;
 
 pub use api::{
-    HopsetArtifact, HopsetBuilder, HopsetKind, OracleBuilder, OracleMode, Run, Seed,
-    SpannerBuilder, SpannerKind,
+    HopsetArtifact, HopsetBuilder, HopsetKind, OracleBuilder, Run, Seed, SpannerBuilder,
+    SpannerKind,
 };
 pub use error::PshError;
 pub use hopset::{Hopset, HopsetParams};

@@ -37,12 +37,12 @@
 //!
 //! The policy that fans each batch out therefore also caps the batches
 //! in flight: `Sequential` serves one batch at a time, `Parallel {
-//! threads: k }` lets up to `k` leaders sweep side by side. A sweep only
-//! reads the shared oracle and its own per-thread scratch, so concurrent
-//! batches share no mutable state. Callers coalesce into shared batches
+//! threads: k }` lets up to `k` leaders search side by side. A search
+//! only reads the shared oracle and its own per-thread scratch, so
+//! concurrent batches share no mutable state. Callers coalesce into shared batches
 //! only when they outnumber the cap: with `k` slots free, `k` callers
 //! each serve their own request at once instead of waiting for one
-//! another's sweeps.
+//! another's searches.
 //!
 //! Batch boundaries therefore depend on arrival timing — but **answers do
 //! not**: `query_batch` maps every pair independently through
@@ -99,19 +99,18 @@
 //!
 //! ## Thread-safety audit
 //!
-//! Sharing one oracle across OS threads is sound because the whole serving
-//! state is built from plain owned buffers: `CsrGraph`, [`Hopset`],
-//! `ExtraEdges`, and [`WeightedHopsets`] are `Vec`s of POD values with no
-//! interior mutability, so `ApproxShortestPaths` is auto-`Send + Sync` in
-//! its owned representation. The mapped representation (a v2 snapshot
-//! served in place through `MmapView`/`ExtraSlabsView`) additionally
-//! holds raw slices into a shared, immutable, never-remapped
-//! [`SnapshotSource`] region — those views carry manual
-//! `unsafe impl Send/Sync` whose soundness argument lives next to the
-//! impls in `psh-graph`. The compile-time assertions at the bottom of
-//! this module turn all of that into a build failure if a future
-//! refactor introduces an `Rc`/`RefCell`/unshareable field anywhere in
-//! the oracle, hopset, or snapshot types.
+//! Sharing one oracle across OS threads is sound because an oracle is one
+//! graph. Owned, it is a `CsrGraph`: `Vec`s of POD values with no
+//! interior mutability, so `ApproxShortestPaths` is auto-`Send + Sync`.
+//! Mapped (a v2 snapshot served in place), it is a `MmapView` holding raw
+//! slices into a shared, immutable, never-remapped [`SnapshotSource`]
+//! region; the view carries a manual `unsafe impl Send/Sync` whose
+//! soundness argument lives next to the impls in `psh-graph`. The
+//! search's scratch is thread-local, so concurrent queries share no
+//! mutable state. The compile-time assertions at the bottom of this
+//! module turn all of that into a build failure if a future refactor
+//! introduces an `Rc`/`RefCell`/unshareable field anywhere in the oracle
+//! or snapshot types.
 //!
 //! ```
 //! use psh_core::api::{OracleBuilder, Seed};
@@ -130,14 +129,11 @@
 //! assert_eq!(stats.served, 2);
 //! ```
 
-use crate::hopset::weighted::{EstimateBand, WeightedHopsets};
-use crate::hopset::{Hopset, HopsetParams};
+use crate::hopset::HopsetParams;
 use crate::oracle::{ApproxShortestPaths, QueryResult};
 use crate::snapshot::OracleMeta;
-use crate::spanner::Spanner;
 use psh_exec::ExecutionPolicy;
-use psh_graph::traversal::bellman_ford::ExtraEdges;
-use psh_graph::{CsrGraph, ExtraSlabsView, MmapView, SnapshotSource, VertexId};
+use psh_graph::{CsrGraph, MmapView, SnapshotSource, VertexId};
 use psh_pram::Cost;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -869,16 +865,10 @@ const _: () = {
     // the shared oracle and everything inside it
     assert_send_sync::<ApproxShortestPaths>();
     assert_send_sync::<CsrGraph>();
-    assert_send_sync::<Hopset>();
-    assert_send_sync::<ExtraEdges>();
-    assert_send_sync::<WeightedHopsets>();
-    assert_send_sync::<EstimateBand>();
-    assert_send_sync::<Spanner>();
     // the mapped (zero-copy) representation: raw slices into a shared
     // immutable snapshot region, shareable by the manual unsafe impls
     assert_send_sync::<SnapshotSource>();
     assert_send_sync::<MmapView>();
-    assert_send_sync::<ExtraSlabsView>();
     // snapshot provenance travels between build and serve threads
     assert_send_sync::<OracleMeta>();
     assert_send_sync::<HopsetParams>();
@@ -906,13 +896,6 @@ mod tests {
     fn test_oracle(seed: u64) -> ApproxShortestPaths {
         let g = generators::grid(10, 10);
         OracleBuilder::new()
-            .params(HopsetParams {
-                epsilon: 0.5,
-                delta: 1.5,
-                gamma1: 0.25,
-                gamma2: 0.75,
-                k_conf: 1.0,
-            })
             .seed(Seed(seed))
             .build(&g)
             .unwrap()
@@ -1291,16 +1274,8 @@ mod tests {
     fn hot_swap_matches_fresh_build_of_the_mutated_graph_under_every_policy() {
         use psh_graph::GraphDelta;
         let g = generators::grid(10, 10);
-        let params = HopsetParams {
-            epsilon: 0.5,
-            delta: 1.5,
-            gamma1: 0.25,
-            gamma2: 0.75,
-            k_conf: 1.0,
-        };
         let build = |g: &psh_graph::CsrGraph| {
             OracleBuilder::new()
-                .params(params)
                 .seed(Seed(11))
                 .build(g)
                 .unwrap()
@@ -1364,13 +1339,6 @@ mod tests {
         delta.insert(0, 99, 1).unwrap();
         let mutated = g.apply_delta(&delta).unwrap();
         let fresh = OracleBuilder::new()
-            .params(HopsetParams {
-                epsilon: 0.5,
-                delta: 1.5,
-                gamma1: 0.25,
-                gamma2: 0.75,
-                k_conf: 1.0,
-            })
             .seed(Seed(12))
             .build(&mutated)
             .unwrap()

@@ -275,18 +275,16 @@ pub fn owned_base_graph(oracle: &ApproxShortestPaths) -> CsrGraph {
 }
 
 /// Rebuild an oracle for a (mutated) graph from the provenance of its
-/// predecessor: same parameters, same seed, so the result is
-/// byte-identical to a fresh `OracleBuilder` run on that graph. The
-/// build executes on the psh-exec pool under the ambient policy;
-/// artifacts are policy-independent by the workspace determinism
-/// contract.
+/// predecessor: the builder validates and copies `g`, and the new meta
+/// keeps the predecessor's parameters and seed, so the result is
+/// byte-identical to a fresh `OracleBuilder` run on that graph. A graph
+/// the builder refuses is a [`SnapshotError::Corrupt`] naming
+/// `oracle rebuild`.
 pub fn rebuild_oracle(
     g: &CsrGraph,
     meta: &OracleMeta,
 ) -> Result<(ApproxShortestPaths, OracleMeta), SnapshotError> {
-    let run = OracleBuilder::new()
-        .params(meta.params)
-        .seed(meta.seed)
+    let run = oracle_builder(meta)
         .build(g)
         .map_err(|e| corrupt("oracle rebuild", e.to_string()))?;
     let meta = OracleMeta {
@@ -295,6 +293,10 @@ pub fn rebuild_oracle(
         build_cost: run.cost,
     };
     Ok((run.artifact, meta))
+}
+
+fn oracle_builder(meta: &OracleMeta) -> OracleBuilder {
+    OracleBuilder::new().seed(meta.seed)
 }
 
 /// What [`compact_oracle`] folded.
@@ -378,11 +380,31 @@ pub struct ReloadReport {
 /// requests. If the journal shrinks or disappears, a `compact` folded it
 /// into the base — the reloader's graph already equals that fold, so it
 /// resets its record cursor and keeps serving without a reload.
+///
+/// A record that does not apply to the served graph, or whose result
+/// the builder refuses, is **refused**: the records before it are served,
+/// it and every later record are not, and the reloader remembers the
+/// refusal with the journal's length. Until that length changes, each
+/// poll returns the remembered error without reading the journal.
 pub struct JournalReloader {
     journal: PathBuf,
     served: Served,
     meta: OracleMeta,
     consumed: usize,
+    refused: Option<Refusal>,
+}
+
+/// A refused record's error, and the journal length it was refused at.
+struct Refusal {
+    len: u64,
+    what: &'static str,
+    detail: String,
+}
+
+impl Refusal {
+    fn error(&self) -> SnapshotError {
+        corrupt(self.what, self.detail.clone())
+    }
 }
 
 /// The graph the service answers for: the one handed to
@@ -420,6 +442,7 @@ impl JournalReloader {
             served: Served::Given(graph),
             meta,
             consumed: 0,
+            refused: None,
         }
     }
 
@@ -432,21 +455,29 @@ impl JournalReloader {
     /// exist, rebuild and hot-swap. Returns `Ok(None)` when there is
     /// nothing new (including a missing journal), `Ok(Some(report))`
     /// after a completed swap. Errors are typed and leave the service
-    /// serving its current epoch untouched.
+    /// serving its current epoch untouched. A refused record (see the
+    /// type docs) returns its error once the records before it are
+    /// served: with this call if there are none, else with the next.
     pub fn poll(
         &mut self,
         service: &crate::service::OracleService,
     ) -> Result<Option<ReloadReport>, SnapshotError> {
-        let (jn, deltas) = match load_journal(&self.journal) {
-            Ok(j) => j,
-            Err(SnapshotError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+        let len = match std::fs::metadata(&self.journal) {
+            Ok(m) => m.len(),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 // compacted away (or never written): the base now equals
                 // our graph, so new journals start from record 0
                 self.consumed = 0;
+                self.refused = None;
                 return Ok(None);
             }
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.into()),
         };
+        if let Some(refusal) = self.refused.as_ref().filter(|r| r.len == len) {
+            return Err(refusal.error());
+        }
+        self.refused = None;
+        let (jn, deltas) = load_journal(&self.journal)?;
         let graph = self.served.graph();
         if jn != graph.n() {
             return Err(corrupt(
@@ -463,28 +494,55 @@ impl JournalReloader {
             // graph we already serve
             self.consumed = 0;
         }
-        if deltas.len() == self.consumed {
-            return Ok(None);
-        }
+        // Apply the new records one at a time, so the first refused one
+        // leaves the records before it servable.
         let fresh = &deltas[self.consumed..];
-        let mutated = apply_deltas(graph, fresh)?;
-        // The rebuild runs here — on this thread, fanning out on the
-        // psh-exec pool — while the service keeps answering from the old
-        // epoch; only the swap itself takes the service lock. A refused
-        // rebuild returns before anything changes.
+        let mut mutated: Option<CsrGraph> = None;
+        let mut applied = 0;
+        for (i, delta) in fresh.iter().enumerate() {
+            let record = self.consumed + i;
+            let next = mutated
+                .as_ref()
+                .unwrap_or(graph)
+                .apply_delta(delta)
+                .map_err(|e| ("journal apply", format!("record {record}: {e}")))
+                .and_then(|g| match oracle_builder(&self.meta).validate(&g) {
+                    Ok(()) => Ok(g),
+                    Err(e) => Err(("oracle rebuild", format!("record {record}: {e}"))),
+                });
+            match next {
+                Ok(g) => {
+                    mutated = Some(g);
+                    applied += 1;
+                }
+                Err((what, detail)) => {
+                    self.refused = Some(Refusal { len, what, detail });
+                    break;
+                }
+            }
+        }
+        let Some(mutated) = mutated else {
+            return match &self.refused {
+                Some(refusal) => Err(refusal.error()),
+                None => Ok(None),
+            };
+        };
+        // The rebuild runs here while the service keeps answering from
+        // the old epoch; only the swap itself takes the service lock.
         let (rebuilt, new_meta) = rebuild_oracle(&mutated, &self.meta)?;
         let rebuilt = Arc::new(rebuilt);
         let epoch = service.swap_oracle(Arc::clone(&rebuilt));
+        let served = &fresh[..applied];
         let report = ReloadReport {
             epoch,
-            records: fresh.len(),
-            ops: fresh.iter().map(|d| d.len()).sum(),
+            records: applied,
+            ops: served.iter().map(|d| d.len()).sum(),
             n: mutated.n() as u64,
             m: mutated.m() as u64,
         };
         self.served = Served::Rebuilt(rebuilt);
         self.meta = new_meta;
-        self.consumed = deltas.len();
+        self.consumed += applied;
         Ok(Some(report))
     }
 }
@@ -496,16 +554,6 @@ mod tests {
     use crate::hopset::HopsetParams;
     use proptest::prelude::*;
     use psh_graph::generators;
-
-    fn params() -> HopsetParams {
-        HopsetParams {
-            epsilon: 0.5,
-            delta: 1.5,
-            gamma1: 0.25,
-            gamma2: 0.75,
-            k_conf: 1.0,
-        }
-    }
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("psh_journal_{name}_{}", std::process::id()))
@@ -600,12 +648,8 @@ mod tests {
     #[test]
     fn compact_folds_journal_into_base_and_matches_fresh_build() {
         let g = generators::grid(8, 8);
-        let run = OracleBuilder::new()
-            .params(params())
-            .seed(Seed(21))
-            .build(&g)
-            .unwrap();
-        let meta = OracleMeta::of_run(&run, params());
+        let run = OracleBuilder::new().seed(Seed(21)).build(&g).unwrap();
+        let meta = OracleMeta::of_run(&run, HopsetParams::default());
         let path = temp_path("compact");
         std::fs::remove_file(&path).ok();
         save_oracle_v2(&path, &run.artifact, &meta).unwrap();
@@ -623,11 +667,7 @@ mod tests {
         // the compacted base answers byte-identically to a fresh build
         // of the mutated graph
         let mutated = g.apply_delta(&d).unwrap();
-        let fresh = OracleBuilder::new()
-            .params(params())
-            .seed(Seed(21))
-            .build(&mutated)
-            .unwrap();
+        let fresh = OracleBuilder::new().seed(Seed(21)).build(&mutated).unwrap();
         let (served, served_meta) = load_oracle_v2(&path, LoadMode::Read).unwrap();
         assert_eq!(served_meta.seed, Seed(21));
         for (s, t) in [(0u32, 63u32), (0, 1), (5, 58), (7, 7)] {
@@ -660,12 +700,8 @@ mod tests {
     fn journal_reloader_swaps_only_on_new_records() {
         use crate::service::{OracleService, ServiceConfig};
         let g = generators::grid(8, 8);
-        let run = OracleBuilder::new()
-            .params(params())
-            .seed(Seed(33))
-            .build(&g)
-            .unwrap();
-        let meta = OracleMeta::of_run(&run, params());
+        let run = OracleBuilder::new().seed(Seed(33)).build(&g).unwrap();
+        let meta = OracleMeta::of_run(&run, HopsetParams::default());
         let base = temp_path("reloader_base");
         std::fs::remove_file(&base).ok();
         std::fs::remove_file(journal_path(&base)).ok();
@@ -690,11 +726,7 @@ mod tests {
         // the swapped-in oracle answers like a fresh build of the
         // mutated graph
         let mutated = g.apply_delta(&d).unwrap();
-        let fresh = OracleBuilder::new()
-            .params(params())
-            .seed(Seed(33))
-            .build(&mutated)
-            .unwrap();
+        let fresh = OracleBuilder::new().seed(Seed(33)).build(&mutated).unwrap();
         for (s, t) in [(0u32, 63u32), (5, 58)] {
             assert_eq!(service.query(s, t), fresh.artifact.query(s, t).0);
         }
@@ -714,6 +746,64 @@ mod tests {
         std::fs::remove_file(&base).ok();
     }
 
+    /// A good record then a refused one (its insert puts distances above
+    /// 2⁵³) serves the good one at epoch 1. The refusal is remembered with
+    /// the journal's length: 100 polls of a same-length file, even one
+    /// rewritten to garbage, return it without reading the file (a read
+    /// would report bad magic). A longer journal is read again and the
+    /// refused record, still there, keeps every later record unserved.
+    #[test]
+    fn a_refused_record_is_remembered_and_the_records_before_it_serve() {
+        use crate::service::{OracleService, ServiceConfig};
+        let g = generators::grid(8, 8);
+        let run = OracleBuilder::new().seed(Seed(35)).build(&g).unwrap();
+        let meta = OracleMeta::of_run(&run, HopsetParams::default());
+        let base = temp_path("reloader_refused");
+        let jpath = journal_path(&base);
+        std::fs::remove_file(&jpath).ok();
+        let service = OracleService::new(run.artifact, ServiceConfig::default());
+        let mut reloader = JournalReloader::new(&base, g.clone(), meta);
+        let record = |u, v, w| {
+            let mut d = GraphDelta::new(64);
+            d.insert(u, v, w).unwrap();
+            d
+        };
+        let good = record(0, 63, 2);
+        append_journal(&jpath, &good).unwrap();
+        // 63·2⁴⁸ > 2⁵³: the builder refuses the graph this record makes
+        append_journal(&jpath, &record(1, 62, 1 << 48)).unwrap();
+        let report = reloader.poll(&service).unwrap().unwrap();
+        assert_eq!((report.epoch, report.records, report.ops), (1, 1, 1));
+        let mutated = g.apply_delta(&good).unwrap();
+        assert_eq!(report.m, mutated.m() as u64);
+        assert_eq!(service.query(0, 63).distance, 2.0);
+        let refused = reloader.poll(&service).unwrap_err().to_string();
+        assert!(refused.contains("record 1") && refused.contains("exceed 2^53"));
+        assert!(refused.contains("oracle rebuild"), "{refused}");
+
+        let journal = std::fs::read(&jpath).unwrap();
+        std::fs::write(&jpath, vec![0xAB; journal.len()]).unwrap();
+        for _ in 0..100 {
+            assert_eq!(reloader.poll(&service).unwrap_err().to_string(), refused);
+        }
+        assert_eq!(service.epoch(), 1);
+
+        std::fs::write(&jpath, journal).unwrap();
+        append_journal(&jpath, &record(2, 61, 1)).unwrap();
+        assert_eq!(reloader.poll(&service).unwrap_err().to_string(), refused);
+        assert_eq!(service.epoch(), 1);
+        let served = psh_graph::traversal::dijkstra::dijkstra_pair(&mutated, 2, 61);
+        assert_eq!(
+            service.query(2, 61).distance,
+            served as f64,
+            "no later record serves"
+        );
+
+        std::fs::remove_file(&jpath).unwrap();
+        assert_eq!(reloader.poll(&service).unwrap(), None);
+        std::fs::remove_file(&base).ok();
+    }
+
     /// The atomic-save contract under failure: when a save or a compact
     /// cannot complete, the target's directory must hold no leaked `.tmp`
     /// sibling afterwards, and a failed compact must leave the base
@@ -725,12 +815,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let g = generators::grid(4, 4);
-        let run = OracleBuilder::new()
-            .params(params())
-            .seed(Seed(3))
-            .build(&g)
-            .unwrap();
-        let meta = OracleMeta::of_run(&run, params());
+        let run = OracleBuilder::new().seed(Seed(3)).build(&g).unwrap();
+        let meta = OracleMeta::of_run(&run, HopsetParams::default());
 
         // the rename target is a directory, so the save fails *after*
         // its temp file exists — cleanup must remove it
@@ -762,12 +848,8 @@ mod tests {
     #[test]
     fn compact_without_journal_is_a_typed_error() {
         let g = generators::grid(4, 4);
-        let run = OracleBuilder::new()
-            .params(params())
-            .seed(Seed(2))
-            .build(&g)
-            .unwrap();
-        let meta = OracleMeta::of_run(&run, params());
+        let run = OracleBuilder::new().seed(Seed(2)).build(&g).unwrap();
+        let meta = OracleMeta::of_run(&run, HopsetParams::default());
         let path = temp_path("compact_nojournal");
         save_oracle_v2(&path, &run.artifact, &meta).unwrap();
         assert!(matches!(

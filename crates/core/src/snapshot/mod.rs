@@ -6,7 +6,7 @@
 //! maps and serves in place ([`load_oracle_v2`]) or bulk-reads into one
 //! aligned buffer. The header (magic, version, kind) and the error type
 //! come from [`psh_graph::io`]; [`v2`] alone defines the oracle's
-//! sections. Files of any other version, such as the retired version-1
+//! sections: its META block and the five graph slabs. Files of any other version, such as the retired version-1
 //! stream format, are refused with [`SnapshotError::UnsupportedVersion`]
 //! and are rebuilt from the seed they recorded. [`journal`] layers
 //! append-only edge-update logs over a base snapshot.
@@ -55,12 +55,15 @@ pub use v2::{
     write_oracle_v2_bytes, OracleSections,
 };
 
-/// Provenance stored alongside an oracle: the parameters and seed that
-/// built it (enough to rebuild it from scratch and get the identical
-/// artifact) and the preprocessing cost in the paper's currency.
+/// Provenance stored alongside an oracle: the hopset parameters its
+/// caller recorded, the seed, and the preprocessing cost in the paper's
+/// currency. The oracle is its graph, so nothing rebuilds from `params`
+/// any more; they are stored and round-trip so a file keeps the record
+/// of how its graph was meant to be preprocessed.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OracleMeta {
-    /// The hopset parameters the oracle was built with.
+    /// The hopset parameters recorded with the oracle (validated on load;
+    /// never read to build anything).
     pub params: HopsetParams,
     /// The seed that produced it.
     pub seed: Seed,

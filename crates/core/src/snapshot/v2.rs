@@ -1,37 +1,42 @@
 //! `SNAPSHOT_VERSION = 2` oracle snapshots — the one on-disk format.
 //!
-//! A v2 snapshot is a *region*: all query-time state — including the
-//! derived state a fresh build computes (every hopset's query adjacency)
-//! — is stored as page-aligned little-endian slabs indexed by a section
-//! directory (framework in
-//! [`psh_graph::source`]), so loading is one `mmap` (or one bulk read
-//! into an aligned buffer) plus validation, and queries run straight off
-//! the mapped bytes through [`psh_graph::MmapView`] /
-//! [`psh_graph::ExtraSlabsView`].
+//! A v2 snapshot is a *region*: all query-time state is stored as
+//! page-aligned little-endian slabs indexed by a section directory
+//! (framework in [`psh_graph::source`]), so loading is one `mmap` (or one
+//! bulk read into an aligned buffer) plus validation, and queries run
+//! straight off the mapped bytes through [`psh_graph::MmapView`].
 //!
 //! ## Oracle section map
 //!
-//! On top of the graph sections (`SEC_META` … `SEC_GRAPH_EDGES`, tags
-//! 1–6) the oracle kind adds:
+//! A file this build writes holds six sections: `SEC_META` (tag 1) and
+//! the graph sections `SEC_GRAPH_OFFSETS` … `SEC_GRAPH_EDGES` (tags 2–6).
+//! The oracle is its graph, so there is nothing else to store.
 //!
-//! | tag | payload |
-//! |-----|---------|
-//! | `7` (`SEC_HOPSET_EDGES`)  | unweighted hopset shortcut edges, construction order, 16 B each |
-//! | `8`–`10` (`SEC_EXTRA_*`)  | unweighted hopset adjacency: offsets `(n+1)×u32`, targets `2m'×u32`, weights `2m'×u64` |
-//! | `11` (`SEC_BANDS`)        | weighted mode: one 56-byte record per band (`d`, `ŵ`, `h`, star/clique/level/edge counts) |
-//! | `0x100 + 16·b + s`        | weighted band `b`, sub-slab `s ∈ 2..=5`: its hopset (see [`band_tag`]) |
+//! `SEC_META` is a fixed-offset block of 8-byte little-endian scalars:
 //!
-//! `SEC_META` is a fixed-offset scalar block: build params (5×f64), seed,
-//! build cost (2×u64), mode, `n`, `m`, then mode-specific scalars.
+//! | offset | field |
+//! |--------|-------|
+//! | 0–39   | hopset parameters `ε, δ, γ₁, γ₂, k_conf` (f64 bits), recorded for [`OracleMeta`]; nothing rebuilds from them |
+//! | 40     | seed |
+//! | 48, 56 | build cost: work, depth |
+//! | 64     | layout tag: [`META_EXACT`] (2) |
+//! | 72, 80 | `n`, `m` |
 //!
-//! A band stores no graph: it is a grid over the base graph, which every
-//! band sweeps with each weight `w` read as `⌈w/ŵ⌉`. Sub-slabs 0 and 1
-//! (tags `0x100 + 16·b + {0, 1}`), where older builds stored a band's
-//! rounded slot weights and edge records, are retired: no reader looks
-//! at them at either level, so an older file that stores them serves,
-//! and re-saving a load of it writes the bytes a fresh build does. A
-//! build that still reads them refuses a file with a `ŵ > 1` band as
-//! [`SnapshotError::Corrupt`] naming `band weights`.
+//! That is the whole 88-byte block: a new file stores nothing past this
+//! common prefix. Builds that served a hopset wrote layout tag 0
+//! (unweighted, 128 bytes: five more scalars) or 1 (weighted, 112 bytes:
+//! three more), and the hopset and band sections: tags 7–11 and the band
+//! space `0x100 + 16·b + s`. Those tags are **retired**. Both read levels
+//! accept the two older META lengths, read only the common prefix, and
+//! never look at a retired section, so an older file opens, answers with
+//! the distances it always did (every answer it served at the default
+//! parameters was exact), and re-saves to the bytes a fresh build writes.
+//! `psh-snap inspect` lists retired sections as such. A retired tag is
+//! never reused: a reused tag would misread older files.
+//!
+//! A build that still serves hopsets refuses a new file: it requires a
+//! META of at least 112 bytes, so it reports [`SnapshotError::Corrupt`]
+//! naming `oracle meta` before reading anything else, and never serves it.
 //!
 //! ## Trust model
 //!
@@ -48,19 +53,16 @@
 //! [`Verify::Deep`] ([`verify_oracle_v2`]; used by `psh-snap` and the
 //! corruption suites) additionally pins every *derived* value to exactly
 //! what a fresh build computes: the CSR slabs must replay the canonical
-//! fill sweep, the base weights must keep every distance within 2⁵³
-//! (the builders' cap, [`crate::PshError::DistancesExceedF64`]), each
-//! band's `ŵ` must equal [`Rounding::for_band`] of its `d`, `n` and `ε`
-//! (else `Corrupt` naming `band grid`), and each hopset adjacency must
-//! replay the `ExtraEdges` fill order. A snapshot that deep-validates
-//! therefore answers every query — costs included — byte-identically to
-//! the owned oracle it was saved from, under every `ExecutionPolicy`;
-//! since the writer is canonical, every snapshot this crate produces
-//! deep-validates, so the byte-identity guarantee holds for the `Bounds`
-//! serving path on any untampered file. Malformed input is a typed
-//! [`SnapshotError`] at either level, never a panic or out-of-bounds
-//! access — in-bounds tampering below `Deep`'s radar can change answers,
-//! never memory safety. Every graph, hopset and band section above is
+//! fill sweep, and the base weights must keep every distance within 2⁵³
+//! (the builder's cap, [`crate::PshError::DistancesExceedF64`]). A
+//! snapshot that deep-validates therefore answers every query — costs
+//! included — byte-identically to the owned oracle it was saved from,
+//! under every `ExecutionPolicy`; since the writer is canonical, every
+//! snapshot this crate produces deep-validates, so the byte-identity
+//! guarantee holds for the `Bounds` serving path on any untampered file.
+//! Malformed input is a typed [`SnapshotError`] at either level, never a
+//! panic or out-of-bounds access — in-bounds tampering below `Deep`'s
+//! radar can change answers, never memory safety. Every graph section is
 //! required: a file without one (such as an older build's file that
 //! stored the base adjacency under the retired tags 12 and 13) is a
 //! [`SnapshotError::Corrupt`] naming the missing section. A file of any
@@ -68,68 +70,26 @@
 //! [`SnapshotError::UnsupportedVersion`] on every open path.
 
 use crate::api::check_distance_cap;
-use crate::hopset::rounding::Rounding;
 use crate::hopset::HopsetParams;
-use crate::oracle::{
-    ApproxShortestPaths, HopsetParts, MappedBand, MappedEdges, MappedHopset, MappedMode,
-    MappedOracle, ModeParts, Repr,
-};
+use crate::oracle::ApproxShortestPaths;
 use crate::snapshot::OracleMeta;
 use crate::Seed;
 use psh_graph::io::{SnapshotError, KIND_ORACLE};
 use psh_graph::source::{
-    cast_edges, cast_u32s, cast_u64s, encode_csr_slabs, encode_extra_slabs, le_edges,
-    validate_edges_any_order, SectionTable, SectionWriter, SEC_GRAPH_EDGES, SEC_GRAPH_EIDS,
-    SEC_GRAPH_OFFSETS, SEC_GRAPH_TARGETS, SEC_GRAPH_WEIGHTS, SEC_META,
+    cast_edges, cast_u32s, cast_u64s, encode_csr_slabs, SectionTable, SectionWriter,
+    SEC_GRAPH_EDGES, SEC_GRAPH_EIDS, SEC_GRAPH_OFFSETS, SEC_GRAPH_TARGETS, SEC_GRAPH_WEIGHTS,
+    SEC_META,
 };
-use psh_graph::{ExtraSlabsView, LoadMode, MmapView, SnapshotSource, Verify};
+use psh_graph::{LoadMode, MmapView, SnapshotSource, Verify};
 use psh_pram::Cost;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Unweighted-mode shortcut edge list (construction order).
-pub const SEC_HOPSET_EDGES: u32 = 7;
-/// Unweighted-mode hopset adjacency offsets, `(n+1) × u32`.
-pub const SEC_EXTRA_OFFSETS: u32 = 8;
-/// Unweighted-mode hopset adjacency targets, `2m' × u32`.
-pub const SEC_EXTRA_TARGETS: u32 = 9;
-/// Unweighted-mode hopset adjacency weights, `2m' × u64`.
-pub const SEC_EXTRA_WEIGHTS: u32 = 10;
-/// Weighted-mode band directory: one [`BAND_RECORD_BYTES`]-byte record
-/// per band.
-pub const SEC_BANDS: u32 = 11;
+/// META layout tag of a file this build writes: the oracle is its graph.
+pub const META_EXACT: u64 = 2;
 
-/// Bytes per [`SEC_BANDS`] record: `d`, `ŵ` (f64 bits), `h`,
-/// `star_count`, `clique_count`, `levels`, `hopset_edge_count`.
-pub const BAND_RECORD_BYTES: usize = 56;
-
-/// First tag of the per-band slab space.
-pub const SEC_BAND_BASE: u32 = 0x100;
-
-/// Per-band sub-slab: hopset shortcut edges, construction order.
-/// (Sub-slabs 0 and 1 are retired; see the module docs.)
-pub const BAND_SUB_HOPSET_EDGES: u32 = 2;
-/// Per-band sub-slab: hopset adjacency offsets.
-pub const BAND_SUB_EXTRA_OFFSETS: u32 = 3;
-/// Per-band sub-slab: hopset adjacency targets.
-pub const BAND_SUB_EXTRA_TARGETS: u32 = 4;
-/// Per-band sub-slab: hopset adjacency weights.
-pub const BAND_SUB_EXTRA_WEIGHTS: u32 = 5;
-
-/// Widest META block: mode-0 files store five scalars past the common
-/// prefix (see [`write_meta`]); mode-1 files store three.
-const META_LEN_UNWEIGHTED: usize = 128;
-const META_LEN_WEIGHTED: usize = 112;
-
-/// Keep the per-band tag space (16 tags per band above
-/// [`SEC_BAND_BASE`]) comfortably inside `u32` and reject absurd band
-/// counts before allocating anything proportional to them.
-const MAX_BANDS: usize = 1 << 16;
-
-/// The section tag of band `band`'s sub-slab `sub`.
-pub fn band_tag(band: usize, sub: u32) -> u32 {
-    SEC_BAND_BASE + (band as u32) * 16 + sub
-}
+/// META length of a file this build writes: the common prefix only.
+const META_LEN: usize = 88;
 
 fn corrupt(what: &'static str, detail: impl std::fmt::Display) -> SnapshotError {
     SnapshotError::Corrupt {
@@ -149,49 +109,25 @@ struct Meta {
     mode: u64,
     n: usize,
     m: usize,
-    /// mode 0: `[h_max, star, clique, levels, hopset_edges]`
-    /// mode 1: `[eta bits, epsilon bits, band_count]`
-    tail: [u64; 5],
 }
 
-fn write_meta(oracle: &ApproxShortestPaths, meta: &OracleMeta, parts: &ModeParts<'_>) -> Vec<u8> {
+fn write_meta(oracle: &ApproxShortestPaths, meta: &OracleMeta) -> Vec<u8> {
     let g = oracle.graph();
-    let (mode, len) = match parts {
-        ModeParts::Unweighted { .. } => (0u64, META_LEN_UNWEIGHTED),
-        ModeParts::Weighted { .. } => (1u64, META_LEN_WEIGHTED),
-    };
-    let mut out = vec![0u8; len];
-    let mut put = |at: usize, v: u64| out[at..at + 8].copy_from_slice(&v.to_le_bytes());
-    put(0, meta.params.epsilon.to_bits());
-    put(8, meta.params.delta.to_bits());
-    put(16, meta.params.gamma1.to_bits());
-    put(24, meta.params.gamma2.to_bits());
-    put(32, meta.params.k_conf.to_bits());
-    put(40, meta.seed.0);
-    put(48, meta.build_cost.work);
-    put(56, meta.build_cost.depth);
-    put(64, mode);
-    put(72, g.n() as u64);
-    put(80, g.m() as u64);
-    match parts {
-        ModeParts::Unweighted { h_max, hopset } => {
-            put(88, *h_max as u64);
-            put(96, hopset.star_count as u64);
-            put(104, hopset.clique_count as u64);
-            put(112, hopset.levels as u64);
-            put(120, hopset.edges.len() as u64);
-        }
-        ModeParts::Weighted {
-            eta,
-            epsilon,
-            bands,
-        } => {
-            put(88, eta.to_bits());
-            put(96, epsilon.to_bits());
-            put(104, bands.len() as u64);
-        }
-    }
-    out
+    let p = &meta.params;
+    let scalars = [
+        p.epsilon.to_bits(),
+        p.delta.to_bits(),
+        p.gamma1.to_bits(),
+        p.gamma2.to_bits(),
+        p.k_conf.to_bits(),
+        meta.seed.0,
+        meta.build_cost.work,
+        meta.build_cost.depth,
+        META_EXACT,
+        g.n() as u64,
+        g.m() as u64,
+    ];
+    scalars.iter().flat_map(|v| v.to_le_bytes()).collect()
 }
 
 fn meta_u64(meta: &[u8], at: usize) -> u64 {
@@ -199,7 +135,7 @@ fn meta_u64(meta: &[u8], at: usize) -> u64 {
 }
 
 fn parse_meta(bytes: &[u8]) -> Result<Meta, SnapshotError> {
-    if bytes.len() < META_LEN_WEIGHTED {
+    if bytes.len() < META_LEN {
         return Err(corrupt(
             "oracle meta",
             format_args!("meta section of {} bytes is too short", bytes.len()),
@@ -219,12 +155,15 @@ fn parse_meta(bytes: &[u8]) -> Result<Meta, SnapshotError> {
     let build_cost = Cost::new(meta_u64(bytes, 48), meta_u64(bytes, 56));
     let mode = meta_u64(bytes, 64);
     let expected_len = match mode {
-        0 => META_LEN_UNWEIGHTED,
-        1 => META_LEN_WEIGHTED,
-        other => {
+        META_EXACT => META_LEN,
+        // the retired layouts (see the module docs): their tails are
+        // never read
+        0 => 128,
+        1 => 112,
+        _ => {
             return Err(corrupt(
                 "mode tag",
-                format_args!("expected 0 (unweighted) or 1 (weighted), got {other}"),
+                format_args!("expected {META_EXACT}, or 0 or 1 from an older build, got {mode}"),
             ))
         }
     };
@@ -245,13 +184,6 @@ fn parse_meta(bytes: &[u8]) -> Result<Meta, SnapshotError> {
         ));
     }
     let m = meta_u64(bytes, 80);
-    let mut tail = [0u64; 5];
-    for (i, slot) in tail.iter_mut().enumerate() {
-        let at = 88 + i * 8;
-        if at + 8 <= bytes.len() {
-            *slot = meta_u64(bytes, at);
-        }
-    }
     let count = |v: u64, what: &'static str| -> Result<usize, SnapshotError> {
         usize::try_from(v).map_err(|_| corrupt(what, format_args!("{v} does not fit in usize")))
     };
@@ -262,7 +194,6 @@ fn parse_meta(bytes: &[u8]) -> Result<Meta, SnapshotError> {
         mode,
         n: count(n, "vertex count")?,
         m: count(m, "edge count")?,
-        tail,
     })
 }
 
@@ -270,93 +201,24 @@ fn parse_meta(bytes: &[u8]) -> Result<Meta, SnapshotError> {
 // Writer
 // ---------------------------------------------------------------------------
 
-fn hopset_sections(
-    w: &mut SectionWriter,
-    n: usize,
-    hopset: &HopsetParts<'_>,
-    tags: [u32; 4], // [edges, extra offsets, extra targets, extra weights]
-) {
-    let extra = encode_extra_slabs(n, hopset.edges);
-    w.section(tags[0], le_edges(hopset.edges));
-    w.section(tags[1], extra.offsets);
-    w.section(tags[2], extra.targets);
-    w.section(tags[3], extra.weights);
-}
-
 /// Encode an oracle (any representation) as a complete v2 snapshot file.
 ///
-/// The encoding is a pure function of the oracle's logical content:
+/// The encoding is a pure function of the oracle's graph and `meta`:
 /// saving a fresh build or a mapped load of its snapshot produces
 /// identical bytes.
 pub fn write_oracle_v2_bytes(
     oracle: &ApproxShortestPaths,
     meta: &OracleMeta,
 ) -> Result<Vec<u8>, SnapshotError> {
-    let parts = oracle.mode_parts();
-    if let ModeParts::Weighted { bands, .. } = &parts {
-        if bands.len() > MAX_BANDS {
-            return Err(corrupt(
-                "band count",
-                format_args!("{} bands exceed the format limit {MAX_BANDS}", bands.len()),
-            ));
-        }
-    }
     let g = oracle.graph();
-    let (n, edges) = (g.n(), g.edges());
-    let csr = encode_csr_slabs(n, edges);
-
+    let csr = encode_csr_slabs(g.n(), g.edges());
     let mut w = SectionWriter::new(KIND_ORACLE);
-    w.section(SEC_META, write_meta(oracle, meta, &parts));
+    w.section(SEC_META, write_meta(oracle, meta));
     w.section(SEC_GRAPH_OFFSETS, csr.offsets);
     w.section(SEC_GRAPH_TARGETS, csr.targets);
     w.section(SEC_GRAPH_WEIGHTS, csr.weights);
     w.section(SEC_GRAPH_EIDS, csr.slot_eids);
     w.section(SEC_GRAPH_EDGES, csr.edges);
-    match &parts {
-        ModeParts::Unweighted { hopset, .. } => {
-            hopset_sections(
-                &mut w,
-                n,
-                hopset,
-                [
-                    SEC_HOPSET_EDGES,
-                    SEC_EXTRA_OFFSETS,
-                    SEC_EXTRA_TARGETS,
-                    SEC_EXTRA_WEIGHTS,
-                ],
-            );
-        }
-        ModeParts::Weighted { bands, .. } => {
-            let mut records = vec![0u8; bands.len() * BAND_RECORD_BYTES];
-            for (i, band) in bands.iter().enumerate() {
-                let at = i * BAND_RECORD_BYTES;
-                let mut put = |off: usize, v: u64| {
-                    records[at + off..at + off + 8].copy_from_slice(&v.to_le_bytes())
-                };
-                put(0, band.d);
-                put(8, band.what.to_bits());
-                put(16, band.h as u64);
-                put(24, band.hopset.star_count as u64);
-                put(32, band.hopset.clique_count as u64);
-                put(40, band.hopset.levels as u64);
-                put(48, band.hopset.edges.len() as u64);
-            }
-            w.section(SEC_BANDS, records);
-            for (i, band) in bands.iter().enumerate() {
-                hopset_sections(
-                    &mut w,
-                    n,
-                    &band.hopset,
-                    [
-                        band_tag(i, BAND_SUB_HOPSET_EDGES),
-                        band_tag(i, BAND_SUB_EXTRA_OFFSETS),
-                        band_tag(i, BAND_SUB_EXTRA_TARGETS),
-                        band_tag(i, BAND_SUB_EXTRA_WEIGHTS),
-                    ],
-                );
-            }
-        }
-    }
     Ok(w.finish())
 }
 
@@ -398,56 +260,6 @@ pub fn save_oracle_v2(
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
-
-/// Slice and cast one band's or the unweighted mode's hopset slabs, then
-/// assemble the validated mapped hopset.
-fn load_hopset(
-    src: &Arc<SnapshotSource>,
-    table: &SectionTable,
-    n: usize,
-    counts: [usize; 4], // [star, clique, levels, edge_count]
-    tags: [u32; 4],     // [edges, extra offsets, extra targets, extra weights]
-    verify: Verify,
-) -> Result<MappedHopset, SnapshotError> {
-    let bytes = src.bytes();
-    let edges = cast_edges(
-        table.require(bytes, tags[0], "hopset edges")?,
-        "hopset edges",
-    )?;
-    if edges.len() != counts[3] {
-        return Err(corrupt(
-            "hopset edges",
-            format_args!("{} stored, meta claims {}", edges.len(), counts[3]),
-        ));
-    }
-    if verify == Verify::Deep {
-        // queries never index through the shortcut list itself (they
-        // traverse the adjacency slabs), so its content rules are an
-        // identity concern, not a safety one
-        validate_edges_any_order(n, edges)?;
-    }
-    let offsets = cast_u32s(
-        table.require(bytes, tags[1], "hopset adjacency offsets")?,
-        "hopset adjacency offsets",
-    )?;
-    let targets = cast_u32s(
-        table.require(bytes, tags[2], "hopset adjacency targets")?,
-        "hopset adjacency targets",
-    )?;
-    let weights = cast_u64s(
-        table.require(bytes, tags[3], "hopset adjacency weights")?,
-        "hopset adjacency weights",
-    )?;
-    let extra =
-        ExtraSlabsView::from_parts(Arc::clone(src), offsets, targets, weights, n, edges, verify)?;
-    Ok(MappedHopset {
-        star_count: counts[0],
-        clique_count: counts[1],
-        levels: counts[2],
-        edges: MappedEdges::of(edges),
-        extra,
-    })
-}
 
 /// Parse and validate a v2 oracle snapshot held in `src` at the given
 /// [`Verify`] level, returning an oracle that serves straight off the
@@ -515,155 +327,14 @@ pub fn read_oracle_v2(
         verify,
     )?;
     if verify == Verify::Deep {
-        // every builder refuses such weights, and §5's grid is exact
-        // only below them
+        // the builder refuses such weights: answers are f64, exact only
+        // up to 2⁵³
         let max_weight = edges.iter().map(|e| e.w).max().unwrap_or(0);
         check_distance_cap(n, max_weight).map_err(|e| corrupt("graph weights", e))?;
     }
 
-    let mode = match meta.mode {
-        0 => {
-            let h_max = meta.tail[0] as usize;
-            if h_max == 0 {
-                // the builder clamps h_max to ≥ 4; a zero budget would
-                // silently answer ∞ for every s ≠ t
-                return Err(corrupt(
-                    "hop budget",
-                    "hop budget of 0 cannot answer queries",
-                ));
-            }
-            let hopset = load_hopset(
-                &src,
-                &table,
-                n,
-                [
-                    meta.tail[1] as usize,
-                    meta.tail[2] as usize,
-                    meta.tail[3] as usize,
-                    meta.tail[4] as usize,
-                ],
-                [
-                    SEC_HOPSET_EDGES,
-                    SEC_EXTRA_OFFSETS,
-                    SEC_EXTRA_TARGETS,
-                    SEC_EXTRA_WEIGHTS,
-                ],
-                verify,
-            )?;
-            MappedMode::Unweighted { hopset, h_max }
-        }
-        1 => {
-            let eta = f64::from_bits(meta.tail[0]);
-            if !(eta > 0.0 && eta < 1.0) {
-                return Err(corrupt("eta", format_args!("must be in (0,1), got {eta}")));
-            }
-            let epsilon = f64::from_bits(meta.tail[1]);
-            if !(epsilon > 0.0 && epsilon < 1.0) {
-                return Err(corrupt(
-                    "epsilon",
-                    format_args!("must be in (0,1), got {epsilon}"),
-                ));
-            }
-            let band_count = meta.tail[2] as usize;
-            if band_count == 0 && n > 0 {
-                return Err(corrupt(
-                    "band count",
-                    format_args!("0 bands cannot serve a {n}-vertex graph"),
-                ));
-            }
-            if band_count > MAX_BANDS {
-                return Err(corrupt(
-                    "band count",
-                    format_args!("{band_count} bands exceed the format limit {MAX_BANDS}"),
-                ));
-            }
-            let records = table.require(bytes, SEC_BANDS, "band records")?;
-            if records.len() != band_count * BAND_RECORD_BYTES {
-                return Err(corrupt(
-                    "band records",
-                    format_args!(
-                        "{} bytes for {band_count} bands of {BAND_RECORD_BYTES}",
-                        records.len()
-                    ),
-                ));
-            }
-            let mut bands = Vec::with_capacity(band_count);
-            let mut prev_d = 0u64;
-            for i in 0..band_count {
-                let rec = &records[i * BAND_RECORD_BYTES..(i + 1) * BAND_RECORD_BYTES];
-                let d = meta_u64(rec, 0);
-                if d <= prev_d {
-                    return Err(corrupt(
-                        "band distance",
-                        format_args!("band {i} at d = {d} does not exceed the previous band"),
-                    ));
-                }
-                prev_d = d;
-                let what = f64::from_bits(meta_u64(rec, 8));
-                if !(what.is_finite() && what >= 1.0) {
-                    return Err(corrupt(
-                        "band grid",
-                        format_args!("grid ŵ must be finite and ≥ 1, got {what}"),
-                    ));
-                }
-                if verify == Verify::Deep {
-                    // the grid is a function of d, n and ε, as the build
-                    // derives it
-                    let derived = Rounding::for_band(d, n.max(2) as u64, epsilon / 2.0).what;
-                    if what != derived {
-                        return Err(corrupt(
-                            "band grid",
-                            format_args!(
-                                "band {i} at d = {d} stores ŵ = {what}, the build derives {derived}"
-                            ),
-                        ));
-                    }
-                }
-                let h = meta_u64(rec, 16) as usize;
-                if h == 0 {
-                    return Err(corrupt(
-                        "band hop budget",
-                        format_args!("band {i} has a hop budget of 0"),
-                    ));
-                }
-                let hopset = load_hopset(
-                    &src,
-                    &table,
-                    n,
-                    [
-                        meta_u64(rec, 24) as usize,
-                        meta_u64(rec, 32) as usize,
-                        meta_u64(rec, 40) as usize,
-                        meta_u64(rec, 48) as usize,
-                    ],
-                    [
-                        band_tag(i, BAND_SUB_HOPSET_EDGES),
-                        band_tag(i, BAND_SUB_EXTRA_OFFSETS),
-                        band_tag(i, BAND_SUB_EXTRA_TARGETS),
-                        band_tag(i, BAND_SUB_EXTRA_WEIGHTS),
-                    ],
-                    verify,
-                )?;
-                bands.push(MappedBand {
-                    d,
-                    rounding: Rounding { what },
-                    h,
-                    hopset,
-                });
-            }
-            MappedMode::Weighted {
-                eta,
-                epsilon,
-                bands,
-            }
-        }
-        _ => unreachable!("parse_meta rejects other modes"),
-    };
-
     Ok((
-        ApproxShortestPaths {
-            repr: Repr::Mapped(MappedOracle { graph, mode }),
-        },
+        ApproxShortestPaths::mapped(graph),
         OracleMeta {
             params: meta.params,
             seed: meta.seed,
@@ -703,6 +374,10 @@ pub fn verify_oracle_v2(
 // Inspection (psh-snap)
 // ---------------------------------------------------------------------------
 
+// ---------------------------------------------------------------------------
+// Inspection (psh-snap)
+// ---------------------------------------------------------------------------
+
 /// A human-oriented summary of a v2 oracle snapshot: header scalars plus
 /// the full section directory. Produced by [`inspect_v2`] without
 /// running the (slower) slab validation.
@@ -714,16 +389,17 @@ pub struct OracleSections {
     pub n: u64,
     /// Edge count.
     pub m: u64,
-    /// 0 = unweighted, 1 = weighted.
+    /// META layout tag: [`META_EXACT`], or 0 (unweighted hopset) or 1
+    /// (weighted bands) in an older build's file.
     pub mode: u64,
-    /// Estimate bands (weighted mode; 0 otherwise).
-    pub bands: u64,
     /// `(tag, name, offset, len)` per section, in file order.
     pub sections: Vec<(u32, String, u64, u64)>,
 }
 
-/// Name a section tag for display.
+/// Name a section tag for display. The hopset and band tags of older
+/// builds are named with a `(retired)` suffix: no reader looks at them.
 pub fn section_name(tag: u32) -> String {
+    let retired = |name: &str| format!("{name} (retired)");
     match tag {
         SEC_META => "meta".into(),
         SEC_GRAPH_OFFSETS => "graph.offsets".into(),
@@ -731,24 +407,12 @@ pub fn section_name(tag: u32) -> String {
         SEC_GRAPH_WEIGHTS => "graph.weights".into(),
         SEC_GRAPH_EIDS => "graph.eids".into(),
         SEC_GRAPH_EDGES => "graph.edges".into(),
-        SEC_HOPSET_EDGES => "hopset.edges".into(),
-        SEC_EXTRA_OFFSETS => "hopset.extra.offsets".into(),
-        SEC_EXTRA_TARGETS => "hopset.extra.targets".into(),
-        SEC_EXTRA_WEIGHTS => "hopset.extra.weights".into(),
-        SEC_BANDS => "bands".into(),
-        t if t >= SEC_BAND_BASE => {
-            let band = (t - SEC_BAND_BASE) / 16;
-            let sub = match (t - SEC_BAND_BASE) % 16 {
-                0 => "slot_weights (retired)",
-                1 => "edges (retired)",
-                BAND_SUB_HOPSET_EDGES => "hopset.edges",
-                BAND_SUB_EXTRA_OFFSETS => "hopset.extra.offsets",
-                BAND_SUB_EXTRA_TARGETS => "hopset.extra.targets",
-                BAND_SUB_EXTRA_WEIGHTS => "hopset.extra.weights",
-                _ => "unknown",
-            };
-            format!("band[{band}].{sub}")
-        }
+        7 => retired("hopset.edges"),
+        8 => retired("hopset.extra.offsets"),
+        9 => retired("hopset.extra.targets"),
+        10 => retired("hopset.extra.weights"),
+        11 => retired("bands"),
+        t if t >= 0x100 => retired(&format!("band[{}].{}", (t - 0x100) / 16, (t - 0x100) % 16)),
         t => format!("unknown[{t:#x}]"),
     }
 }
@@ -764,7 +428,6 @@ pub fn inspect_v2(bytes: &[u8]) -> Result<OracleSections, SnapshotError> {
         n: meta.n as u64,
         m: meta.m as u64,
         mode: meta.mode,
-        bands: if meta.mode == 1 { meta.tail[2] } else { 0 },
         sections: table
             .entries()
             .iter()
@@ -776,12 +439,14 @@ pub fn inspect_v2(bytes: &[u8]) -> Result<OracleSections, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{OracleBuilder, OracleMode};
-    use crate::oracle::OracleGraph;
+    use crate::api::{HopsetBuilder, OracleBuilder};
+    use crate::hopset::Hopset;
     use crate::PshError;
     use proptest::prelude::*;
     use psh_exec::ExecutionPolicy;
-    use psh_graph::{generators, CsrGraph, Edge, VertexId};
+    use psh_graph::source::{le_edges, le_u32s, le_u64s};
+    use psh_graph::traversal::dijkstra::dijkstra_pair;
+    use psh_graph::{generators, CsrGraph, Edge, VertexId, INF};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -795,81 +460,21 @@ mod tests {
         }
     }
 
-    fn oracle_pair(weighted: bool) -> (ApproxShortestPaths, OracleMeta) {
-        let base = generators::grid(9, 9);
-        let (g, mode) = if weighted {
+    /// A 9×9 grid, unit or with uniform weights 1–30, and its oracle.
+    fn fixture(weighted: bool) -> (CsrGraph, ApproxShortestPaths, OracleMeta) {
+        let mut g = generators::grid(9, 9);
+        if weighted {
             let mut rng = StdRng::seed_from_u64(11);
-            (
-                generators::with_uniform_weights(&base, 1, 30, &mut rng),
-                OracleMode::Weighted,
-            )
-        } else {
-            (base, OracleMode::Unweighted)
-        };
-        let run = OracleBuilder::new()
-            .params(test_params())
-            .mode(mode)
-            .seed(Seed(21))
-            .build(&g)
-            .unwrap();
-        let meta = OracleMeta::of_run(&run, test_params());
-        (run.artifact, meta)
-    }
-
-    /// A weighted oracle at the default parameters, where every band it
-    /// keeps has `ŵ = 1` and sweeps the base graph.
-    fn default_weighted() -> (CsrGraph, ApproxShortestPaths, OracleMeta) {
-        let mut rng = StdRng::seed_from_u64(11);
-        let g = generators::with_uniform_weights(&generators::grid(9, 9), 1, 30, &mut rng);
-        let run = OracleBuilder::new().seed(Seed(21)).build(&g).unwrap();
-        let meta = OracleMeta::of_run(&run, HopsetParams::default());
-        (g, run.artifact, meta)
-    }
-
-    /// Non-default parameters under which the oracle keeps a band with
-    /// `ŵ > 1` (the last of five, `ŵ ≈ 1.09`): a king grid of side 12
-    /// with log-uniform weights of ratio 64, perfbench's `serve_uniform`
-    /// shape.
-    fn coarse_weighted() -> (CsrGraph, ApproxShortestPaths, OracleMeta) {
-        let params = HopsetParams {
-            epsilon: 0.1,
-            delta: 10.0,
-            gamma1: 0.05,
-            gamma2: 0.99,
-            k_conf: 1.0,
-        };
-        let mut rng = StdRng::seed_from_u64(1);
-        let g = generators::with_log_uniform_weights(&generators::grid2d(12, 12), 64.0, &mut rng);
-        let run = OracleBuilder::new()
-            .params(params)
-            .eta(0.4)
-            .seed(Seed(3))
-            .build(&g)
-            .unwrap();
-        let meta = OracleMeta::of_run(&run, params);
-        (g, run.artifact, meta)
-    }
-
-    /// The retired per-band sub-slabs older builds wrote: a band's
-    /// rounded slot weights and its rounded edge records.
-    const RETIRED_SLOT_WEIGHTS: u32 = 0;
-    const RETIRED_EDGES: u32 = 1;
-
-    fn band_parts(oracle: &ApproxShortestPaths) -> Vec<crate::oracle::BandParts<'_>> {
-        match oracle.mode_parts() {
-            ModeParts::Weighted { bands, .. } => bands,
-            ModeParts::Unweighted { .. } => panic!("a weighted graph takes the banded path"),
+            g = generators::with_uniform_weights(&g, 1, 30, &mut rng);
         }
+        let run = OracleBuilder::new().seed(Seed(21)).build(&g).unwrap();
+        let meta = OracleMeta::of_run(&run, test_params());
+        (g, run.artifact, meta)
     }
 
-    /// The retired per-band weight and edge-record sections `bytes` holds.
-    fn band_weight_sections(bytes: &[u8]) -> Vec<String> {
-        let info = inspect_v2(bytes).unwrap();
-        info.sections
-            .into_iter()
-            .map(|(_, name, _, _)| name)
-            .filter(|name| name.ends_with("(retired)"))
-            .collect()
+    fn oracle_pair(weighted: bool) -> (ApproxShortestPaths, OracleMeta) {
+        let (_, oracle, meta) = fixture(weighted);
+        (oracle, meta)
     }
 
     /// Re-encode `bytes` section by section: `edit` returns the sections
@@ -885,44 +490,81 @@ mod tests {
         w.finish()
     }
 
-    /// `bytes` with band `i`'s retired slot-weight and edge-record
-    /// sub-slabs, rounded from `g` by the band's `ŵ`, added where `add(i)`
-    /// says — just before its hopset sections, where older builds wrote
-    /// them. With both for every band this is the layout of builds before
-    /// the base slabs were shared; with both for each `ŵ > 1` band only,
-    /// that of the build after.
-    fn with_band_slabs(
-        bytes: &[u8],
-        g: OracleGraph<'_>,
-        add: impl Fn(usize) -> [bool; 2],
-    ) -> Vec<u8> {
-        let mut records = Vec::new();
-        rewrite(bytes, |tag, payload| {
-            let mut out = Vec::new();
-            if tag == SEC_BANDS {
-                records = payload.to_vec();
+    /// A hopset's four sections as the builds that served hopsets wrote
+    /// them under `tags`: its edges in construction order, then its
+    /// adjacency offsets, targets and weights.
+    fn hopset_sections(n: usize, hopset: &Hopset, tags: [u32; 4]) -> Vec<(u32, Vec<u8>)> {
+        let extra = hopset.to_extra_edges();
+        let (mut offsets, mut targets, mut weights) = (vec![0u32], Vec::new(), Vec::new());
+        for v in 0..n as VertexId {
+            for (t, w) in extra.neighbors(v) {
+                targets.push(t);
+                weights.push(w);
             }
-            if tag >= SEC_BAND_BASE && (tag - SEC_BAND_BASE) % 16 == BAND_SUB_HOPSET_EDGES {
-                let i = ((tag - SEC_BAND_BASE) / 16) as usize;
-                let rounding = Rounding {
-                    what: f64::from_bits(meta_u64(&records[i * BAND_RECORD_BYTES..], 8)),
-                };
-                let rounded: Vec<Edge> = g
-                    .edges()
-                    .iter()
-                    .map(|e| Edge::new(e.u, e.v, rounding.round_weight(e.w)))
-                    .collect();
-                let csr = encode_csr_slabs(g.n(), &rounded);
-                let [weights, edges] = add(i);
-                if weights {
-                    out.push((band_tag(i, RETIRED_SLOT_WEIGHTS), csr.weights));
-                }
-                if edges {
-                    out.push((band_tag(i, RETIRED_EDGES), csr.edges));
-                }
+            offsets.push(targets.len() as u32);
+        }
+        let slabs = [
+            le_edges(&hopset.edges),
+            le_u32s(&offsets),
+            le_u32s(&targets),
+            le_u64s(&weights),
+        ];
+        tags.into_iter().zip(slabs).collect()
+    }
+
+    /// `bytes`, a fresh build's file of `g`, in the layout of the builds
+    /// that served hopsets, holding what they stored at the default
+    /// parameters for the seed: META layout tag 0 and the Algorithm 4
+    /// hopset with its hop budget for a unit graph, or tag 1 and §5's
+    /// bands through the first exact one (as those builds cut them) for a
+    /// weighted graph. The common META prefix is the fresh file's.
+    fn older_layout(bytes: &[u8], g: &CsrGraph, seed: Seed) -> Vec<u8> {
+        let (n, params) = (g.n(), HopsetParams::default());
+        let (mode, tail, mut extra) = if g.is_unit_weight() {
+            let run = HopsetBuilder::unweighted().seed(seed).build(g).unwrap();
+            let hopset = run.artifact.into_single();
+            let h_max = params.hop_bound(n, params.beta0(n), n as u64);
+            let tail = [h_max, hopset.star_count, hopset.clique_count, hopset.levels]
+                .map(|v| v as u64)
+                .to_vec();
+            let tail = [tail, vec![hopset.size() as u64]].concat();
+            (0, tail, hopset_sections(n, &hopset, [7, 8, 9, 10]))
+        } else {
+            let run = HopsetBuilder::weighted(0.5).seed(seed).build(g).unwrap();
+            let bands = &run.artifact.as_banded().unwrap().bands;
+            let first_exact = bands
+                .iter()
+                .position(|b| b.rounding.what == 1.0 && b.h + 1 >= n);
+            let bands = &bands[..=first_exact.unwrap()];
+            let tail = vec![
+                0.5f64.to_bits(),
+                params.epsilon.to_bits(),
+                bands.len() as u64,
+            ];
+            let (mut records, mut sections) = (Vec::new(), Vec::new());
+            for (i, b) in bands.iter().enumerate() {
+                let hs = &b.hopset;
+                let record = [b.d, b.rounding.what.to_bits(), b.h as u64]
+                    .into_iter()
+                    .chain(
+                        [hs.star_count, hs.clique_count, hs.levels, hs.size()].map(|v| v as u64),
+                    );
+                records.extend(record.flat_map(u64::to_le_bytes));
+                let tag = |sub: u32| 0x100 + 16 * i as u32 + sub;
+                sections.extend(hopset_sections(n, hs, [tag(2), tag(3), tag(4), tag(5)]));
             }
-            out.push((tag, payload.to_vec()));
-            out
+            sections.insert(0, (11, records));
+            (1, tail, sections)
+        };
+        rewrite(bytes, |tag, payload| match tag {
+            SEC_META => {
+                let mut meta = payload.to_vec();
+                meta[64..72].copy_from_slice(&(mode as u64).to_le_bytes());
+                meta.extend(tail.iter().flat_map(|v| v.to_le_bytes()));
+                vec![(tag, meta)]
+            }
+            SEC_GRAPH_EDGES => [vec![(tag, payload.to_vec())], std::mem::take(&mut extra)].concat(),
+            _ => vec![(tag, payload.to_vec())],
         })
     }
 
@@ -950,8 +592,6 @@ mod tests {
             let (served, meta2) = mapped(&bytes);
             assert!(served.is_mapped());
             assert_eq!(meta, meta2, "weighted={weighted}");
-            assert_eq!(served.hopset_size(), fresh.hopset_size());
-            assert_eq!(served.hop_budget(), fresh.hop_budget());
             assert_eq!(served.graph().n(), fresh.graph().n());
             assert_eq!(served.graph().m(), fresh.graph().m());
             for (s, t) in [(0u32, 80u32), (3, 77), (40, 41), (7, 7)] {
@@ -1068,18 +708,16 @@ mod tests {
         // under the retired tags 12 and 13 instead of
         // `graph.targets`/`graph.eids` is a typed error naming the missing
         // section (the payloads are never read)
-        let mut w = SectionWriter::new(KIND_ORACLE);
-        let table = SectionTable::parse(&v2).unwrap();
-        for e in table.entries() {
-            let tag = match e.tag {
+        let retired = rewrite(&v2, |tag, payload| {
+            let tag = match tag {
                 SEC_GRAPH_TARGETS => 12,
                 SEC_GRAPH_EIDS => 13,
                 t => t,
             };
-            w.section(tag, table.slice(&v2, e.tag).unwrap().to_vec());
-        }
+            vec![(tag, payload.to_vec())]
+        });
         let retired_path = dir.join("oracle.retired");
-        std::fs::write(&retired_path, w.finish()).unwrap();
+        std::fs::write(&retired_path, retired).unwrap();
         for (how, opened) in open_every_way(&retired_path) {
             assert!(
                 matches!(
@@ -1095,74 +733,29 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Every band rule the reader enforces is a typed `Corrupt` naming
-    /// its field, at both [`Verify`] levels.
-    #[test]
-    fn corrupt_band_fields_are_typed_errors_at_both_levels() {
-        let (fresh, meta) = oracle_pair(true);
-        let bytes = write_oracle_v2_bytes(&fresh, &meta).unwrap();
-        let info = inspect_v2(&bytes).unwrap();
-        let offset = |name: &str| info.sections.iter().find(|s| s.1 == name).unwrap().2 as usize;
-        let (meta_off, bands_off) = (offset("meta"), offset("bands"));
-        let put = |at: usize, v: u64| {
-            let mut bad = bytes.clone();
-            bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
-            bad
-        };
-        assert!(info.bands >= 2, "the fixture needs two bands");
-        let d0 = u64::from_le_bytes(bytes[bands_off..bands_off + 8].try_into().unwrap());
-        let cases = [
-            ("band count", put(meta_off + 104, 0)),
-            ("band count", put(meta_off + 104, MAX_BANDS as u64 + 1)),
-            // band 0's d must exceed 0, each later band's the previous d
-            ("band distance", put(bands_off, 0)),
-            ("band distance", put(bands_off + BAND_RECORD_BYTES, d0)),
-            ("band grid", put(bands_off + 8, 0.5f64.to_bits())),
-            ("band grid", put(bands_off + 8, f64::NAN.to_bits())),
-            ("band hop budget", put(bands_off + 16, 0)),
-            ("eta", put(meta_off + 88, 0f64.to_bits())),
-            ("eta", put(meta_off + 88, 1f64.to_bits())),
-            ("eta", put(meta_off + 88, f64::NAN.to_bits())),
-            ("epsilon", put(meta_off + 96, 0f64.to_bits())),
-            ("epsilon", put(meta_off + 96, 1f64.to_bits())),
-            ("epsilon", put(meta_off + 96, f64::NAN.to_bits())),
-        ];
-        for (field, bad) in &cases {
-            for verify in [Verify::Bounds, Verify::Deep] {
-                let err =
-                    read_oracle_v2(Arc::new(SnapshotSource::from_bytes(bad)), verify).unwrap_err();
-                assert!(
-                    matches!(err, SnapshotError::Corrupt { what, .. } if what == *field),
-                    "{field} ({verify:?}): got {err}"
-                );
-            }
-        }
-    }
-
-    /// The file lists every section by name, and no band stores a
-    /// weight or edge-record section.
+    /// A new file lists its META and the five graph sections, and
+    /// nothing else.
     #[test]
     fn inspect_reports_the_section_directory() {
-        let (_, fresh, meta) = default_weighted();
+        let (fresh, meta) = oracle_pair(true);
         let bytes = write_oracle_v2_bytes(&fresh, &meta).unwrap();
         let info = inspect_v2(&bytes).unwrap();
         assert_eq!(info.kind, KIND_ORACLE);
         assert_eq!(info.n, fresh.graph().n() as u64);
         assert_eq!(info.m, fresh.graph().m() as u64);
-        assert_eq!(info.mode, 1);
-        assert!(info.bands >= 1);
-        let names: Vec<&str> = info
-            .sections
-            .iter()
-            .map(|(_, n, _, _)| n.as_str())
-            .collect();
-        assert!(names.contains(&"meta"));
-        assert!(names.contains(&"graph.offsets"));
-        assert!(names.contains(&"bands"));
-        for band in 0..info.bands {
-            assert!(names.contains(&format!("band[{band}].hopset.edges").as_str()));
-        }
-        assert_eq!(band_weight_sections(&bytes), Vec::<String>::new());
+        assert_eq!(info.mode, META_EXACT);
+        let names: Vec<&str> = info.sections.iter().map(|s| s.1.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "meta",
+                "graph.offsets",
+                "graph.targets",
+                "graph.weights",
+                "graph.eids",
+                "graph.edges"
+            ]
+        );
         // every section is 64-byte aligned
         for (_, name, offset, _) in &info.sections {
             assert_eq!(offset % 64, 0, "{name} at {offset}");
@@ -1175,47 +768,30 @@ mod tests {
         let bytes = write_oracle_v2_bytes(&fresh, &meta).unwrap();
         let info = inspect_v2(&bytes).unwrap();
         let meta_off = info.sections.iter().find(|s| s.1 == "meta").unwrap().2 as usize;
-
-        // ε := 7 → invalid params
-        let mut bad = bytes.clone();
-        bad[meta_off..meta_off + 8].copy_from_slice(&7.0f64.to_bits().to_le_bytes());
-        assert!(matches!(
-            read_oracle_v2(Arc::new(SnapshotSource::from_bytes(&bad)), Verify::Bounds).unwrap_err(),
-            SnapshotError::Corrupt {
-                what: "hopset parameters",
-                ..
+        let put = |at: usize, v: u64| {
+            let mut bad = bytes.clone();
+            bad[meta_off + at..meta_off + at + 8].copy_from_slice(&v.to_le_bytes());
+            bad
+        };
+        let cases = [
+            ("hopset parameters", put(0, 7.0f64.to_bits())),
+            ("mode tag", put(64, 9)),
+            // an older layout tag needs that layout's longer META
+            ("oracle meta", put(64, 0)),
+            ("oracle meta", put(64, 1)),
+            // n + 1: the slabs disagree with the meta
+            ("graph shape", put(72, fresh.graph().n() as u64 + 1)),
+        ];
+        for (field, bad) in &cases {
+            for verify in [Verify::Bounds, Verify::Deep] {
+                let err =
+                    read_oracle_v2(Arc::new(SnapshotSource::from_bytes(bad)), verify).unwrap_err();
+                assert!(
+                    matches!(err, SnapshotError::Corrupt { what, .. } if what == *field),
+                    "{field} ({verify:?}): got {err}"
+                );
             }
-        ));
-
-        // h_max := 0
-        let mut bad = bytes.clone();
-        bad[meta_off + 88..meta_off + 96].fill(0);
-        assert!(matches!(
-            read_oracle_v2(Arc::new(SnapshotSource::from_bytes(&bad)), Verify::Bounds).unwrap_err(),
-            SnapshotError::Corrupt {
-                what: "hop budget",
-                ..
-            }
-        ));
-
-        // mode := 9
-        let mut bad = bytes.clone();
-        bad[meta_off + 64] = 9;
-        assert!(matches!(
-            read_oracle_v2(Arc::new(SnapshotSource::from_bytes(&bad)), Verify::Bounds).unwrap_err(),
-            SnapshotError::Corrupt {
-                what: "mode tag",
-                ..
-            }
-        ));
-
-        // n := n + 1 → slab shape mismatch
-        let mut bad = bytes.clone();
-        let n = fresh.graph().n() as u64 + 1;
-        bad[meta_off + 72..meta_off + 80].copy_from_slice(&n.to_le_bytes());
-        assert!(
-            read_oracle_v2(Arc::new(SnapshotSource::from_bytes(&bad)), Verify::Bounds).is_err()
-        );
+        }
 
         // a wrong artifact kind is refused up front
         let mut bad = bytes.clone();
@@ -1226,84 +802,27 @@ mod tests {
         ));
     }
 
-    /// A band's grid is re-derived from its `d`, `n` and `ε` under
-    /// `Deep`, so a record claiming another `ŵ` is `band grid` there;
-    /// `Bounds` reads the grid as stored and serves the file (with other
-    /// answers, never a panic). Tried on a `ŵ = 1` band and on the `ŵ > 1`
-    /// band of [`coarse_weighted`].
+    /// Files in the layouts of the builds that served hopsets — META
+    /// layout tag 0 with an unweighted hopset, and tag 1 with weighted
+    /// bands — open under both levels, answer every pair with the exact
+    /// distance those builds served at the default parameters and with
+    /// the fresh build's `Cost`, under every policy, and re-save to the
+    /// fresh build's bytes: no reader looks at a retired section.
     #[test]
-    fn a_band_grid_the_build_would_not_derive_fails_deep() {
-        let (g, fresh, meta) = coarse_weighted();
-        let bytes = write_oracle_v2_bytes(&fresh, &meta).unwrap();
-        let info = inspect_v2(&bytes).unwrap();
-        let bands_off = info.sections.iter().find(|s| s.1 == "bands").unwrap().2 as usize;
-        let parts = band_parts(&fresh);
-        let last = parts.len() - 1;
-        assert_eq!(parts[0].what, 1.0);
-        assert!(
-            parts[last].what > 1.0,
-            "the fixture needs a band with ŵ > 1"
-        );
-        for (band, what) in [(0, 2.0), (last, 1.0), (last, parts[last].what * 2.0)] {
-            let at = bands_off + band * BAND_RECORD_BYTES + 8;
-            let mut bad = bytes.clone();
-            bad[at..at + 8].copy_from_slice(&f64::to_bits(what).to_le_bytes());
-            let src = Arc::new(SnapshotSource::from_bytes(&bad));
-            let err = read_oracle_v2(Arc::clone(&src), Verify::Deep).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    SnapshotError::Corrupt {
-                        what: "band grid",
-                        ..
-                    }
-                ),
-                "band {band} at ŵ = {what}: got {err}"
-            );
-            let (served, _) = read_oracle_v2(src, Verify::Bounds).unwrap();
-            for (s, t) in pairs(g.n(), 5) {
-                let (r, _) = served.query(s, t);
-                assert!(r.distance >= 0.0, "({s}, {t})");
-            }
-        }
-    }
-
-    /// Files in the layouts older builds wrote — the retired weight
-    /// sub-slabs for every band of [`default_weighted`], or for the `ŵ > 1`
-    /// band of [`coarse_weighted`] only, or just one of the two for one
-    /// band — open under both levels, answer every pair with the fresh
-    /// build's distance and `Cost` under every policy, and re-save to the
-    /// fresh build's bytes, which store no band weights even for a
-    /// `ŵ > 1` band: no reader looks at a retired tag.
-    #[test]
-    fn files_with_slabs_for_every_band_serve_and_resave_like_a_fresh_build() {
-        let (g, fresh, meta) = default_weighted();
-        let bytes = write_oracle_v2_bytes(&fresh, &meta).unwrap();
-        let bands = inspect_v2(&bytes).unwrap().bands as usize;
-        assert!(bands >= 2, "the fixture needs two bands");
-        let every = with_band_slabs(&bytes, fresh.graph(), |_| [true, true]);
-        assert_eq!(band_weight_sections(&every).len(), 2 * bands);
-        let half = with_band_slabs(&bytes, fresh.graph(), |i| [i == 0, i == 1]);
-        assert_eq!(band_weight_sections(&half).len(), 2);
-
-        let (coarse_g, coarse, coarse_meta) = coarse_weighted();
-        let coarse_bytes = write_oracle_v2_bytes(&coarse, &coarse_meta).unwrap();
-        assert_eq!(band_weight_sections(&coarse_bytes), Vec::<String>::new());
-        let parts = band_parts(&coarse);
-        let wide: Vec<bool> = parts.iter().map(|b| b.what > 1.0).collect();
-        assert_eq!(wide.iter().filter(|&&w| w).count(), 1, "one ŵ > 1 band");
-        let coarse_older = with_band_slabs(&coarse_bytes, coarse.graph(), |i| [wide[i], wide[i]]);
-        assert_eq!(band_weight_sections(&coarse_older).len(), 2);
-
-        for (older, g, fresh, bytes, stride) in [
-            (&every, &g, &fresh, &bytes, 1),
-            (&half, &g, &fresh, &bytes, 3),
-            (&coarse_older, &coarse_g, &coarse, &coarse_bytes, 5),
-        ] {
-            let pairs = pairs(g.n(), stride);
+    fn files_in_the_hopset_layouts_serve_and_resave_like_a_fresh_build() {
+        for weighted in [false, true] {
+            let (g, fresh, meta) = fixture(weighted);
+            let bytes = write_oracle_v2_bytes(&fresh, &meta).unwrap();
+            let older = older_layout(&bytes, &g, meta.seed);
+            let info = inspect_v2(&older).unwrap();
+            assert_eq!(info.mode, u64::from(weighted));
+            let retired = info.sections.iter().filter(|s| s.1.ends_with("(retired)"));
+            assert!(retired.count() >= if weighted { 9 } else { 4 });
+            let pairs = pairs(g.n(), 1);
             for verify in [Verify::Bounds, Verify::Deep] {
-                let src = Arc::new(SnapshotSource::from_bytes(older));
+                let src = Arc::new(SnapshotSource::from_bytes(&older));
                 let (served, meta2) = read_oracle_v2(src, verify).unwrap();
+                assert_eq!(meta2, meta);
                 for policy in [
                     ExecutionPolicy::Sequential,
                     ExecutionPolicy::Parallel { threads: 4 },
@@ -1311,26 +830,23 @@ mod tests {
                     assert_eq!(
                         served.query_batch(&pairs, policy),
                         fresh.query_batch(&pairs, policy),
-                        "{verify:?} {policy}"
+                        "weighted={weighted} {verify:?} {policy}"
                     );
                 }
                 for &(s, t) in &pairs {
-                    assert_eq!(
-                        served.query(s, t),
-                        fresh.query(s, t),
-                        "({s}, {t}) {verify:?}"
-                    );
+                    let d = dijkstra_pair(&g, s, t);
+                    assert_ne!(d, INF);
+                    assert_eq!(served.query(s, t).0.distance, d as f64, "({s}, {t})");
                 }
-                assert_eq!(&write_oracle_v2_bytes(&served, &meta2).unwrap(), bytes);
+                assert_eq!(write_oracle_v2_bytes(&served, &meta2).unwrap(), bytes);
             }
         }
     }
 
     /// A 4×4 king grid with odd weights just above 2⁵³, where `f64`
-    /// distances and `⌈w/1⌉` stop being exact, is a typed build error; a
-    /// file carrying those weights (a valid file with its weight slabs
-    /// rewritten) fails `Deep` and opens and answers without a panic
-    /// under `Bounds`.
+    /// distances stop being exact, is a typed build error; a file carrying
+    /// those weights (a valid file with its weight slabs rewritten) fails
+    /// `Deep` and opens and answers without a panic under `Bounds`.
     #[test]
     fn weights_above_2_pow_53_are_a_typed_error_at_build_and_under_deep() {
         let mut rng = StdRng::seed_from_u64(5);

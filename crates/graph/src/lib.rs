@@ -18,8 +18,9 @@
 //! * [`traversal`] — the search engines the paper builds on: bucketed
 //!   integer-weight SSSP ("weighted parallel BFS", Dial's algorithm as
 //!   used by \[KS97\]) as a [`frontier::Frontier`], hop-limited
-//!   Bellman–Ford (the hopset query engine), and exact Dijkstra as a
-//!   verification oracle.
+//!   Bellman–Ford (the hopset query engine), and exact Dijkstra: the
+//!   verification referee, and the bidirectional search the served
+//!   oracle answers with.
 //! * [`delta`] — incremental edge updates: the [`GraphDelta`] journal of
 //!   validated insert/delete ops and [`CsrGraph::apply_delta`], the sorted
 //!   merge producing a fresh CSR byte-identical to a full rebuild — the
@@ -62,6 +63,6 @@ pub use csr::{CsrGraph, Edge, VertexId, Weight, INF};
 pub use delta::{DeltaError, DeltaOp, GraphDelta};
 pub use frontier::{drive, BucketQueue, Frontier};
 pub use quotient::QuotientGraph;
-pub use source::{ExtraSlabsView, LoadMode, MmapView, SnapshotSource, Verify};
+pub use source::{LoadMode, MmapView, SnapshotSource, Verify};
 pub use subgraph::SubGraph;
 pub use view::{CsrView, GraphView, SplitArena};

@@ -725,50 +725,6 @@ pub fn encode_csr_slabs(n: usize, edges: &[Edge]) -> CsrSlabs {
     }
 }
 
-/// The three adjacency slabs of one extra-edge (hopset shortcut) set,
-/// little-endian encoded — the mapped counterpart of
-/// `ExtraEdges::from_edges` in the traversal layer.
-pub struct ExtraSlabs {
-    /// `(n + 1) × u32` adjacency offsets.
-    pub offsets: Vec<u8>,
-    /// `2m' × u32` adjacency targets.
-    pub targets: Vec<u8>,
-    /// `2m' × u64` adjacency weights.
-    pub weights: Vec<u8>,
-}
-
-/// Encode the extra-edge adjacency slabs for an undirected shortcut
-/// list, using the same both-directions edges-in-list-order fill
-/// `ExtraEdges::from_edges` uses — so a view over these slabs iterates
-/// identically to the owned structure.
-pub fn encode_extra_slabs(n: usize, edges: &[Edge]) -> ExtraSlabs {
-    let mut offsets = vec![0u32; n + 1];
-    for e in edges {
-        offsets[e.u as usize + 1] += 1;
-        offsets[e.v as usize + 1] += 1;
-    }
-    for v in 0..n {
-        offsets[v + 1] += offsets[v];
-    }
-    let slots = offsets[n] as usize;
-    let mut targets = vec![0u32; slots];
-    let mut weights = vec![0u64; slots];
-    let mut cursor = offsets.clone();
-    for e in edges {
-        targets[cursor[e.u as usize] as usize] = e.v;
-        weights[cursor[e.u as usize] as usize] = e.w;
-        cursor[e.u as usize] += 1;
-        targets[cursor[e.v as usize] as usize] = e.u;
-        weights[cursor[e.v as usize] as usize] = e.w;
-        cursor[e.v as usize] += 1;
-    }
-    ExtraSlabs {
-        offsets: le_u32s(&offsets),
-        targets: le_u32s(&targets),
-        weights: le_u64s(&weights),
-    }
-}
-
 /// How much of a mapped snapshot's content to validate at open time.
 ///
 /// `Bounds` guarantees memory safety (no access through the resulting
@@ -802,95 +758,6 @@ fn check_indices_below(
             what,
             format_args!("stored index {max} out of range for limit {limit}"),
         ));
-    }
-    Ok(())
-}
-
-/// Validate mapped extra-edge adjacency slabs against the shortcut list
-/// they claim to index: shape, monotone offsets, and (at
-/// [`Verify::Deep`]) an exact replay of the `ExtraEdges::from_edges`
-/// fill order. Mirrors what `validate_csr_parts` does for the graph
-/// slabs (shortcut lists may repeat pairs and are not sorted, so the
-/// rules differ).
-pub fn validate_extra_parts(
-    offsets: &[u32],
-    targets: &[VertexId],
-    weights: &[Weight],
-    n: usize,
-    edges: &[Edge],
-    verify: Verify,
-) -> Result<(), SnapshotError> {
-    if offsets.len() != n + 1 {
-        return Err(corrupt(
-            "extra offsets",
-            format_args!("{} offset entries for n = {n}", offsets.len()),
-        ));
-    }
-    let slots = targets.len();
-    if slots != 2 * edges.len() || weights.len() != slots {
-        return Err(corrupt(
-            "extra shape",
-            format_args!(
-                "{} targets / {} weights for {} shortcut edges",
-                targets.len(),
-                weights.len(),
-                edges.len()
-            ),
-        ));
-    }
-    if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) || offsets[n] as usize != slots {
-        return Err(corrupt(
-            "extra offsets",
-            "offsets are not a monotone cover of the adjacency slots",
-        ));
-    }
-    if verify == Verify::Bounds {
-        // safety only: every target must index a real vertex; the
-        // replay below subsumes this check when it runs
-        return check_indices_below(targets, n, "extra target");
-    }
-    let mut cursor: Vec<u32> = offsets[..n].to_vec();
-    for (i, e) in edges.iter().enumerate() {
-        for (a, b) in [(e.u, e.v), (e.v, e.u)] {
-            let c = cursor[a as usize] as usize;
-            if c >= offsets[a as usize + 1] as usize || targets[c] != b || weights[c] != e.w {
-                return Err(corrupt(
-                    "extra adjacency",
-                    format_args!(
-                        "adjacency slots do not replay the shortcut fill at edge {i} = ({}, {})",
-                        e.u, e.v
-                    ),
-                ));
-            }
-            cursor[a as usize] += 1;
-        }
-    }
-    Ok(())
-}
-
-/// Validate a shortcut edge list over vertices `0..n`: canonical
-/// endpoints (`u < v`, both `< n`), weights ≥ 1, any order and
-/// multiplicity (star and clique shortcuts may repeat a vertex pair).
-pub fn validate_edges_any_order(n: usize, edges: &[Edge]) -> Result<(), SnapshotError> {
-    for (i, e) in edges.iter().enumerate() {
-        if e.u as usize >= n || e.v as usize >= n {
-            return Err(corrupt(
-                "edge endpoint",
-                format_args!("edge {i} = ({}, {}) out of range for n = {n}", e.u, e.v),
-            ));
-        }
-        if e.u >= e.v {
-            return Err(corrupt(
-                "edge",
-                format_args!("edge {i} = ({}, {}) is not canonical (u < v)", e.u, e.v),
-            ));
-        }
-        if e.w == 0 {
-            return Err(corrupt(
-                "edge weight",
-                format_args!("edge {i} = ({}, {}) has zero weight", e.u, e.v),
-            ));
-        }
     }
     Ok(())
 }
@@ -1120,100 +987,6 @@ impl GraphView for MmapView {
     }
 }
 
-/// The extra-edge (hopset shortcut) adjacency as three slabs inside a
-/// shared [`SnapshotSource`] — the zero-copy counterpart of the
-/// traversal layer's `ExtraEdges`.
-///
-/// Construction validates the slabs against the shortcut edge list they
-/// claim to index at the caller's [`Verify`] level
-/// ([`validate_extra_parts`]): `Bounds` pins shape, monotone offsets,
-/// and target ranges; `Deep` replays the `ExtraEdges::from_edges` fill
-/// order exactly, so a view that deep-validates iterates bit-identically
-/// to the owned structure. Cloning is an `Arc` bump.
-#[derive(Clone)]
-pub struct ExtraSlabsView {
-    /// Keeps the mapped region alive; all slabs point into it.
-    src: Arc<SnapshotSource>,
-    offsets: Slab<u32>,
-    targets: Slab<VertexId>,
-    weights: Slab<Weight>,
-}
-
-// SAFETY: the slabs point into `src`, which is immutable and kept alive
-// by the Arc field; shared/moved access from any thread only ever reads.
-unsafe impl Send for ExtraSlabsView {}
-unsafe impl Sync for ExtraSlabsView {}
-
-impl ExtraSlabsView {
-    /// Assemble and validate a view over extra-edge slabs living inside
-    /// `src`, checked against the `edges` shortcut list over `0..n` at
-    /// the caller's [`Verify`] level.
-    pub fn from_parts(
-        src: Arc<SnapshotSource>,
-        offsets: &[u32],
-        targets: &[VertexId],
-        weights: &[Weight],
-        n: usize,
-        edges: &[Edge],
-        verify: Verify,
-    ) -> Result<ExtraSlabsView, SnapshotError> {
-        let region = src.bytes().as_ptr_range();
-        let inside = |ptr: *const u8, bytes: usize| {
-            bytes == 0 || (region.start <= ptr && unsafe { ptr.add(bytes) } <= region.end)
-        };
-        assert!(
-            inside(
-                offsets.as_ptr() as *const u8,
-                std::mem::size_of_val(offsets)
-            ) && inside(
-                targets.as_ptr() as *const u8,
-                std::mem::size_of_val(targets)
-            ) && inside(
-                weights.as_ptr() as *const u8,
-                std::mem::size_of_val(weights)
-            ),
-            "ExtraSlabsView slabs must live inside the SnapshotSource that owns them"
-        );
-        validate_extra_parts(offsets, targets, weights, n, edges, verify)?;
-        Ok(ExtraSlabsView {
-            src,
-            offsets: Slab::of(offsets),
-            targets: Slab::of(targets),
-            weights: Slab::of(weights),
-        })
-    }
-
-    /// Borrow as the traversal layer's [`ExtraView`](crate::traversal::bellman_ford::ExtraView) (what the hop-limited
-    /// relaxation consumes).
-    #[inline]
-    pub fn view(&self) -> crate::traversal::bellman_ford::ExtraView<'_> {
-        crate::traversal::bellman_ford::ExtraView::from_raw(
-            self.offsets.get(),
-            self.targets.get(),
-            self.weights.get(),
-        )
-    }
-
-    /// Number of vertices covered (`offsets.len() - 1`).
-    pub fn n(&self) -> usize {
-        self.offsets.len - 1
-    }
-
-    /// The source region this view (and possibly others) is backed by.
-    pub fn source(&self) -> &Arc<SnapshotSource> {
-        &self.src
-    }
-}
-
-impl fmt::Debug for ExtraSlabsView {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ExtraSlabsView")
-            .field("n", &self.n())
-            .field("slots", &self.targets.len)
-            .finish()
-    }
-}
-
 /// The structural validation backing [`MmapView::from_parts`]: shape
 /// and monotone offsets always; index max-scans at [`Verify::Bounds`];
 /// canonical strictly-sorted edges plus an exact replay of the CSR fill
@@ -1346,7 +1119,7 @@ fn validate_csr_parts(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::csr::CsrGraph;
     use crate::generators;
@@ -1407,6 +1180,12 @@ mod tests {
 
     fn view_of(src: &Arc<SnapshotSource>) -> Result<MmapView, SnapshotError> {
         view_at(src, Verify::Deep)
+    }
+
+    /// `g` as a deep-validated view over its own v2 graph file.
+    pub(crate) fn mapped(g: &CsrGraph) -> MmapView {
+        let src = Arc::new(SnapshotSource::from_bytes(&v2_graph_file(g)));
+        view_of(&src).unwrap()
     }
 
     #[test]

@@ -42,9 +42,9 @@
 //! unwound mid-round (the psh-exec pool catches panics and keeps its
 //! threads) leaves nothing a later sweep reads. Memory bound: one scratch
 //! of about 28 B per vertex of the largest graph a thread has swept, per
-//! such thread, freed when the thread exits. In `psh-server` that is at
-//! most one per connection thread (`max_conns`, default 64) plus one per
-//! pool thread.
+//! such thread, freed when the thread exits. The served oracle does not
+//! sweep (it answers with [`crate::traversal::dijkstra::bidirectional_pair`]),
+//! so only the hopset experiments hold this scratch.
 
 use crate::csr::{Edge, VertexId, Weight, INF};
 use crate::view::GraphView;
@@ -192,8 +192,8 @@ pub fn hop_limited_sssp<G: GraphView>(
     hop_limited_sssp_on(g, extra.map(ExtraEdges::view), sources, h)
 }
 
-/// [`hop_limited_sssp`] on borrowed extra-edge slices — the core both
-/// the owned and the mapped (v2 snapshot) oracle reprs run, so their
+/// [`hop_limited_sssp`] on borrowed extra-edge slices — the core every
+/// entry runs, whether the extra edges are owned or borrowed, so their
 /// relaxation sequences — and therefore answers and costs — are
 /// identical by construction.
 pub fn hop_limited_sssp_on<G: GraphView>(
@@ -394,7 +394,7 @@ impl Scratch {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::csr::CsrGraph;
     use crate::generators;
@@ -468,7 +468,7 @@ mod tests {
 
     /// A random weighted graph on `n` vertices (sometimes disconnected)
     /// and, if `with_extra`, random extra edges over it.
-    fn random_instance(
+    pub(crate) fn random_instance(
         n: usize,
         with_extra: bool,
         rng: &mut StdRng,
@@ -493,10 +493,10 @@ mod tests {
     }
 
     /// Delegates to `g`, but panics on the `k`-th call to `neighbors`.
-    struct PanicsOnCall<'a> {
-        g: &'a CsrGraph,
-        k: usize,
-        calls: AtomicUsize,
+    pub(crate) struct PanicsOnCall<'a> {
+        pub(crate) g: &'a CsrGraph,
+        pub(crate) k: usize,
+        pub(crate) calls: AtomicUsize,
     }
 
     impl GraphView for PanicsOnCall<'_> {

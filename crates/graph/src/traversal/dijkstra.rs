@@ -1,13 +1,46 @@
-//! Sequential Dijkstra — the exact-distance verification oracle.
+//! Sequential Dijkstra: the exact-distance referee, and the search every
+//! oracle query runs.
 //!
 //! Every probabilistic guarantee in the reproduction (spanner stretch,
-//! hopset distortion, oracle accuracy) is checked against these exact
-//! distances in tests and experiments. Not instrumented with the cost
-//! model: it is the *referee*, not a contestant.
+//! hopset distortion) is checked against the exact distances of
+//! [`dijkstra`] and [`dijkstra_pair`] in tests and experiments. They are
+//! not instrumented with the cost model: they are the *referee*, not a
+//! contestant.
+//!
+//! [`bidirectional_pair`] is the search the served oracle answers with.
+//! It runs Dijkstra forward from `s` and backward from `t` (the graph is
+//! undirected), always expanding the side whose heap top is smaller. Every
+//! edge it scans that reaches a vertex the other side has labelled closes
+//! an `s`–`t` path, and `best` keeps the lightest. It stops once the two
+//! heap tops sum to at least `best` (no unsettled path can be lighter) or
+//! both heaps are empty; a stale heap top only lowers that sum, so the
+//! test stays sound. It is a different algorithm from the referee, so
+//! tests compare the two.
+//!
+//! Its [`Cost`] is the sequential search's: work is the adjacency slots
+//! scanned plus the vertices settled, and depth equals work, because the
+//! search is one sequential loop with no parallel rounds.
+//!
+//! The search runs on a per-thread scratch: both sides' distance labels
+//! (side by side per vertex, so one cache line serves a scanned edge's
+//! relaxation and its meeting test), the two heaps, and the list of
+//! vertices the last search touched. Only capacity carries over. Each
+//! search first resets the entries its predecessor touched, and records a
+//! vertex before it writes the vertex's distance, so a search costs what
+//! it explores rather than `n`, and a search that unwound mid-way (the
+//! psh-exec pool catches panics and keeps its threads) leaves nothing a
+//! later one reads. A popped heap entry
+//! whose key exceeds its vertex's distance is stale, so no settled flags
+//! are kept. Memory bound per thread that searched: 16 B per vertex of the
+//! largest graph searched, plus the touched list (at most 4 B per vertex)
+//! and the heaps (16 B per entry, at most one entry per improving
+//! relaxation of the largest search), freed when the thread exits.
 
 use crate::csr::{VertexId, Weight, INF};
 use crate::traversal::SsspResult;
 use crate::view::GraphView;
+use psh_pram::Cost;
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -70,15 +103,106 @@ pub fn dijkstra_pair<G: GraphView>(g: &G, s: VertexId, t: VertexId) -> Weight {
     INF
 }
 
+/// Exact `s`–`t` distance by a bidirectional Dijkstra on this thread's
+/// scratch ([`INF`] if `t` is unreachable), with the search's [`Cost`]
+/// (see the module docs). `s == t` costs nothing. Out-of-range ids panic
+/// before the scratch is touched.
+pub fn bidirectional_pair<G: GraphView>(g: &G, s: VertexId, t: VertexId) -> (Weight, Cost) {
+    let n = g.n();
+    assert!(
+        (s as usize) < n && (t as usize) < n,
+        "vertex pair ({s}, {t}) out of range for n = {n}"
+    );
+    if s == t {
+        return (0, Cost::ZERO);
+    }
+    SCRATCH.with_borrow_mut(|scratch| scratch.search(g, s, t))
+}
+
+thread_local! {
+    // borrowed for a whole search: nothing a search calls may search again
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// One thread's bidirectional search state, side 0 forward from `s` and
+/// side 1 backward from `t`.
+#[derive(Default)]
+struct Scratch {
+    /// Tentative distance per vertex and side, the two sides side by side
+    /// so a scan reads both in one cache line; [`INF`] where the side has
+    /// not reached the vertex.
+    dist: Vec<[Weight; 2]>,
+    heap: [BinaryHeap<Reverse<(Weight, VertexId)>>; 2],
+    /// Every vertex whose distance a search has written on either side,
+    /// recorded before the first write.
+    touched: Vec<VertexId>,
+}
+
+impl Scratch {
+    fn search<G: GraphView>(&mut self, g: &G, s: VertexId, t: VertexId) -> (Weight, Cost) {
+        let Scratch {
+            dist,
+            heap,
+            touched,
+        } = self;
+        for v in touched.drain(..) {
+            dist[v as usize] = [INF; 2];
+        }
+        if dist.len() < g.n() {
+            dist.resize(g.n(), [INF; 2]);
+        }
+        for (side, v) in [(0, s), (1, t)] {
+            heap[side].clear();
+            heap[side].push(Reverse((0, v)));
+            touched.push(v);
+            dist[v as usize][side] = 0;
+        }
+        let mut best = INF;
+        let mut work = 0u64;
+        loop {
+            let top = |side: usize| heap[side].peek().map_or(INF, |&Reverse((d, _))| d);
+            let (top_s, top_t) = (top(0), top(1));
+            if top_s.saturating_add(top_t) >= best {
+                break;
+            }
+            let side = usize::from(top_t < top_s);
+            let Some(Reverse((d, u))) = heap[side].pop() else {
+                unreachable!("a side with a finite top has an entry");
+            };
+            if d > dist[u as usize][side] {
+                continue; // stale entry
+            }
+            work += 1 + g.degree(u) as u64;
+            for (v, w) in g.neighbors(u) {
+                let nd = d.saturating_add(w);
+                let labels = &mut dist[v as usize];
+                let there = labels[1 - side];
+                best = best.min(nd.saturating_add(there));
+                if nd < labels[side] {
+                    if labels[side] == INF && there == INF {
+                        touched.push(v);
+                    }
+                    labels[side] = nd;
+                    heap[side].push(Reverse((nd, v)));
+                }
+            }
+        }
+        (best, Cost::new(work, work))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csr::CsrGraph;
     use crate::csr::Edge;
     use crate::generators;
+    use crate::source::tests::mapped;
+    use crate::traversal::bellman_ford::tests::{random_instance, PanicsOnCall};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn weighted_sample() -> CsrGraph {
         CsrGraph::from_edges(
@@ -141,9 +265,76 @@ mod tests {
     fn unreachable_pair_is_inf() {
         let g = CsrGraph::from_unit_edges(3, [(0, 1)]);
         assert_eq!(dijkstra_pair(&g, 0, 2), INF);
+        assert_eq!(bidirectional_pair(&g, 0, 2).0, INF);
+    }
+
+    /// On the sample, `s = 0` and `t = 1`: the search settles 0 from `s`
+    /// (work 1 + 2), 1 and 3 from `t` (1 + 3 each) and 2 from `s`
+    /// (1 + 3). By then `best` is 3 + 4 = 7 through edge 2–1, and the
+    /// heap tops' sum 10 + 3 stops it.
+    #[test]
+    fn bidirectional_search_charges_settled_vertices_and_scanned_slots() {
+        let g = weighted_sample();
+        assert_eq!(bidirectional_pair(&g, 0, 1), (7, Cost::new(15, 15)));
+        assert_eq!(bidirectional_pair(&g, 3, 3), (0, Cost::ZERO));
+    }
+
+    /// Searches on one thread — across graph sizes and after a search
+    /// that unwound mid-way — answer exactly as on a fresh thread: the
+    /// thread's scratch carries capacity between searches, never state.
+    #[test]
+    fn scratch_carries_no_state_across_graphs_or_unwinds() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let small = generators::with_uniform_weights(&generators::grid(5, 10), 1, 9, &mut rng);
+        let (big, _) = random_instance(500, false, &mut rng);
+        let graphs = [&small, &big, &small];
+        let run = |g: &CsrGraph| {
+            let n = g.n() as VertexId;
+            [(0, n - 1), (n - 1, 0), (2, n / 2), (7, 7)].map(|(s, t)| bidirectional_pair(g, s, t))
+        };
+        let fresh: Vec<_> = graphs
+            .iter()
+            .map(|&g| std::thread::scope(|s| s.spawn(|| run(g)).join().unwrap()))
+            .collect();
+        let before: Vec<_> = graphs.iter().map(|&g| run(g)).collect();
+        assert_eq!(before, fresh, "searches across graph sizes");
+        // the first two settles label 0's and 49's neighbours on both
+        // sides; the third neighbors call panics with them still written
+        let bomb = PanicsOnCall {
+            g: &small,
+            k: 3,
+            calls: Default::default(),
+        };
+        let unwound = catch_unwind(AssertUnwindSafe(|| bidirectional_pair(&bomb, 0, 49)));
+        assert!(unwound.is_err(), "the third neighbors call must panic");
+        let unwound = catch_unwind(|| bidirectional_pair(&small, 0, 50));
+        assert!(unwound.is_err(), "an out-of-range id must panic");
+        let after: Vec<_> = graphs.iter().map(|&g| run(g)).collect();
+        assert_eq!(after, fresh, "searches after an unwind");
     }
 
     proptest! {
+        /// The bidirectional search returns `dijkstra_pair`'s distance
+        /// for every pair of a random weighted graph (disconnected ones
+        /// and `s == t` included), and answers with the same distance and
+        /// `Cost` on the graph and on its mapped v2 copy.
+        #[test]
+        fn prop_bidirectional_search_matches_the_referee(
+            seed in 0u64..1_000,
+            n in 2usize..60,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (g, _) = random_instance(n, false, &mut rng);
+            let view = mapped(&g);
+            let s = rng.random_range(0..n as VertexId);
+            for t in 0..n as VertexId {
+                let (d, cost) = bidirectional_pair(&g, s, t);
+                prop_assert_eq!(d, dijkstra_pair(&g, s, t), "({}, {})", s, t);
+                prop_assert_eq!(bidirectional_pair(&view, s, t), (d, cost));
+                prop_assert_eq!(cost.work, cost.depth);
+            }
+        }
+
         /// Dijkstra distances satisfy the exact triangle inequality on edges,
         /// and are realized by some edge (tightness).
         #[test]

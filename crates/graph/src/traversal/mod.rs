@@ -6,10 +6,12 @@
 //!   number of distinct distance levels, which the rounding scheme of
 //!   Lemma 5.2 keeps small; on unit weights that is the number of BFS
 //!   levels. Algorithm 4's clique searches run on it.
-//! * [`mod@dijkstra`] — sequential exact SSSP; the verification oracle.
+//! * [`mod@dijkstra`] — sequential exact SSSP, the verification referee,
+//!   and the bidirectional pair search the served oracle answers with.
 //! * [`bellman_ford`] — hop-limited relaxation over the graph plus an
 //!   optional hopset: computes `dist^h_{E ∪ E'}`, the quantity hopsets are
-//!   about (Definition 2.4), and serves as the query engine of Theorem 1.2.
+//!   about (Definition 2.4), and is the query engine of Theorem 1.2 that
+//!   the experiment binaries run.
 
 pub mod bellman_ford;
 pub mod dial;
@@ -17,7 +19,7 @@ pub mod dijkstra;
 
 pub use bellman_ford::{hop_limited_pair, hop_limited_sssp, ExtraEdges, HopQuery, PairQuery};
 pub use dial::{dial_sssp, dial_sssp_bounded};
-pub use dijkstra::{dijkstra, dijkstra_bounded, dijkstra_pair};
+pub use dijkstra::{bidirectional_pair, dijkstra, dijkstra_bounded, dijkstra_pair};
 
 use crate::csr::{VertexId, Weight, INF};
 

@@ -439,8 +439,8 @@ impl SplitArena {
 /// the scratch buffers. The pool otherwise keeps leased arenas (buffers
 /// intact) for the life of the thread — ideal while a recursion is
 /// running, wasteful once a build phase is over. Long-lived processes
-/// that build once and then serve (e.g. `psh-serve`) should call this on
-/// the driving thread after preprocessing; worker threads release theirs
+/// that build a hopset once and then keep running should call this on
+/// the driving thread after the build; worker threads release theirs
 /// when their hosting pool is dropped.
 pub fn drain_arena_pool() {
     ARENA_POOL.with(|pool| pool.borrow_mut().clear());

@@ -36,7 +36,7 @@
 //! | `OP_STREAM` (17) | S→C | `offset: u32`, then an `OP_ANSWER` body |
 //! | `OP_STREAM_END` (18) | S→C | `served: u64, batches: u64, elapsed_s: f64` |
 //! | `OP_STATS_REPLY` (19) | S→C | the [`WireStats`] scalars |
-//! | `OP_INFO_REPLY` (20) | S→C | `n: u64, m: u64, hopset: u64, seed: u64` |
+//! | `OP_INFO_REPLY` (20) | S→C | `n: u64, m: u64, hopset: u64` (always 0), `seed: u64` |
 //! | `OP_RELOAD_REPLY` (21) | S→C | `swapped: u8, epoch: u64, records: u64, ops: u64, n: u64, m: u64` |
 //! | `OP_ERROR` (31) | S→C | `code: u16, len: u32, len × utf-8 bytes` |
 //!
@@ -737,7 +737,10 @@ pub struct ServerInfo {
     pub n: u64,
     /// Edge count of the served graph.
     pub m: u64,
-    /// Shortcut count of the oracle's hopset.
+    /// Always 0. It counted the served hopset's shortcut edges; the
+    /// oracle now serves exact searches over its graph and holds no
+    /// hopset, and the field keeps its wire slot so the protocol does not
+    /// change.
     pub hopset: u64,
     /// The seed the oracle was built from.
     pub seed: u64,

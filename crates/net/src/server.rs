@@ -524,7 +524,7 @@ fn serve_connection(stream: &TcpStream, shared: &Shared) {
                 let info = ServerInfo {
                     n: oracle.graph().n() as u64,
                     m: oracle.graph().m() as u64,
-                    hopset: oracle.hopset_size() as u64,
+                    hopset: 0,
                     seed: shared.config.seed,
                 };
                 if !send(&mut writer, &Response::Info(info)) {

@@ -1,5 +1,5 @@
-//! Quickstart: build a graph, construct a spanner and a distance oracle
-//! through the pipeline builders, and answer approximate queries.
+//! Quickstart: build a graph, construct a spanner, a hopset and a
+//! distance oracle through the pipeline builders, and answer queries.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -27,32 +27,27 @@ fn main() -> Result<(), PshError> {
         spanner.seed,
     );
 
-    // --- 3. A hopset-backed oracle (Theorem 1.2) ---------------------------
-    let oracle = OracleBuilder::new()
-        .params(HopsetParams {
-            epsilon: 0.5,
-            delta: 1.5,
-            gamma1: 0.25,
-            gamma2: 0.75,
-            k_conf: 1.0,
-        })
-        .seed(Seed(12))
-        .build(&g)?;
+    // --- 3. A hopset (Theorem 1.2) and the served oracle ------------------
+    let hopset = HopsetBuilder::unweighted().seed(Seed(12)).build(&g)?;
     println!(
-        "hopset: {} shortcut edges, preprocessing {}",
-        oracle.artifact.hopset_size(),
-        oracle.cost
+        "hopset: {} shortcut edges, built with {}",
+        hopset.artifact.size(),
+        hopset.cost
     );
+    // the oracle serves exact answers with a bidirectional Dijkstra and
+    // holds no hopset; its preprocessing is a validation and a copy
+    let oracle = OracleBuilder::new().seed(Seed(12)).build(&g)?;
+    println!("oracle: preprocessing {}", oracle.cost);
 
     // --- 4. Queries ---------------------------------------------------------
     for (s, t) in [(0u32, 1999u32), (17, 1234), (42, 43)] {
         let (answer, qcost) = oracle.artifact.query(s, t);
         let exact = oracle.artifact.query_exact(s, t);
         println!(
-            "dist({s:4}, {t:4}) ≈ {:6.1}   exact {exact:4}   query {}",
+            "dist({s:4}, {t:4}) = {:6.1}   referee {exact:4}   query {}",
             answer.distance, qcost
         );
-        assert!(answer.distance >= exact as f64);
+        assert_eq!(answer.distance, exact as f64);
     }
 
     // --- 5. Execution policy: same artifact, real threads -------------------
@@ -70,6 +65,6 @@ fn main() -> Result<(), PshError> {
     // --- 6. Errors are values, not panics -----------------------------------
     let err = SpannerBuilder::unweighted(0.5).build(&g).unwrap_err();
     println!("k = 0.5 is rejected up front: {err}");
-    println!("all answers are sound upper bounds — done.");
+    println!("all answers match the referee — done.");
     Ok(())
 }

@@ -9,30 +9,14 @@ use psh::graph::LoadMode;
 use psh::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // --- 1. Preprocess (the expensive, once-per-graph step) ---------------
+    // --- 1. Preprocess (once per graph) -------------------------------------
     let g = generators::grid(40, 40);
-    let params = HopsetParams {
-        epsilon: 0.5,
-        delta: 1.5,
-        gamma1: 0.25,
-        gamma2: 0.75,
-        k_conf: 1.0,
-    };
-    let run = OracleBuilder::new()
-        .params(params)
-        .seed(Seed(9))
-        .build(&g)?;
-    println!(
-        "preprocessed n = {}, m = {}: hopset size {}, {}",
-        g.n(),
-        g.m(),
-        run.artifact.hopset_size(),
-        run.cost
-    );
+    let run = OracleBuilder::new().seed(Seed(9)).build(&g)?;
+    println!("preprocessed n = {}, m = {}: {}", g.n(), g.m(), run.cost);
 
     // --- 2. Save the snapshot (header + section directory + slabs) --------
     let path = std::env::temp_dir().join("psh_snapshot_roundtrip.snap");
-    let meta = OracleMeta::of_run(&run, params);
+    let meta = OracleMeta::of_run(&run, HopsetParams::default());
     snapshot::save_oracle_v2(&path, &run.artifact, &meta)?;
     println!(
         "snapshot saved to {} ({} bytes)",

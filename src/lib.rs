@@ -6,10 +6,10 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`psh_exec`] | the real parallel execution layer: thread pool, deterministic combinators, [`ExecutionPolicy`](psh_exec::ExecutionPolicy) |
-//! | [`psh_graph`] | CSR graphs and the `GraphView` abstraction (arena-backed `CsrView`s), generators, the shared frontier engine, bucketed SSSP (Dial) / hop-limited Bellman–Ford / Dijkstra, connectivity, quotient graphs |
+//! | [`psh_graph`] | CSR graphs and the `GraphView` abstraction (arena-backed `CsrView`s), generators, the shared frontier engine, bucketed SSSP (Dial) / hop-limited Bellman–Ford / Dijkstra and the served bidirectional Dijkstra, connectivity, quotient graphs |
 //! | [`psh_pram`] | the work/depth (PRAM) cost model every algorithm reports in |
 //! | [`psh_cluster`] | exponential start time clustering (Algorithm 1) |
-//! | [`psh_core`] | spanners (Theorem 1.1), hopsets (Theorem 1.2), the approximate-distance oracle, Appendices B–C |
+//! | [`psh_core`] | spanners (Theorem 1.1), hopsets (Theorem 1.2, §5), the served exact-distance oracle and its snapshots, Appendices B–C |
 //! | [`psh_baselines`] | greedy spanner, Baswana–Sen, sampled-clique and sampled-hierarchy hopsets |
 //! | [`psh_net`] | the TCP serving tier: length-prefixed wire protocol, multi-threaded [`NetServer`](psh_net::NetServer) feeding the shared `OracleService`, blocking [`NetClient`](psh_net::NetClient) |
 //!
@@ -54,7 +54,7 @@ pub mod pipeline;
 pub mod prelude {
     pub use crate::pipeline::{
         ClusterBuilder, ClusterError, HopsetArtifact, HopsetBuilder, HopsetKind, OracleBuilder,
-        OracleMode, PshError, Run, Seed, SpannerBuilder, SpannerKind,
+        PshError, Run, Seed, SpannerBuilder, SpannerKind,
     };
     pub use psh_cluster::{Clustering, ExponentialShifts};
     pub use psh_core::hopset::{Hopset, HopsetParams, WeightClassDecomposition};

@@ -62,7 +62,6 @@
 pub use psh_cluster::api::{ClusterBuilder, Run, Seed};
 pub use psh_cluster::error::ClusterError;
 pub use psh_core::api::{
-    HopsetArtifact, HopsetBuilder, HopsetKind, OracleBuilder, OracleMode, SpannerBuilder,
-    SpannerKind,
+    HopsetArtifact, HopsetBuilder, HopsetKind, OracleBuilder, SpannerBuilder, SpannerKind,
 };
 pub use psh_core::error::PshError;

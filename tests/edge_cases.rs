@@ -17,10 +17,8 @@ fn test_params() -> HopsetParams {
     }
 }
 
-fn build(g: &CsrGraph, mode: OracleMode) -> ApproxShortestPaths {
+fn build(g: &CsrGraph) -> ApproxShortestPaths {
     OracleBuilder::new()
-        .params(test_params())
-        .mode(mode)
         .seed(Seed(1))
         .build(g)
         .unwrap()
@@ -37,13 +35,10 @@ fn execs() -> [Executor; 2] {
 #[test]
 fn empty_graph_builds_and_serves_empty_batches() {
     let g = CsrGraph::from_edges(0, std::iter::empty());
-    for mode in [OracleMode::Unweighted, OracleMode::Weighted] {
-        let oracle = build(&g, mode);
-        assert_eq!(oracle.hopset_size(), 0);
-        let (answers, cost) = oracle.query_batch(&[], ExecutionPolicy::Parallel { threads: 4 });
-        assert!(answers.is_empty());
-        assert_eq!(cost, Cost::ZERO);
-    }
+    let oracle = build(&g);
+    let (answers, cost) = oracle.query_batch(&[], ExecutionPolicy::Parallel { threads: 4 });
+    assert!(answers.is_empty());
+    assert_eq!(cost, Cost::ZERO);
     // spanner/hopset builders are equally unbothered
     assert_eq!(
         SpannerBuilder::unweighted(2.0)
@@ -67,14 +62,12 @@ fn empty_graph_builds_and_serves_empty_batches() {
 #[test]
 fn single_vertex_graph_answers_self_queries() {
     let g = CsrGraph::from_edges(1, std::iter::empty());
-    for mode in [OracleMode::Unweighted, OracleMode::Weighted] {
-        let oracle = build(&g, mode);
-        let (r, cost) = oracle.query(0, 0);
-        assert_eq!(r.distance, 0.0);
-        assert_eq!(cost, Cost::ZERO);
-        let (batch, _) = oracle.query_batch(&[(0, 0); 5], ExecutionPolicy::Sequential);
-        assert!(batch.iter().all(|a| a.distance == 0.0));
-    }
+    let oracle = build(&g);
+    let (r, cost) = oracle.query(0, 0);
+    assert_eq!(r.distance, 0.0);
+    assert_eq!(cost, Cost::ZERO);
+    let (batch, _) = oracle.query_batch(&[(0, 0); 5], ExecutionPolicy::Sequential);
+    assert!(batch.iter().all(|a| a.distance == 0.0));
     // the frontier engine: a source with no edges settles only itself
     for exec in execs() {
         let (dial, _) = dial_sssp_with(&exec, &g, 0);
@@ -95,7 +88,7 @@ fn disconnected_pairs_report_unreachable_not_panic() {
         ],
     );
     let cross: Vec<(u32, u32)> = vec![(0, 3), (2, 5), (1, 4), (5, 0)];
-    let oracle = build(&g, OracleMode::Weighted);
+    let oracle = build(&g);
     for policy in [
         ExecutionPolicy::Sequential,
         ExecutionPolicy::Parallel { threads: 4 },
@@ -108,10 +101,10 @@ fn disconnected_pairs_report_unreachable_not_panic() {
     }
     // within-component queries still resolve (bridge weight 1 + 7)
     let (r, _) = oracle.query(3, 5);
-    assert!(r.distance >= 8.0 - 1e-9);
-    // the unweighted path on a unit-weight disconnected graph
+    assert_eq!(r.distance, 8.0);
+    // a unit-weight disconnected graph
     let gu = CsrGraph::from_unit_edges(4, [(0, 1), (2, 3)]);
-    let oracle = build(&gu, OracleMode::Unweighted);
+    let oracle = build(&gu);
     let (answers, _) = oracle.query_batch(&[(0, 2), (1, 3)], ExecutionPolicy::Sequential);
     assert!(answers.iter().all(|a| a.distance.is_infinite()));
     // the frontier engine agrees: unreached vertices stay at INF
@@ -129,12 +122,11 @@ fn disconnected_pairs_report_unreachable_not_panic() {
 fn star_extreme_hub_and_leaf_queries() {
     // star: every pair of leaves is exactly 2 apart through the hub
     let g = generators::star(64);
-    let oracle = build(&g, OracleMode::Unweighted);
+    let oracle = build(&g);
     let pairs: Vec<(u32, u32)> = vec![(0, 1), (1, 2), (17, 63), (5, 5)];
     let (answers, _) = oracle.query_batch(&pairs, ExecutionPolicy::Parallel { threads: 4 });
     for (&(s, t), a) in pairs.iter().zip(&answers) {
-        let exact = dijkstra_pair(&g, s, t) as f64;
-        assert!(a.distance >= exact && a.distance <= 2.0 * exact + 1e-9);
+        assert_eq!(a.distance, dijkstra_pair(&g, s, t) as f64);
     }
     assert_eq!(answers[3].distance, 0.0, "s == t on the star");
     // the frontier engine settles the whole star in one expansion wave
@@ -148,7 +140,7 @@ fn star_extreme_hub_and_leaf_queries() {
 fn dumbbell_extreme_bridge_traversal() {
     // two dense lobes joined by a long bridge — the hop-count adversary
     let g = generators::dumbbell(12, 20);
-    let oracle = build(&g, OracleMode::Unweighted);
+    let oracle = build(&g);
     let n = g.n() as u32;
     // lobe-to-lobe must cross the whole bridge; within-lobe is ≤ 1 hop
     let pairs: Vec<(u32, u32)> = vec![(0, n - 1), (0, 1), (n - 1, n - 2), (0, 0)];
@@ -159,11 +151,7 @@ fn dumbbell_extreme_bridge_traversal() {
         let (answers, _) = oracle.query_batch(&pairs, policy);
         for (&(s, t), a) in pairs.iter().zip(&answers) {
             let exact = dijkstra_pair(&g, s, t) as f64;
-            assert!(
-                a.distance >= exact && a.distance <= 2.0 * exact + 1e-9,
-                "({s},{t}): {} vs exact {exact}",
-                a.distance
-            );
+            assert_eq!(a.distance, exact, "({s},{t})");
         }
     }
 }
@@ -171,16 +159,14 @@ fn dumbbell_extreme_bridge_traversal() {
 #[test]
 fn self_queries_are_zero_cost_everywhere() {
     let g = generators::grid(6, 6);
-    for mode in [OracleMode::Unweighted, OracleMode::Weighted] {
-        let oracle = build(&g, mode);
-        for v in [0u32, 17, 35] {
-            let (r, cost) = oracle.query(v, v);
-            assert_eq!(r.distance, 0.0);
-            assert_eq!(cost, Cost::ZERO);
-        }
-        let pairs: Vec<(u32, u32)> = (0..36).map(|v| (v, v)).collect();
-        let (answers, cost) = oracle.query_batch(&pairs, ExecutionPolicy::Parallel { threads: 2 });
-        assert!(answers.iter().all(|a| a.distance == 0.0));
+    let oracle = build(&g);
+    for v in [0u32, 17, 35] {
+        let (r, cost) = oracle.query(v, v);
+        assert_eq!(r.distance, 0.0);
         assert_eq!(cost, Cost::ZERO);
     }
+    let pairs: Vec<(u32, u32)> = (0..36).map(|v| (v, v)).collect();
+    let (answers, cost) = oracle.query_batch(&pairs, ExecutionPolicy::Parallel { threads: 2 });
+    assert!(answers.iter().all(|a| a.distance == 0.0));
+    assert_eq!(cost, Cost::ZERO);
 }

@@ -35,7 +35,6 @@ fn build_oracle(weighted: bool, seed: u64) -> ApproxShortestPaths {
         base
     };
     OracleBuilder::new()
-        .params(test_params())
         .seed(Seed(seed))
         .build(&g)
         .expect("test oracle build")
@@ -364,7 +363,6 @@ fn wire_reload_hot_swaps_and_matches_a_fresh_build_of_the_mutated_graph() {
         generators::with_uniform_weights(&generators::grid(12, 12), 1, 20, &mut rng)
     };
     let run = OracleBuilder::new()
-        .params(test_params())
         .seed(Seed(seed))
         .build(&g)
         .expect("base oracle build");
@@ -393,7 +391,6 @@ fn wire_reload_hot_swaps_and_matches_a_fresh_build_of_the_mutated_graph() {
     // wire answers must match byte-for-byte
     let fresh_reference = |g: &CsrGraph, pairs: &[(u32, u32)]| -> Vec<QueryResult> {
         let oracle = OracleBuilder::new()
-            .params(test_params())
             .seed(Seed(seed))
             .build(g)
             .expect("reference oracle build")
@@ -471,11 +468,7 @@ fn a_refused_journal_rebuild_keeps_the_old_epoch_serving() {
     // 63·w_max stays under 2⁵³ at a weight ratio of at most 20
     let mut rng = StdRng::seed_from_u64(43);
     let g = generators::with_uniform_weights(&generators::grid(8, 8), 1 << 42, 20 << 42, &mut rng);
-    let run = OracleBuilder::new()
-        .params(test_params())
-        .seed(Seed(43))
-        .build(&g)
-        .unwrap();
+    let run = OracleBuilder::new().seed(Seed(43)).build(&g).unwrap();
     let meta = OracleMeta::of_run(&run, test_params());
     let base = std::env::temp_dir().join(format!("psh_loopback_refused_{}", std::process::id()));
     let jpath = journal_path(&base);

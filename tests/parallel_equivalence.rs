@@ -159,7 +159,6 @@ fn weighted_hopset_bands_identical_across_policies() {
 fn oracle_answers_identical_across_policies() {
     let g = unit_instance(6, 600);
     let base = OracleBuilder::new()
-        .params(test_params())
         .seed(Seed(23))
         .execution(ExecutionPolicy::Sequential)
         .build(&g)
@@ -167,7 +166,6 @@ fn oracle_answers_identical_across_policies() {
     let pairs = [(0u32, 599u32), (5, 400), (17, 230)];
     for policy in POLICIES {
         let run = OracleBuilder::new()
-            .params(test_params())
             .seed(Seed(23))
             .execution(policy)
             .build(&g)

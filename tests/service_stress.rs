@@ -18,16 +18,6 @@ use std::time::Duration;
 
 const CLIENTS: usize = 32;
 
-fn test_params() -> HopsetParams {
-    HopsetParams {
-        epsilon: 0.5,
-        delta: 1.5,
-        gamma1: 0.25,
-        gamma2: 0.75,
-        k_conf: 1.0,
-    }
-}
-
 fn service_policies() -> [ExecutionPolicy; 2] {
     [
         ExecutionPolicy::Sequential,
@@ -60,7 +50,6 @@ fn build_oracle(weighted: bool, seed: u64) -> ApproxShortestPaths {
         base
     };
     OracleBuilder::new()
-        .params(test_params())
         .seed(Seed(seed))
         .build(&g)
         .unwrap()
@@ -246,7 +235,6 @@ fn swap_storm_attributes_every_answer_to_a_valid_epoch() {
         .map(|g| {
             Arc::new(
                 OracleBuilder::new()
-                    .params(test_params())
                     .seed(Seed(seed))
                     .build(g)
                     .unwrap()

@@ -59,11 +59,7 @@ fn snapshot_roundtrip_serves_byte_identically() {
     let mut rng = StdRng::seed_from_u64(5);
     let weighted = generators::with_uniform_weights(&base, 1, 25, &mut rng);
     for g in [base, weighted] {
-        let run = OracleBuilder::new()
-            .params(test_params())
-            .seed(Seed(42))
-            .build(&g)
-            .unwrap();
+        let run = OracleBuilder::new().seed(Seed(42)).build(&g).unwrap();
         let meta = OracleMeta::of_run(&run, test_params());
         let buf = snapshot::write_oracle_v2_bytes(&run.artifact, &meta).unwrap();
         let (served, meta_back) = open(&buf).unwrap();
@@ -93,11 +89,7 @@ fn snapshot_roundtrip_serves_byte_identically() {
 #[test]
 fn query_batch_is_the_query_loop() {
     let g = generators::grid(8, 8);
-    let run = OracleBuilder::new()
-        .params(test_params())
-        .seed(Seed(3))
-        .build(&g)
-        .unwrap();
+    let run = OracleBuilder::new().seed(Seed(3)).build(&g).unwrap();
     let pairs = workload(g.n(), 40, 7);
     let singles: Vec<(QueryResult, Cost)> = pairs
         .iter()
