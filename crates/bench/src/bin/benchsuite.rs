@@ -717,7 +717,6 @@ fn main() {
                     Arc::clone(&fresh),
                     ServiceConfig {
                         policy,
-                        max_batch: 256,
                         cache: Some(CacheConfig {
                             capacity: 1024,
                             seed: gseed,

@@ -21,7 +21,7 @@
 //!            [--port-file PATH]      # write the bound addr for scripts
 //!            [--max-conns C] [--max-conn-requests Q] [--max-requests Q]
 //!            [--timeout-secs S]      # per-socket read/write timeout
-//!            [--batch B] [--threads K] [--seed S]
+//!            [--threads K] [--seed S]
 //!            [--cache SLOTS]         # bounded answer cache (off by default)
 //!            [--max-seconds S]       # hard deadline, then shut down
 //!            [--json PATH]
@@ -50,7 +50,7 @@ use psh_bench::serving::{
 };
 use psh_bench::table::{fmt_f, fmt_u, Table};
 use psh_bench::Report;
-use psh_core::service::{CacheConfig, OracleService, ServiceConfig};
+use psh_core::service::{CacheConfig, OracleService, ServiceConfig, MAX_BATCH};
 use psh_core::snapshot::{owned_base_graph, JournalReloader};
 use psh_net::server::env_addr;
 use psh_net::{NetServer, ServerConfig};
@@ -72,7 +72,6 @@ const FLAGS: &[&str] = &[
     "--port-file",
     "--max-seconds",
     "--threads",
-    "--batch",
     "--cache",
     "--max-conns",
     "--max-conn-requests",
@@ -98,8 +97,6 @@ fn main() {
     let addr = parse_flag("--addr").unwrap_or_else(env_addr);
     let max_seconds = parse_max_seconds(PROG);
     let policy = parse_policy(PROG);
-    let max_batch: usize =
-        parse_value(PROG, "--batch", "a batch size ≥ 1", |&b| b > 0).unwrap_or(256);
     let cache = parse_value(PROG, "--cache", "a positive slot count", |&c: &usize| c > 0)
         .map(|capacity| CacheConfig { capacity, seed });
     let config = ServerConfig {
@@ -136,14 +133,7 @@ fn main() {
         )))
     });
 
-    let service = Arc::new(OracleService::new(
-        oracle,
-        ServiceConfig {
-            policy,
-            max_batch,
-            cache,
-        },
-    ));
+    let service = Arc::new(OracleService::new(oracle, ServiceConfig { policy, cache }));
     let mut server = NetServer::bind(&addr, Arc::clone(&service), config)
         .unwrap_or_else(|e| die(format_args!("cannot bind {addr}: {e}")));
     if let Some(rl) = &reloader {
@@ -156,7 +146,7 @@ fn main() {
         }));
     }
     let bound = server.local_addr();
-    println!("serving n={n} m={m} on {bound} | {policy} | batches of ≤{max_batch}");
+    println!("serving n={n} m={m} on {bound} | {policy} | batches of ≤{MAX_BATCH}");
 
     if let Some(path) = parse_flag("--port-file") {
         std::fs::write(&path, format!("{bound}\n"))

@@ -32,7 +32,6 @@ fn a_million_requests_grow_neither_the_service_nor_its_stats_call() {
         oracle,
         ServiceConfig {
             policy: ExecutionPolicy::Sequential,
-            max_batch: 256,
             cache: Some(CacheConfig::default()),
         },
     );

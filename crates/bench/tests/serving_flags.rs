@@ -54,11 +54,15 @@ fn unknown_flags_and_malformed_values_are_refused_by_name() {
         );
         refused(&run(bin, &["--n", "64x"]), "bad --n '64x'");
         refused(&run(bin, &["--seed", "-1"]), "bad --seed '-1'");
-        refused(&run(bin, &["--batch", "0"]), "bad --batch '0'");
         refused(&run(bin, &["--family"]), "--family needs a value");
         assert!(!dir.join("F").exists(), "a refused run builds nothing");
     }
-    let [serve, _, client] = BINS;
+    let [serve, server, client] = BINS;
+    // psh-server's batch cap is a constant: it reads no --batch
+    refused(&run(server, &["--batch", "64"]), "unknown flag '--batch'");
+    for bin in [serve, client] {
+        refused(&run(bin, &["--batch", "0"]), "bad --batch '0'");
+    }
     refused(&run(serve, &["--queries", "1e3"]), "bad --queries '1e3'");
     refused(&run(client, &["--queries", "1e3"]), "bad --queries '1e3'");
     refused(&run(client, &["--clients", "two"]), "bad --clients 'two'");

@@ -24,32 +24,34 @@
 //! A band with `ŵ = 1` and `h ≥ n − 1` is exact for every pair; at the
 //! default parameters that is the second band for every `n` below about
 //! 10¹³, so [`WeightedHopsets::query`] answers every pair exactly there.
-//! The served oracle ran exactly that query until it moved to a
-//! bidirectional Dijkstra (see [`crate::oracle`]); the experiment binaries
-//! still run it, on families [`crate::api::HopsetBuilder::weighted`]
-//! builds with every band.
+//! The served oracle answers with a bidirectional Dijkstra instead (see
+//! [`crate::oracle`]); only the experiment binaries run this query, on
+//! families [`crate::api::HopsetBuilder::weighted`] builds with every
+//! band.
 //!
 //! A band is a grid over the input graph, not a graph of its own: its
-//! `d`, `ŵ`, `h` and hopset. A `ŵ > 1` band sweeps the input graph with
-//! every weight `w` read as `⌈w/ŵ⌉` as the sweep relaxes it (hopset edges
-//! are in grid units already); its hopset is built on a
+//! `d`, `ŵ`, `h` and hopset, whose adjacency it owns. The family owns one
+//! graph, its input ([`WeightedHopsets::graph`]), and
+//! [`WeightedHopsets::query`] sweeps it once per band it runs. A `ŵ > 1`
+//! band reads every weight `w` as `⌈w/ŵ⌉` as the sweep relaxes it
+//! (hopset edges are in grid units already); its hopset is built on a
 //! [`Rounding::round_graph`] copy that is dropped once the hopset exists.
 //! A `ŵ = 1` band sweeps the input weights with the plain sweep, which is
-//! exact because both banded builders refuse a graph whose distances can
-//! exceed 2⁵³ ([`crate::PshError::DistancesExceedF64`]), so `⌈w/1⌉ = w`
-//! for every weight they accept. A family holds one graph, its input
-//! ([`WeightedHopsets::graph`]). The hopsets, answers and `Cost`s are
-//! those of sweeps over explicit rounded copies, and §5's cost model
-//! still charges every band its `O(m)` rounding pass.
+//! exact because [`crate::api::HopsetBuilder::weighted`] refuses a graph
+//! whose distances can exceed 2⁵³
+//! ([`crate::PshError::DistancesExceedF64`]), so `⌈w/1⌉ = w` for every
+//! weight it accepts. The hopsets, answers and `Cost`s are those of
+//! sweeps over explicit rounded copies, and §5's cost model still charges
+//! every band its `O(m)` rounding pass.
 
 use super::rounding::Rounding;
 use super::unweighted::build_hopset_with_beta0_on;
 use super::{Hopset, HopsetParams};
 use psh_exec::Executor;
 use psh_graph::traversal::bellman_ford::{
-    hop_limited_pair_mapped_on, hop_limited_pair_on, ExtraEdges, ExtraView, PairQuery,
+    hop_limited_pair, hop_limited_pair_mapped, ExtraEdges, PairQuery,
 };
-use psh_graph::{CsrGraph, GraphView, VertexId, INF};
+use psh_graph::{CsrGraph, VertexId, INF};
 use psh_pram::Cost;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,6 +72,23 @@ pub struct EstimateBand {
     pub extra: ExtraEdges,
     /// Hop budget for queries in this band (Lemma 4.2's `h`).
     pub h: usize,
+}
+
+impl EstimateBand {
+    /// This band's `s`–`t` sweep over the family's input graph `graph`:
+    /// the hop-limited pair sweep with budget `h`, every input weight `w`
+    /// read as `⌈w/ŵ⌉` and the hopset edges, in grid units already, as
+    /// stored. A `ŵ = 1` grid leaves every weight the builder accepts as
+    /// it is, so that band takes the plain sweep, with no per-edge float
+    /// work.
+    fn sweep(&self, graph: &CsrGraph, s: VertexId, t: VertexId) -> (PairQuery, Cost) {
+        if self.rounding.what == 1.0 {
+            hop_limited_pair(graph, Some(&self.extra), s, t, self.h)
+        } else {
+            let grid = |w| self.rounding.round_weight(w);
+            hop_limited_pair_mapped(graph, grid, Some(&self.extra), s, t, self.h)
+        }
+    }
 }
 
 /// The full §5 construction: one hopset per distance band.
@@ -101,77 +120,30 @@ impl WeightedHopsets {
     }
 
     /// Approximate `s`–`t` distance: minimum over bands of the unrounded
-    /// h-hop distance, stopping after the first band whose value is exact
-    /// (see the module docs). Returns `f64::INFINITY` when no band
-    /// connects them.
+    /// h-hop distance, with the costs of the bands that ran composed with
+    /// `then`. Returns `f64::INFINITY` when no band connects them. The
+    /// loop stops after a band with `ŵ = 1` whose sweep settled `t` or
+    /// whose budget is `h ≥ n − 1`: that value is the exact distance, and
+    /// every later band's is at least that (see the module docs).
     pub fn query(&self, s: VertexId, t: VertexId) -> (f64, Cost) {
         if s == t {
             return (0.0, Cost::ZERO);
         }
-        let bands = self
-            .bands
-            .iter()
-            .map(|b| (&b.rounding, b.h, b.extra.view()));
-        query_bands(&self.graph, bands, s, t)
-    }
-}
-
-/// Whether a band answers every pair exactly: with `ŵ = 1` its rounded
-/// graph is the input graph, and `h ≥ n − 1` hops cover every shortest
-/// path.
-fn is_exact(rounding: &Rounding, h: usize, n: usize) -> bool {
-    rounding.what == 1.0 && h + 1 >= n
-}
-
-/// One band's `s`–`t` sweep over the base graph `graph`: the
-/// hop-limited pair sweep with budget `h`, every base weight `w` read as
-/// `⌈w/ŵ⌉` and the band's hopset edges, in grid units already, as
-/// stored. A `ŵ = 1` grid leaves every weight the builders accept as it
-/// is, so that band takes the plain sweep, with no per-edge float work.
-pub(crate) fn sweep_band<G: GraphView>(
-    graph: &G,
-    rounding: &Rounding,
-    h: usize,
-    extra: ExtraView<'_>,
-    s: VertexId,
-    t: VertexId,
-) -> (PairQuery, Cost) {
-    if rounding.what == 1.0 {
-        hop_limited_pair_on(graph, Some(extra), s, t, h)
-    } else {
-        let grid = |w| rounding.round_weight(w);
-        hop_limited_pair_mapped_on(graph, grid, Some(extra), s, t, h)
-    }
-}
-
-/// §5's query over one band family, whatever its storage: `bands` yields
-/// each band's rounding, hop budget and hopset adjacency in increasing
-/// `d`, and every band sweeps the base graph `graph` on its own grid
-/// ([`sweep_band`]). Returns the minimum of the unrounded h-hop values
-/// (`f64::INFINITY` if no band connects `s` and `t`) and the cost of the
-/// bands that ran, composed with `then`. The loop stops after a band
-/// with `ŵ = 1` whose sweep settled `t` or whose budget is `h ≥ n − 1`:
-/// that value is the exact distance, and every later band's is at least
-/// that.
-pub(crate) fn query_bands<'a, G: GraphView>(
-    graph: &G,
-    bands: impl IntoIterator<Item = (&'a Rounding, usize, ExtraView<'a>)>,
-    s: VertexId,
-    t: VertexId,
-) -> (f64, Cost) {
-    let mut best = f64::INFINITY;
-    let mut cost = Cost::ZERO;
-    for (rounding, h, extra) in bands {
-        let (q, c) = sweep_band(graph, rounding, h, extra, s, t);
-        cost = cost.then(c);
-        if q.dist != INF {
-            best = best.min(rounding.unround(q.dist));
+        let n = self.graph.n();
+        let mut best = f64::INFINITY;
+        let mut cost = Cost::ZERO;
+        for band in &self.bands {
+            let (q, c) = band.sweep(&self.graph, s, t);
+            cost = cost.then(c);
+            if q.dist != INF {
+                best = best.min(band.rounding.unround(q.dist));
+            }
+            if band.rounding.what == 1.0 && (q.settled || band.h + 1 >= n) {
+                break;
+            }
         }
-        if is_exact(rounding, h, graph.n()) || (q.settled && rounding.what == 1.0) {
-            break;
-        }
+        (best, cost)
     }
-    (best, cost)
 }
 
 /// §5's construction body with band exponent `eta ∈ (0, 1)` and an
@@ -351,36 +323,160 @@ mod tests {
         assert!(d.is_infinite());
     }
 
-    /// Every band of a full `HopsetBuilder::weighted` family, `ŵ > 1`
-    /// bands included, swept on its own (not through the band loop, which
-    /// stops early) answers as `hop_limited_pair` over the band's explicit
-    /// `round_graph` copy — dist, hops, settled flag and `Cost`.
-    #[test]
-    fn every_band_sweeps_the_base_graph_like_its_explicit_rounded_copy() {
+    /// The band exponents the king-grid tests run at.
+    const KING_ETAS: [f64; 2] = [0.25, 0.5];
+
+    /// A 7² king grid with log-uniform weights of ratio 64, the full
+    /// `HopsetBuilder::weighted(eta)` family over it (`ŵ > 1` bands
+    /// included) and its exact distances, `exact[s][t]`.
+    fn king_grid_family(eta: f64) -> (CsrGraph, WeightedHopsets, Vec<Vec<u64>>) {
         use crate::api::{HopsetBuilder, Seed};
-        use psh_graph::traversal::bellman_ford::hop_limited_pair;
         let mut rng = StdRng::seed_from_u64(2);
         let g = generators::with_log_uniform_weights(&generators::grid2d(7, 7), 64.0, &mut rng);
-        for eta in [0.25, 0.5] {
-            let run = HopsetBuilder::weighted(eta)
-                .seed(Seed(4))
-                .build(&g)
-                .unwrap();
-            let family = run.artifact.as_banded().unwrap();
-            let wide = family.bands.iter().filter(|b| b.rounding.what > 1.0);
-            assert!(wide.count() >= 1, "η = {eta}: no ŵ > 1 band");
+        let run = HopsetBuilder::weighted(eta)
+            .seed(Seed(4))
+            .build(&g)
+            .unwrap();
+        let family = run.artifact.as_banded().unwrap().clone();
+        let wide = family.bands.iter().filter(|b| b.rounding.what > 1.0);
+        assert!(wide.count() >= 1, "η = {eta}: no ŵ > 1 band");
+        let exact = (0..g.n() as VertexId)
+            .map(|s| dijkstra(&g, s).dist)
+            .collect();
+        (g, family, exact)
+    }
+
+    /// Every band of the family, swept on its own (not through the band
+    /// loop, which stops early), answers as `hop_limited_pair` over the
+    /// band's explicit `round_graph` copy — dist, hops, settled flag and
+    /// `Cost`.
+    #[test]
+    fn every_band_sweeps_the_base_graph_like_its_explicit_rounded_copy() {
+        for eta in KING_ETAS {
+            let (g, family, _) = king_grid_family(eta);
             let n = g.n() as VertexId;
             for (i, band) in family.bands.iter().enumerate() {
                 let copy = band.rounding.round_graph(&g);
                 for s in 0..n {
                     for t in 0..n {
                         let explicit = hop_limited_pair(&copy, Some(&band.extra), s, t, band.h);
-                        let swept = sweep_band(&g, &band.rounding, band.h, band.extra.view(), s, t);
-                        assert_eq!(swept, explicit, "band {i}, ({s}, {t})");
+                        assert_eq!(band.sweep(&g, s, t), explicit, "band {i}, ({s}, {t})");
                     }
                 }
             }
         }
+    }
+
+    /// Soundness (§5): rounding up and hop limits only inflate, so no
+    /// band's unrounded value undershoots the exact distance.
+    #[test]
+    fn no_band_undershoots_the_exact_distance() {
+        for eta in KING_ETAS {
+            let (g, family, exact) = king_grid_family(eta);
+            let n = g.n() as VertexId;
+            for (i, band) in family.bands.iter().enumerate() {
+                for s in 0..n {
+                    for t in (0..n).filter(|&t| t != s) {
+                        let (q, _) = band.sweep(&g, s, t);
+                        let d = exact[s as usize][t as usize] as f64;
+                        if q.dist != INF {
+                            let value = band.rounding.unround(q.dist);
+                            assert!(value >= d, "η = {eta}, band {i}, ({s}, {t}): {value} < {d}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Accuracy (Lemma 5.2): a band whose sweep settled `t` read the
+    /// rounded distance, which a shortest path of at most `n − 1` edges
+    /// exceeds by at most `ŵ` per edge, so the value is at most
+    /// `D + (n − 1)·ŵ`. For the band whose range covers `D` (the last
+    /// with `d ≤ D`) that is at most `(1+ζ)·D`: either `ŵ = ζd/n`, or
+    /// `ŵ = 1` and the settled value is `D` itself. On this fixture every
+    /// covering band has `ŵ = 1`: no distance reaches the first `ŵ > 1`
+    /// band's `d`.
+    #[test]
+    fn a_settled_band_reads_within_its_rounding_error() {
+        for eta in KING_ETAS {
+            let (g, family, exact) = king_grid_family(eta);
+            let n = g.n() as VertexId;
+            let zeta = family.epsilon / 2.0;
+            // settled values checked at ŵ = 1 and at ŵ > 1, and covering
+            // bands checked
+            let (mut checked, mut covering_checked) = ([0usize; 2], 0usize);
+            for s in 0..n {
+                for t in (0..n).filter(|&t| t != s) {
+                    let d = exact[s as usize][t as usize];
+                    let covering = family.bands.iter().rposition(|b| b.d <= d);
+                    for (i, band) in family.bands.iter().enumerate() {
+                        let (q, _) = band.sweep(&g, s, t);
+                        if !q.settled || q.dist == INF {
+                            continue;
+                        }
+                        let value = band.rounding.unround(q.dist);
+                        let slack = (g.n() - 1) as f64 * band.rounding.what;
+                        let at = format!("η = {eta}, band {i}, ({s}, {t}), D = {d}");
+                        assert!(value <= d as f64 + slack, "{at}: {value} > D + {slack}");
+                        checked[usize::from(band.rounding.what > 1.0)] += 1;
+                        if covering == Some(i) {
+                            assert!(value <= (1.0 + zeta) * d as f64, "{at}: {value}");
+                            covering_checked += 1;
+                        }
+                    }
+                }
+            }
+            assert!(
+                checked.iter().all(|&c| c > 0) && covering_checked > 0,
+                "η = {eta}: settled (ŵ = 1, ŵ > 1) {checked:?}, covering {covering_checked}"
+            );
+        }
+    }
+
+    /// The band loop: `query` is the minimum of the unrounded values of
+    /// the bands up to and including the first `ŵ = 1` band that settled
+    /// `t` or has `h ≥ n − 1`, and its `Cost` is the `then` of exactly
+    /// those bands' sweeps.
+    #[test]
+    fn query_is_the_minimum_over_the_bands_it_runs() {
+        // pairs whose first ŵ = 1 band neither settled `t` nor had
+        // h ≥ n − 1, so the loop ran on past it
+        let mut ran_past_the_first_unit_grid = 0;
+        for eta in KING_ETAS {
+            let (g, family, _) = king_grid_family(eta);
+            let n = g.n() as VertexId;
+            for s in 0..n {
+                for t in (0..n).filter(|&t| t != s) {
+                    let mut best = f64::INFINITY;
+                    let mut cost = Cost::ZERO;
+                    let mut unit_grids = 0;
+                    for band in &family.bands {
+                        let (q, c) = band.sweep(&g, s, t);
+                        cost = cost.then(c);
+                        if q.dist != INF {
+                            best = best.min(band.rounding.unround(q.dist));
+                        }
+                        if band.rounding.what == 1.0 {
+                            unit_grids += 1;
+                            if q.settled || band.h + 1 >= g.n() {
+                                break;
+                            }
+                        }
+                    }
+                    if unit_grids > 1 {
+                        ran_past_the_first_unit_grid += 1;
+                    }
+                    let (value, query_cost) = family.query(s, t);
+                    assert_eq!(
+                        (value.to_bits(), query_cost),
+                        (best.to_bits(), cost),
+                        "η = {eta}, ({s}, {t})"
+                    );
+                }
+            }
+        }
+        assert!(ran_past_the_first_unit_grid > 0);
     }
 
     #[test]

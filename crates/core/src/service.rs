@@ -27,7 +27,7 @@
 //! Every call to [`OracleService::query`] enqueues its pair and then either
 //!
 //! * becomes a **leader** (fewer than [`ServiceConfig::policy`]`.threads()`
-//!   batches are in flight): it drains up to [`ServiceConfig::max_batch`]
+//!   batches are in flight): it drains up to [`MAX_BATCH`]
 //!   queued requests — its own plus everything that accumulated while the
 //!   other leaders were serving — runs one `query_batch`, publishes the
 //!   answers, and wakes all waiters; or
@@ -264,6 +264,11 @@ impl Default for CacheConfig {
     }
 }
 
+/// Largest batch one leader drains at a time. Requests beyond the cap
+/// stay queued for the next leader, bounding per-batch latency under
+/// bursts.
+pub const MAX_BATCH: usize = 256;
+
 /// How an [`OracleService`] serves its batches.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServiceConfig {
@@ -273,10 +278,6 @@ pub struct ServiceConfig {
     /// so `Sequential` serves one batch at a time. Answers are
     /// byte-identical for every policy; only wall-clock changes.
     pub policy: ExecutionPolicy,
-    /// Largest batch one leader drains at a time (default 256). Requests
-    /// beyond the cap stay queued for the next leader, bounding per-batch
-    /// latency under bursts. Must be at least 1.
-    pub max_batch: usize,
     /// Optional answer cache (default `None` — off). Turning it on
     /// changes wall-clock only, never answers: hits replay a published
     /// [`QueryResult`] verbatim.
@@ -287,14 +288,13 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             policy: ExecutionPolicy::from_env(),
-            max_batch: 256,
             cache: None,
         }
     }
 }
 
 impl ServiceConfig {
-    /// Config with an explicit execution policy (default batch cap).
+    /// Config with an explicit execution policy and no answer cache.
     pub fn with_policy(policy: ExecutionPolicy) -> Self {
         ServiceConfig {
             policy,
@@ -506,7 +506,6 @@ impl OracleService {
     /// Wrap an oracle that is already shared (e.g. also referenced by a
     /// snapshot writer or a second service with a different policy).
     pub fn from_arc(oracle: Arc<ApproxShortestPaths>, config: ServiceConfig) -> OracleService {
-        assert!(config.max_batch >= 1, "max_batch must be at least 1");
         if let Some(cache) = &config.cache {
             assert!(cache.capacity >= 1, "cache capacity must be at least 1");
         }
@@ -619,7 +618,7 @@ impl OracleService {
     /// Answer a batch of queries submitted as one unit, blocking until
     /// every pair is served. Answers come back **in input order**; under
     /// concurrency the unit may be coalesced with other clients' requests
-    /// (or split across `max_batch` boundaries) without changing any
+    /// (or split across [`MAX_BATCH`] boundaries) without changing any
     /// answer.
     pub fn query_batch(&self, pairs: &[(VertexId, VertexId)]) -> Vec<QueryResult> {
         if pairs.is_empty() {
@@ -693,7 +692,7 @@ impl OracleService {
                 // slot is taken queue up and form the next batch (that
                 // concurrency is the coalescing window).
                 sh.leaders += 1;
-                let take = sh.queue.len().min(self.config.max_batch);
+                let take = sh.queue.len().min(MAX_BATCH);
                 let batch: Vec<Pending> = sh.queue.drain(..take).collect();
                 // Capture the batch's epoch while the lock pins it: the
                 // whole batch is served by this one oracle even if a
@@ -749,7 +748,7 @@ impl OracleService {
                 sh.leaders -= 1;
                 self.wakeup.notify_all();
                 // Loop: our tickets may have been in the batch we just
-                // served — or still be queued behind the max_batch cap.
+                // served — or still be queued behind the MAX_BATCH cap.
                 continue;
             }
             sh = self.wakeup.wait(sh).unwrap();
@@ -934,21 +933,23 @@ mod tests {
     #[test]
     fn max_batch_splits_oversized_submissions() {
         let oracle = test_oracle(3);
-        let pairs: Vec<(u32, u32)> = (0..10u32).map(|i| (i, i + 80)).collect();
+        let total = 2 * MAX_BATCH + 10;
+        let pairs: Vec<(u32, u32)> = (0..total as u32)
+            .map(|i| (i % 100, (i * 7 + 3) % 100))
+            .collect();
         let expect: Vec<QueryResult> = pairs.iter().map(|&(s, t)| oracle.query(s, t).0).collect();
         let service = OracleService::new(
             oracle,
-            ServiceConfig {
-                policy: ExecutionPolicy::Sequential,
-                max_batch: 4,
-                cache: None,
-            },
+            ServiceConfig::with_policy(ExecutionPolicy::Sequential),
         );
         assert_eq!(service.query_batch(&pairs), expect);
         let stats = service.stats();
-        assert_eq!(stats.served, 10);
-        assert_eq!(stats.batches, 3, "10 requests under a cap of 4");
-        assert_eq!(stats.largest_batch, 4);
+        assert_eq!(stats.served, total as u64);
+        assert_eq!(
+            stats.batches, 3,
+            "{total} requests under a cap of {MAX_BATCH}"
+        );
+        assert_eq!(stats.largest_batch, MAX_BATCH);
     }
 
     #[test]
@@ -1083,21 +1084,16 @@ mod tests {
             ExecutionPolicy::Sequential,
             ExecutionPolicy::Parallel { threads: 2 },
         ] {
-            let service = OracleService::new(
-                test_oracle(6),
-                ServiceConfig {
-                    policy,
-                    max_batch: 4,
-                    cache: None,
-                },
-            );
+            let service = OracleService::new(test_oracle(6), ServiceConfig::with_policy(policy));
             // An out-of-range id panics inside the leader's query_batch;
             // the unwind guards must release its leader slot so later
             // requests are served (not deadlocked), and reclaim every
             // ticket the panicking client submitted — including the two
-            // still queued beyond the max_batch cap.
+            // still queued beyond the MAX_BATCH cap.
+            let mut pairs = vec![(0, 1), (0, 10_000)];
+            pairs.extend((0..MAX_BATCH as u32).map(|i| (i % 100, (i + 1) % 100)));
             let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                service.query_batch(&[(0, 1), (0, 10_000), (1, 2), (2, 3), (3, 4), (4, 5)])
+                service.query_batch(&pairs)
             }));
             assert!(poisoned.is_err(), "out-of-range id must panic ({policy:?})");
             {
@@ -1117,14 +1113,7 @@ mod tests {
     /// A service under `policy` with one leader slot taken by a batch
     /// that never publishes, as if its sweep were still running.
     fn service_with_a_leader_in_flight(policy: ExecutionPolicy) -> OracleService {
-        let service = OracleService::new(
-            test_oracle(13),
-            ServiceConfig {
-                policy,
-                max_batch: 16,
-                cache: None,
-            },
-        );
+        let service = OracleService::new(test_oracle(13), ServiceConfig::with_policy(policy));
         service.shared.lock().unwrap().leaders += 1;
         service
     }
@@ -1202,14 +1191,7 @@ mod tests {
             ExecutionPolicy::Parallel { threads: 4 },
         ] {
             for cache in [None, Some(CacheConfig::default())] {
-                let service = OracleService::new(
-                    test_oracle(8),
-                    ServiceConfig {
-                        policy,
-                        max_batch: 16,
-                        cache,
-                    },
-                );
+                let service = OracleService::new(test_oracle(8), ServiceConfig { policy, cache });
                 // mix the entry points: singles first (warming the
                 // cache), then the whole list as one batch submission
                 let mut got: Vec<QueryResult> =
@@ -1243,7 +1225,6 @@ mod tests {
             test_oracle(9),
             ServiceConfig {
                 policy: ExecutionPolicy::Sequential,
-                max_batch: 16,
                 cache: Some(CacheConfig {
                     capacity: 1,
                     seed: 42,
@@ -1297,7 +1278,6 @@ mod tests {
                 build(&g),
                 ServiceConfig {
                     policy,
-                    max_batch: 16,
                     cache: Some(CacheConfig::default()),
                 },
             );
@@ -1324,7 +1304,6 @@ mod tests {
             old,
             ServiceConfig {
                 policy: ExecutionPolicy::Sequential,
-                max_batch: 16,
                 cache: Some(CacheConfig::default()),
             },
         );
@@ -1368,25 +1347,10 @@ mod tests {
             test_oracle(5),
             ServiceConfig {
                 policy: ExecutionPolicy::Sequential,
-                max_batch: 4,
                 cache: Some(CacheConfig {
                     capacity: 0,
                     seed: 0,
                 }),
-            },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "max_batch")]
-    fn zero_max_batch_is_rejected() {
-        let oracle = test_oracle(5);
-        let _ = OracleService::new(
-            oracle,
-            ServiceConfig {
-                policy: ExecutionPolicy::Sequential,
-                max_batch: 0,
-                cache: None,
             },
         );
     }

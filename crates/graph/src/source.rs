@@ -912,18 +912,6 @@ impl MmapView {
         &self.src
     }
 
-    /// Borrow this view as a [`CsrView`](crate::view::CsrView) (same iteration behavior; handy
-    /// for APIs that take the borrowed form).
-    pub fn as_view(&self) -> crate::view::CsrView<'_> {
-        crate::view::CsrView::from_raw(
-            self.offsets.get(),
-            self.targets.get(),
-            self.weights.get(),
-            self.slot_eids.get(),
-            self.edges.get(),
-        )
-    }
-
     #[inline]
     fn slot_range(&self, v: VertexId) -> std::ops::Range<usize> {
         let offsets = self.offsets.get();
@@ -1208,7 +1196,10 @@ pub(crate) mod tests {
                 g.neighbors_with_eid(v).collect::<Vec<_>>()
             );
         }
-        assert_eq!(view.as_view().to_graph(), g);
+        assert_eq!(
+            CsrGraph::from_edges(view.n(), view.edges().iter().copied()),
+            g
+        );
     }
 
     #[test]

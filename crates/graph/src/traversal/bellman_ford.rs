@@ -4,7 +4,9 @@
 //! Definition 2.4 — and is the query engine Klein–Subramanian \[KS97\] attach
 //! to a hopset: once a `(ε, h, m')`-hopset exists, a `(1+ε)`-approximate
 //! shortest path needs only `h` rounds of parallel edge relaxation, giving
-//! the `O(m/ε)` work, `O(h)`-ish depth query of Theorem 1.2.
+//! the `O(m/ε)` work, `O(h)`-ish depth query of Theorem 1.2. The graph is
+//! any [`GraphView`]; the hopset `E'` is an owned [`ExtraEdges`]
+//! adjacency, the one form every entry takes.
 //!
 //! Frontier-based: only vertices whose distance improved in round `r-1`
 //! relax their edges in round `r`, so work on easy instances is far below
@@ -27,7 +29,7 @@
 //! larger `h` too. [`hop_limited_sssp`] has no target and sweeps
 //! unbounded.
 //!
-//! [`hop_limited_pair_mapped_on`] reads every base-edge weight `w` as
+//! [`hop_limited_pair_mapped`] reads every base-edge weight `w` as
 //! `map(w)` while it relaxes the edge, and hopset edges as stored: a
 //! weight band of §5 sweeps the base graph on its own grid that way,
 //! without a rounded copy. It answers, `Cost` included, as the plain
@@ -53,9 +55,8 @@ use std::cell::RefCell;
 
 /// A set of auxiliary (hopset) edges in CSR form over the same vertex ids
 /// as the base graph. Undirected: both directions are stored. Offsets are
-/// `u32` (2m' adjacency slots fit the u32 edge-id space by the same bound
-/// the canonical edge list obeys), so the borrowed form ([`ExtraView`])
-/// can alias a mapped snapshot slab directly.
+/// `u32`: 2m' adjacency slots fit the u32 edge-id space by the same bound
+/// the canonical edge list obeys, which [`ExtraEdges::from_edges`] checks.
 #[derive(Clone, Debug, Default)]
 pub struct ExtraEdges {
     offsets: Vec<u32>,
@@ -112,49 +113,6 @@ impl ExtraEdges {
     /// Iterate `(neighbor, weight)` of `v` among the extra edges.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        self.view().neighbors(v)
-    }
-
-    /// Borrow as the slice-backed form the query cores run on.
-    #[inline]
-    pub fn view(&self) -> ExtraView<'_> {
-        ExtraView {
-            offsets: &self.offsets,
-            targets: &self.targets,
-            weights: &self.weights,
-        }
-    }
-}
-
-/// Borrowed extra-edge adjacency: three slices in the layout
-/// [`ExtraEdges::from_edges`] produces — owned storage and mapped v2
-/// snapshot slabs both hand out this form, so the hop-limited cores
-/// below run identically on either. `Copy`, like [`crate::CsrView`].
-#[derive(Clone, Copy, Debug)]
-pub struct ExtraView<'a> {
-    offsets: &'a [u32],
-    targets: &'a [VertexId],
-    weights: &'a [Weight],
-}
-
-impl<'a> ExtraView<'a> {
-    /// Assemble a view from raw parts (mapped snapshot slabs). `offsets`
-    /// needs one entry per vertex plus a trailing total; the adjacency
-    /// slices hold both directions of every extra edge.
-    pub fn from_raw(offsets: &'a [u32], targets: &'a [VertexId], weights: &'a [Weight]) -> Self {
-        assert!(!offsets.is_empty(), "offsets needs a trailing total");
-        debug_assert_eq!(*offsets.last().unwrap() as usize, targets.len());
-        debug_assert_eq!(targets.len(), weights.len());
-        ExtraView {
-            offsets,
-            targets,
-            weights,
-        }
-    }
-
-    /// Iterate `(neighbor, weight)` of `v` among the extra edges.
-    #[inline]
-    pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + 'a {
         let range = self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize;
         self.targets[range.clone()]
             .iter()
@@ -186,19 +144,6 @@ pub struct HopQuery {
 pub fn hop_limited_sssp<G: GraphView>(
     g: &G,
     extra: Option<&ExtraEdges>,
-    sources: &[VertexId],
-    h: usize,
-) -> (HopQuery, Cost) {
-    hop_limited_sssp_on(g, extra.map(ExtraEdges::view), sources, h)
-}
-
-/// [`hop_limited_sssp`] on borrowed extra-edge slices — the core every
-/// entry runs, whether the extra edges are owned or borrowed, so their
-/// relaxation sequences — and therefore answers and costs — are
-/// identical by construction.
-pub fn hop_limited_sssp_on<G: GraphView>(
-    g: &G,
-    extra: Option<ExtraView<'_>>,
     sources: &[VertexId],
     h: usize,
 ) -> (HopQuery, Cost) {
@@ -238,29 +183,17 @@ pub fn hop_limited_pair<G: GraphView>(
     t: VertexId,
     h: usize,
 ) -> (PairQuery, Cost) {
-    hop_limited_pair_on(g, extra.map(ExtraEdges::view), s, t, h)
+    hop_limited_pair_mapped(g, |w| w, extra, s, t, h)
 }
 
-/// [`hop_limited_pair`] on borrowed extra-edge slices (see
-/// [`hop_limited_sssp_on`]).
-pub fn hop_limited_pair_on<G: GraphView>(
-    g: &G,
-    extra: Option<ExtraView<'_>>,
-    s: VertexId,
-    t: VertexId,
-    h: usize,
-) -> (PairQuery, Cost) {
-    hop_limited_pair_mapped_on(g, |w| w, extra, s, t, h)
-}
-
-/// [`hop_limited_pair_on`] with every base-edge weight `w` read as
-/// `map(w)`; `extra`'s weights are read as stored. The answer and the
-/// [`Cost`] are those of [`hop_limited_pair_on`] over a copy of `g`
-/// whose weights are mapped (see the module docs).
-pub fn hop_limited_pair_mapped_on<G: GraphView>(
+/// [`hop_limited_pair`] with every base-edge weight `w` read as `map(w)`;
+/// `extra`'s weights are read as stored. The answer and the [`Cost`] are
+/// those of [`hop_limited_pair`] over a copy of `g` whose weights are
+/// mapped (see the module docs).
+pub fn hop_limited_pair_mapped<G: GraphView>(
     g: &G,
     map: impl Fn(Weight) -> Weight,
-    extra: Option<ExtraView<'_>>,
+    extra: Option<&ExtraEdges>,
     s: VertexId,
     t: VertexId,
     h: usize,
@@ -316,7 +249,7 @@ impl Scratch {
         &mut self,
         g: &G,
         map: impl Fn(Weight) -> Weight,
-        extra: Option<ExtraView<'_>>,
+        extra: Option<&ExtraEdges>,
         sources: &[VertexId],
         target: Option<VertexId>,
         h: usize,
@@ -705,12 +638,11 @@ pub(crate) mod tests {
                 n,
                 g.edges().iter().map(|e| Edge::new(e.u, e.v, map(e.w))),
             );
-            let extra = extra.as_ref().map(ExtraEdges::view);
             let s = rng.random_range(0..n as VertexId);
             for t in 0..n as VertexId {
                 prop_assert_eq!(
-                    hop_limited_pair_mapped_on(&g, map, extra, s, t, h),
-                    hop_limited_pair_on(&copy, extra, s, t, h)
+                    hop_limited_pair_mapped(&g, map, extra.as_ref(), s, t, h),
+                    hop_limited_pair(&copy, extra.as_ref(), s, t, h)
                 );
             }
         }

@@ -116,9 +116,9 @@ impl GraphView for CsrGraph {
     }
 }
 
-/// A borrowed CSR graph: five slices into a [`SplitArena`] (or any other
-/// owner of CSR-shaped storage). `Copy`, so recursive calls pass it by
-/// value. Offsets are local to the view's own slices.
+/// A borrowed CSR graph: five slices into a [`SplitArena`]. `Copy`, so
+/// recursive calls pass it by value. Offsets are local to the view's own
+/// slices.
 #[derive(Clone, Copy, Debug)]
 pub struct CsrView<'a> {
     /// `offsets[v]..offsets[v+1]` indexes the three adjacency slices.
@@ -130,31 +130,6 @@ pub struct CsrView<'a> {
 }
 
 impl<'a> CsrView<'a> {
-    /// Assemble a view from raw CSR parts. `offsets` must have one entry
-    /// per vertex plus a trailing total; adjacency slices must all have
-    /// `2 * edges.len()` entries. Exposed so storage owners other than
-    /// [`SplitArena`] can hand out views.
-    pub fn from_raw(
-        offsets: &'a [u32],
-        targets: &'a [VertexId],
-        weights: &'a [Weight],
-        slot_eids: &'a [u32],
-        edges: &'a [Edge],
-    ) -> Self {
-        assert!(!offsets.is_empty(), "offsets needs a trailing total");
-        debug_assert_eq!(*offsets.last().unwrap() as usize, targets.len());
-        debug_assert_eq!(targets.len(), weights.len());
-        debug_assert_eq!(targets.len(), slot_eids.len());
-        debug_assert_eq!(targets.len(), 2 * edges.len());
-        CsrView {
-            offsets,
-            targets,
-            weights,
-            slot_eids,
-            edges,
-        }
-    }
-
     /// Copy this view into an owned [`CsrGraph`] (the materializing
     /// escape hatch; the whole point of views is to avoid calling this on
     /// hot paths).
@@ -433,17 +408,6 @@ impl SplitArena {
     pub fn to_parent(&self, c: usize) -> &[VertexId] {
         &self.to_parent[self.vert_start[c]..self.vert_start[c + 1]]
     }
-}
-
-/// Drop every arena retained by the **current thread's** pool, releasing
-/// the scratch buffers. The pool otherwise keeps leased arenas (buffers
-/// intact) for the life of the thread — ideal while a recursion is
-/// running, wasteful once a build phase is over. Long-lived processes
-/// that build a hopset once and then keep running should call this on
-/// the driving thread after the build; worker threads release theirs
-/// when their hosting pool is dropped.
-pub fn drain_arena_pool() {
-    ARENA_POOL.with(|pool| pool.borrow_mut().clear());
 }
 
 /// A [`SplitArena`] borrowed from the thread-local pool; returns the

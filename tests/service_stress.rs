@@ -7,7 +7,7 @@
 //! proof behind `psh_core::service`'s determinism claim (PR 5's
 //! acceptance criterion).
 
-use psh::core::service::{CacheConfig, OracleService, ServiceConfig};
+use psh::core::service::{CacheConfig, OracleService, ServiceConfig, MAX_BATCH};
 use psh::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -117,7 +117,7 @@ fn thirty_two_clients_serve_byte_identically() {
             let stats = service.stats();
             assert_eq!(stats.served, pairs.len() as u64);
             assert!(stats.batches >= 1 && stats.batches <= pairs.len() as u64);
-            assert!(stats.largest_batch >= 1 && stats.largest_batch <= 256);
+            assert!(stats.largest_batch >= 1 && stats.largest_batch <= MAX_BATCH);
             assert!(stats.qps > 0.0, "elapsed window must be positive");
             assert!(stats.p50_ms <= stats.p999_ms);
         }
@@ -168,33 +168,47 @@ fn mixed_single_and_batch_clients_stay_consistent() {
     }
 }
 
-/// Contended batch caps: a small `max_batch` forces every large burst
-/// through many leader rotations without changing any answer.
+/// Contended batch caps: eight clients each submit one batch larger
+/// than [`MAX_BATCH`] at once, so every submission is split across
+/// leader rotations and coalesced with the others' remainders, without
+/// changing any answer.
 #[test]
 fn tiny_batch_cap_under_contention_is_still_identical() {
+    const SUBMITTERS: usize = 8;
     let oracle = build_oracle(false, 13);
     let n = oracle.graph().n();
-    let pairs = workload(n, 256, 17);
+    let chunk = MAX_BATCH + 44;
+    let pairs = workload(n, SUBMITTERS * chunk, 17);
     let reference: Vec<QueryResult> = pairs.iter().map(|&(s, t)| oracle.query(s, t).0).collect();
     let shared = Arc::new(oracle);
     for policy in service_policies() {
-        let service = OracleService::from_arc(
-            Arc::clone(&shared),
-            ServiceConfig {
-                policy,
-                max_batch: 3,
-                cache: None,
-            },
+        let service =
+            OracleService::from_arc(Arc::clone(&shared), ServiceConfig::with_policy(policy));
+        let answers: Vec<QueryResult> = std::thread::scope(|scope| {
+            let handles: Vec<_> = pairs
+                .chunks(chunk)
+                .map(|slice| {
+                    let service = &service;
+                    scope.spawn(move || service.query_batch(slice))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("client thread survived"))
+                .collect()
+        });
+        assert_eq!(
+            answers, reference,
+            "split submissions diverged under {policy}"
         );
-        let answers = hammer(&service, &pairs);
-        assert_eq!(answers, reference, "max_batch=3 diverged under {policy}");
         let stats = service.stats();
-        assert!(
-            stats.largest_batch <= 3,
-            "cap violated: {}",
-            stats.largest_batch
+        assert_eq!(stats.served, pairs.len() as u64);
+        // the first drain finds a whole submission queued, so it is full
+        assert_eq!(
+            stats.largest_batch, MAX_BATCH,
+            "cap violated or never reached"
         );
-        assert!(stats.batches >= (pairs.len() / 3) as u64);
+        assert!(stats.batches >= pairs.len().div_ceil(MAX_BATCH) as u64);
     }
 }
 
@@ -260,7 +274,6 @@ fn swap_storm_attributes_every_answer_to_a_valid_epoch() {
             Arc::clone(&oracles[0]),
             ServiceConfig {
                 policy,
-                max_batch: 64,
                 cache: Some(CacheConfig {
                     capacity: 64,
                     seed: 5,
