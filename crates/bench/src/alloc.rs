@@ -1,8 +1,8 @@
 //! A counting global allocator for peak-memory measurements.
 //!
-//! Shared by the binaries that report peak allocated bytes (`benchsuite`
-//! here, and the end-to-end benchmark under `perfbench/`). Each binary
-//! opts in by declaring
+//! Shared by what reports peak allocated bytes: the end-to-end benchmark
+//! under `perfbench/` and this crate's `service_memory` and
+//! `journal_memory` tests. Each binary opts in by declaring
 //!
 //! ```ignore
 //! #[global_allocator]

@@ -214,12 +214,21 @@ fn main() {
 
     println!("\n# psh-server — n={n} m={m} | served from {bound} | {policy}\n");
     let mut t = Table::new([
-        "conns", "rejected", "queries", "batches", "largest", "qps", "p50 (ms)", "p99 (ms)",
+        "conns",
+        "rejected",
+        "queries",
+        "cache hits",
+        "batches",
+        "largest",
+        "qps",
+        "p50 (ms)",
+        "p99 (ms)",
     ]);
     t.row([
         fmt_u(server_stats.conns_accepted),
         fmt_u(server_stats.conns_rejected),
         fmt_u(stats.served),
+        fmt_u(stats.cache_hits),
         fmt_u(stats.batches),
         fmt_u(stats.largest_batch as u64),
         fmt_f(stats.qps),
@@ -257,6 +266,7 @@ fn main() {
         .meta("hot_swaps", swaps)
         .meta("queries_served", server_stats.queries_served)
         .meta("queries_rejected", server_stats.queries_rejected)
+        .meta("cache_hits", stats.cache_hits)
         .meta("frames_in", server_stats.frames_in)
         .meta("frames_out", server_stats.frames_out)
         .meta("qps", stats.qps)

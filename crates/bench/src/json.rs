@@ -3,8 +3,8 @@
 //! Every table/ablation binary accepts `--json PATH`: alongside the
 //! human-readable markdown tables it then writes one JSON document with
 //! the same rows plus run metadata (binary name, thread count and
-//! execution policy, total wall-clock), so `BENCH_*.json` trajectories
-//! can accumulate across commits without scraping stdout.
+//! execution policy, total wall-clock), so runs can be compared across
+//! commits without scraping stdout.
 //!
 //! The writer is a deliberately tiny hand-rolled serializer (the
 //! workspace has no registry access for serde); the document shape is:
@@ -70,7 +70,7 @@ impl From<String> for JsonValue {
 }
 
 /// True when the bare flag `name` appears in the process arguments
-/// (`--quick`, `--fresh-snapshot`, …) — the boolean companion to
+/// (`--fresh-snapshot`, `--shutdown`, …) — the boolean companion to
 /// [`parse_flag`].
 pub fn has_flag(name: &str) -> bool {
     std::env::args().skip(1).any(|a| a == name)
@@ -154,8 +154,8 @@ impl JsonValue {
         s
     }
 
-    /// Parse a JSON document — the reader half that lets `bench-compare`
-    /// diff committed `BENCH_*.json` baselines against fresh runs.
+    /// Parse a JSON document — the reader half of [`JsonValue::write`],
+    /// with which perfbench's smoke test reads `BENCHMARK.json`.
     /// Accepts exactly what [`JsonValue::write`] emits plus ordinary
     /// whitespace, signed/exponent numbers, and `\uXXXX` escapes
     /// (surrogate pairs included). Errors carry a byte offset.
@@ -424,7 +424,7 @@ impl Report {
     }
 
     /// Build a report with an explicit output path (`None` disables it).
-    pub fn new(bin: &str, path: Option<PathBuf>) -> Report {
+    fn new(bin: &str, path: Option<PathBuf>) -> Report {
         Report {
             bin: bin.to_string(),
             path,
@@ -474,8 +474,8 @@ impl Report {
     /// The document this report currently describes. The top-level
     /// `threads`/`policy` fields record the *process-default*
     /// [`ExecutionPolicy`] (what `PSH_THREADS` selected) — a binary that
-    /// sweeps explicit policies (e.g. `benchsuite`) reports the swept
-    /// policies per table row and in its own `meta` instead.
+    /// takes its own policy (e.g. `psh-serve --threads`) records it in
+    /// its own `meta` instead.
     pub fn to_value(&self) -> JsonValue {
         let policy = ExecutionPolicy::from_env();
         JsonValue::Object(vec![

@@ -11,10 +11,8 @@
 //! Each binary refuses what it does not read: [`check_args`] rejects an
 //! unknown flag, and [`parse_value`] a value that does not parse, both
 //! with exit 1 naming the flag, so a misspelt or malformed flag can never
-//! fall back to a default. Every other binary of this crate refuses the
-//! same way: `benchsuite`, `bench-compare` (through
-//! [`check_args_with_paths`]) and the experiment binaries (through
-//! [`crate::json::Report::from_json_flag`]).
+//! fall back to a default. The experiment binaries refuse the same way
+//! (through [`crate::json::Report::from_json_flag`]).
 
 use crate::json::{has_flag, parse_flag};
 use crate::workloads::Family;
@@ -55,30 +53,16 @@ pub fn die(prog: &str, msg: impl std::fmt::Display) -> ! {
 /// its value or a bare flag given one exits 1 naming it. Call it first
 /// in `main`, before any work.
 pub fn check_args(prog: &str, valued: &[&str], bare: &[&str]) {
-    check_args_with_paths(prog, 0, valued, bare);
+    check_argv(std::env::args().skip(1), valued, bare).unwrap_or_else(|msg| die(prog, msg));
 }
 
-/// [`check_args`] for a binary that also takes up to `paths` positional
-/// arguments, returned in order; one more is a stray argument.
-pub fn check_args_with_paths(
-    prog: &str,
-    paths: usize,
-    valued: &[&str],
-    bare: &[&str],
-) -> Vec<String> {
-    positional_args(std::env::args().skip(1), paths, valued, bare)
-        .unwrap_or_else(|msg| die(prog, msg))
-}
-
-/// The positional arguments [`check_args_with_paths`] accepts, or the
-/// first argument it refuses, as its message.
-fn positional_args(
+/// [`check_args`] over `args`: the first argument it refuses, as its
+/// message.
+fn check_argv(
     args: impl IntoIterator<Item = String>,
-    paths: usize,
     valued: &[&str],
     bare: &[&str],
-) -> Result<Vec<String>, String> {
-    let mut positional = Vec::new();
+) -> Result<(), String> {
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         let (name, inline_value) = match arg.split_once('=') {
@@ -95,13 +79,11 @@ fn positional_args(
             }
         } else if name.starts_with("--") {
             return Err(format!("unknown flag '{name}'"));
-        } else if positional.len() < paths {
-            positional.push(arg);
         } else {
             return Err(format!("unexpected argument '{arg}'"));
         }
     }
-    Ok(positional)
+    Ok(())
 }
 
 /// `--name VALUE` parsed as `T`, strictly: a value that does not parse,
@@ -271,19 +253,14 @@ pub fn parse_max_seconds(prog: &str) -> Option<f64> {
 
 #[cfg(test)]
 mod tests {
-    use super::positional_args;
+    use super::check_argv;
 
-    fn check_paths(paths: usize, args: &[&str]) -> Result<Vec<String>, String> {
-        positional_args(
+    fn check(args: &[&str]) -> Result<(), String> {
+        check_argv(
             args.iter().map(|a| a.to_string()),
-            paths,
             &["--n", "--load-mode"],
             &["--fresh-snapshot"],
         )
-    }
-
-    fn check(args: &[&str]) -> Result<(), String> {
-        check_paths(0, args).map(|paths| assert!(paths.is_empty()))
     }
 
     #[test]
@@ -298,24 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn positional_arguments_are_counted() {
-        assert_eq!(
-            check_paths(2, &["A", "--n", "64", "B=1"]),
-            Ok(vec!["A".to_string(), "B=1".to_string()])
-        );
-        assert_eq!(check_paths(2, &["A"]), Ok(vec!["A".to_string()]));
-        assert_eq!(
-            check_paths(2, &["A", "B", "C"]),
-            Err("unexpected argument 'C'".to_string())
-        );
-        // a misspelt valued flag is refused, never taken for a path
-        assert_eq!(
-            check_paths(2, &["A", "B", "--nosie", "0.9"]),
-            Err("unknown flag '--nosie'".to_string())
-        );
-    }
-
-    #[test]
     fn everything_else_is_refused_by_name() {
         let refused = |args: &[&str], msg: &str| assert_eq!(check(args), Err(msg.to_string()));
         refused(&["--load-mod", "read"], "unknown flag '--load-mod'");
@@ -327,5 +286,6 @@ mod tests {
         refused(&["--fresh-snapshot=yes"], "--fresh-snapshot takes no value");
         refused(&["--n", "64", "64"], "unexpected argument '64'");
         refused(&["-n", "64"], "unexpected argument '-n'");
+        refused(&["A.json", "--n", "64"], "unexpected argument 'A.json'");
     }
 }

@@ -1,9 +1,8 @@
 //! `psh-serve`, `psh-server` and `psh-client` driven as binaries with
 //! flags they must refuse: a misspelt flag and a malformed value each
 //! exit 1 naming the flag (never a panic's 101, never a silent default),
-//! before any graph is built or socket bound. `benchsuite`,
-//! `bench-compare` and the experiment binaries refuse the same way,
-//! before any work.
+//! before any graph is built or socket bound. The experiment binaries
+//! refuse the same way, before any work.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -74,25 +73,6 @@ fn the_other_binaries_refuse_unknown_flags_before_any_work() {
     let dir = scratch("others");
     let json = dir.join("report.json");
     let json = json.to_str().unwrap();
-    let benchsuite = env!("CARGO_BIN_EXE_benchsuite");
-    refused(
-        &run(benchsuite, &["--quik", "--json", json]),
-        "unknown flag '--quik'",
-    );
-    refused(
-        &run(benchsuite, &["--n", "8oo", "--json", json]),
-        "bad --n '8oo'",
-    );
-    // unread paths: without the refusal this would exit 2 on reading them
-    let (a, b) = (dir.join("A.json"), dir.join("B.json"));
-    let (a, b) = (a.to_str().unwrap(), b.to_str().unwrap());
-    let compare = env!("CARGO_BIN_EXE_bench-compare");
-    refused(
-        &run(compare, &[a, b, "--nosie", "0.9"]),
-        "unknown flag '--nosie'",
-    );
-    refused(&run(compare, &[a, b, "0.9"]), "unexpected argument '0.9'");
-    refused(&run(compare, &[a, b, "--noise", "0"]), "bad --noise '0'");
     refused(
         &run(env!("CARGO_BIN_EXE_table1_spanners"), &["--jsno", json]),
         "unknown flag '--jsno'",

@@ -330,9 +330,23 @@ mod tests {
     /// `HopsetBuilder::weighted(eta)` family over it (`ŵ > 1` bands
     /// included) and its exact distances, `exact[s][t]`.
     fn king_grid_family(eta: f64) -> (CsrGraph, WeightedHopsets, Vec<Vec<u64>>) {
-        use crate::api::{HopsetBuilder, Seed};
         let mut rng = StdRng::seed_from_u64(2);
         let g = generators::with_log_uniform_weights(&generators::grid2d(7, 7), 64.0, &mut rng);
+        family_of(g, eta)
+    }
+
+    /// [`king_grid_family`] over a 40-vertex path with weights uniform in
+    /// `[50, 100]`. Its distances reach 2,821, past the first
+    /// `ŵ > 1` band's `d` (337 at η = 0.25, 1,803 at η = 0.5), so the
+    /// band covering a far pair has `ŵ > 1`.
+    fn heavy_path_family(eta: f64) -> (CsrGraph, WeightedHopsets, Vec<Vec<u64>>) {
+        let mut rng = StdRng::seed_from_u64(3);
+        let g = generators::with_uniform_weights(&generators::path(40), 50, 100, &mut rng);
+        family_of(g, eta)
+    }
+
+    fn family_of(g: CsrGraph, eta: f64) -> (CsrGraph, WeightedHopsets, Vec<Vec<u64>>) {
+        use crate::api::{HopsetBuilder, Seed};
         let run = HopsetBuilder::weighted(eta)
             .seed(Seed(4))
             .build(&g)
@@ -394,43 +408,53 @@ mod tests {
     /// exceeds by at most `ŵ` per edge, so the value is at most
     /// `D + (n − 1)·ŵ`. For the band whose range covers `D` (the last
     /// with `d ≤ D`) that is at most `(1+ζ)·D`: either `ŵ = ζd/n`, or
-    /// `ŵ = 1` and the settled value is `D` itself. On this fixture every
-    /// covering band has `ŵ = 1`: no distance reaches the first `ŵ > 1`
-    /// band's `d`.
+    /// `ŵ = 1` and the settled value is `D` itself. On the king grid
+    /// every covering band has `ŵ = 1`: no distance reaches the first
+    /// `ŵ > 1` band's `d`. On the heavy path the far pairs' covering
+    /// bands have `ŵ > 1`.
     #[test]
     fn a_settled_band_reads_within_its_rounding_error() {
         for eta in KING_ETAS {
-            let (g, family, exact) = king_grid_family(eta);
-            let n = g.n() as VertexId;
-            let zeta = family.epsilon / 2.0;
-            // settled values checked at ŵ = 1 and at ŵ > 1, and covering
-            // bands checked
-            let (mut checked, mut covering_checked) = ([0usize; 2], 0usize);
-            for s in 0..n {
-                for t in (0..n).filter(|&t| t != s) {
-                    let d = exact[s as usize][t as usize];
-                    let covering = family.bands.iter().rposition(|b| b.d <= d);
-                    for (i, band) in family.bands.iter().enumerate() {
-                        let (q, _) = band.sweep(&g, s, t);
-                        if !q.settled || q.dist == INF {
-                            continue;
-                        }
-                        let value = band.rounding.unround(q.dist);
-                        let slack = (g.n() - 1) as f64 * band.rounding.what;
-                        let at = format!("η = {eta}, band {i}, ({s}, {t}), D = {d}");
-                        assert!(value <= d as f64 + slack, "{at}: {value} > D + {slack}");
-                        checked[usize::from(band.rounding.what > 1.0)] += 1;
-                        if covering == Some(i) {
-                            assert!(value <= (1.0 + zeta) * d as f64, "{at}: {value}");
-                            covering_checked += 1;
+            let fixtures = [
+                ("king grid", king_grid_family(eta), false),
+                ("heavy path", heavy_path_family(eta), true),
+            ];
+            for (name, (g, family, exact), wide_covering) in fixtures {
+                let n = g.n() as VertexId;
+                let zeta = family.epsilon / 2.0;
+                // settled values and settled covering bands checked, each
+                // at ŵ = 1 and at ŵ > 1
+                let (mut checked, mut covering_checked) = ([0usize; 2], [0usize; 2]);
+                for s in 0..n {
+                    for t in (0..n).filter(|&t| t != s) {
+                        let d = exact[s as usize][t as usize];
+                        let covering = family.bands.iter().rposition(|b| b.d <= d);
+                        for (i, band) in family.bands.iter().enumerate() {
+                            let (q, _) = band.sweep(&g, s, t);
+                            if !q.settled || q.dist == INF {
+                                continue;
+                            }
+                            let value = band.rounding.unround(q.dist);
+                            let slack = (g.n() - 1) as f64 * band.rounding.what;
+                            let at = format!("{name}, η = {eta}, band {i}, ({s}, {t}), D = {d}");
+                            assert!(value <= d as f64 + slack, "{at}: {value} > D + {slack}");
+                            let wide = usize::from(band.rounding.what > 1.0);
+                            checked[wide] += 1;
+                            if covering == Some(i) {
+                                assert!(value <= (1.0 + zeta) * d as f64, "{at}: {value}");
+                                covering_checked[wide] += 1;
+                            }
                         }
                     }
                 }
+                assert!(
+                    checked.iter().all(|&c| c > 0)
+                        && covering_checked[0] > 0
+                        && (covering_checked[1] > 0) == wide_covering,
+                    "{name}, η = {eta}: settled (ŵ = 1, ŵ > 1) {checked:?}, \
+                     covering {covering_checked:?}"
+                );
             }
-            assert!(
-                checked.iter().all(|&c| c > 0) && covering_checked > 0,
-                "η = {eta}: settled (ŵ = 1, ŵ > 1) {checked:?}, covering {covering_checked}"
-            );
         }
     }
 

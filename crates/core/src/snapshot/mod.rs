@@ -13,9 +13,9 @@
 //!
 //! A served oracle answers `query` / `query_batch` **and reports the same
 //! costs** byte-identically to the fresh build it was saved from
-//! (enforced by the `serving` integration tests and the `benchsuite`
-//! divergence gate). Malformed input is a descriptive [`SnapshotError`],
-//! never a panic.
+//! (enforced by the `serving`, `service_stress` and `net_loopback`
+//! integration tests, which serve mapped images too). Malformed input is
+//! a descriptive [`SnapshotError`], never a panic.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -336,7 +336,7 @@ impl SnapshotSource {
     }
 
     /// True when the region is a real `mmap` (as opposed to an owned
-    /// buffer) — what the benchsuite `load` table reports as "mmap".
+    /// buffer).
     pub fn is_mapped(&self) -> bool {
         match &self.repr {
             #[cfg(target_os = "linux")]

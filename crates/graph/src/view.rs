@@ -130,13 +130,6 @@ pub struct CsrView<'a> {
 }
 
 impl<'a> CsrView<'a> {
-    /// Copy this view into an owned [`CsrGraph`] (the materializing
-    /// escape hatch; the whole point of views is to avoid calling this on
-    /// hot paths).
-    pub fn to_graph(&self) -> CsrGraph {
-        CsrGraph::from_edges(self.n(), self.edges.iter().copied())
-    }
-
     #[inline]
     fn slot_range(&self, v: VertexId) -> std::ops::Range<usize> {
         self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize
@@ -534,15 +527,6 @@ mod tests {
         // the recycled arena comes back with its buffers intact
         let lease = SplitArena::lease();
         assert!(lease.targets.capacity() >= cap);
-    }
-
-    #[test]
-    fn to_graph_round_trips() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = generators::connected_random(30, 60, &mut rng);
-        let mut arena = SplitArena::new();
-        arena.split(&g, &[0u32; 30], 1);
-        assert_eq!(arena.view(0).to_graph(), g);
     }
 
     proptest! {

@@ -2,13 +2,15 @@
 //! every answer a [`NetClient`] receives — single query, batch, or
 //! streamed subscription, from any number of concurrent sockets — must
 //! be **byte-identical** to the single-threaded in-process reference on
-//! the same oracle, for every [`ExecutionPolicy`] (including the
-//! env-selected one, so the CI `PSH_THREADS={1,4}` matrix exercises
-//! both). Plus the failure half of the contract: out-of-range ids,
-//! request caps, busy servers, silent peers, and shutdown all surface
-//! as typed [`ProtocolError`]s, never panics or garbled frames.
+//! the same oracle, owned or mapped from its v2 image, for every
+//! [`ExecutionPolicy`] (including the env-selected one, so the CI
+//! `PSH_THREADS={1,4}` matrix exercises both). Plus the failure half of
+//! the contract: out-of-range ids, request caps, busy servers, silent
+//! peers, and shutdown all surface as typed [`ProtocolError`]s, never
+//! panics or garbled frames.
 
 use psh::core::service::{OracleService, ServiceConfig};
+use psh::graph::{SnapshotSource, Verify};
 use psh::net::protocol::{ERR_BUSY, ERR_CONN_CAP, ERR_GLOBAL_CAP, ERR_OUT_OF_RANGE};
 use psh::prelude::*;
 use rand::rngs::StdRng;
@@ -39,6 +41,21 @@ fn build_oracle(weighted: bool, seed: u64) -> ApproxShortestPaths {
         .build(&g)
         .expect("test oracle build")
         .artifact
+}
+
+/// `oracle`'s v2 image, opened in place the way a serving process maps
+/// a snapshot.
+fn mapped_copy(oracle: &ApproxShortestPaths, seed: u64) -> ApproxShortestPaths {
+    let meta = OracleMeta {
+        params: HopsetParams::default(),
+        seed: Seed(seed),
+        build_cost: Cost::ZERO,
+    };
+    let image = snapshot::write_oracle_v2_bytes(oracle, &meta).unwrap();
+    let source = Arc::new(SnapshotSource::from_bytes(&image));
+    let (mapped, _) = snapshot::read_oracle_v2(source, Verify::Bounds).unwrap();
+    assert!(mapped.is_mapped());
+    mapped
 }
 
 /// Far pairs, neighbors, self-pairs, repeats — everything a real
@@ -97,20 +114,30 @@ fn every_policy_serves_bitwise_identical_answers_over_the_wire() {
         let pairs = workload(n, 120, 7);
         let reference: Vec<QueryResult> =
             pairs.iter().map(|&(s, t)| oracle.query(s, t).0).collect();
-        for policy in policies {
-            let server = bind(build_oracle(weighted, 31), policy, ServerConfig::default());
+        // the owned oracle, then its mapped v2 image, under every policy
+        let servers = [false, true]
+            .into_iter()
+            .flat_map(|mapped| policies.map(|policy| (mapped, policy)));
+        for (mapped, policy) in servers {
+            let served = if mapped {
+                mapped_copy(&oracle, 31)
+            } else {
+                build_oracle(weighted, 31)
+            };
+            let server = bind(served, policy, ServerConfig::default());
             let mut client = NetClient::connect(server.local_addr()).expect("connect");
+            let at = format!("weighted={weighted}, {policy}, mapped: {mapped}");
 
             // single queries
             let singles: Vec<QueryResult> = pairs[..20]
                 .iter()
                 .map(|&(s, t)| client.query(s, t).expect("query"))
                 .collect();
-            assert_bitwise(&singles, &reference[..20], "singles");
+            assert_bitwise(&singles, &reference[..20], &format!("singles ({at})"));
 
             // one batch round trip
             let batch = client.query_batch(&pairs).expect("batch");
-            assert_bitwise(&batch, &reference, "batch");
+            assert_bitwise(&batch, &reference, &format!("batch ({at})"));
 
             // streamed subscription, checking chunk offsets partition
             let mut offsets = Vec::new();
@@ -121,7 +148,7 @@ fn every_policy_serves_bitwise_identical_answers_over_the_wire() {
                     streamed.extend_from_slice(part);
                 })
                 .expect("subscribe");
-            assert_bitwise(&streamed, &reference, "stream");
+            assert_bitwise(&streamed, &reference, &format!("stream ({at})"));
             assert_eq!(summary.served, pairs.len() as u64);
             assert_eq!(
                 offsets,

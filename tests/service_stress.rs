@@ -2,12 +2,13 @@
 //! 32 client threads hammer one shared [`OracleService`] with
 //! interleaved queries and every answer must be **byte-identical** to
 //! the single-threaded `query` / `query_batch` reference — under both
-//! `ExecutionPolicy` variants, on unweighted and weighted oracles, and
-//! with mixed single/batch submission. This is the integration-level
-//! proof behind `psh_core::service`'s determinism claim (PR 5's
-//! acceptance criterion).
+//! `ExecutionPolicy` variants, on unweighted and weighted oracles, owned
+//! and mapped from their v2 image, and with mixed single/batch
+//! submission. This is the integration-level proof behind
+//! `psh_core::service`'s determinism claim.
 
 use psh::core::service::{CacheConfig, OracleService, ServiceConfig, MAX_BATCH};
+use psh::graph::{SnapshotSource, Verify};
 use psh::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,6 +57,21 @@ fn build_oracle(weighted: bool, seed: u64) -> ApproxShortestPaths {
         .artifact
 }
 
+/// `oracle`'s v2 image, opened in place the way a serving process maps
+/// a snapshot.
+fn mapped_copy(oracle: &ApproxShortestPaths, seed: u64) -> ApproxShortestPaths {
+    let meta = OracleMeta {
+        params: HopsetParams::default(),
+        seed: Seed(seed),
+        build_cost: Cost::ZERO,
+    };
+    let image = snapshot::write_oracle_v2_bytes(oracle, &meta).unwrap();
+    let source = Arc::new(SnapshotSource::from_bytes(&image));
+    let (mapped, _) = snapshot::read_oracle_v2(source, Verify::Bounds).unwrap();
+    assert!(mapped.is_mapped());
+    mapped
+}
+
 /// Fan `pairs` over `CLIENTS` OS threads (thread `k` takes indices
 /// `k, k+CLIENTS, …`, preserving per-thread submission order) and
 /// reassemble the answers in workload order.
@@ -87,8 +103,9 @@ fn hammer(service: &OracleService, pairs: &[(u32, u32)]) -> Vec<QueryResult> {
 }
 
 /// The acceptance criterion: 32 interleaved client threads, every answer
-/// byte-identical to the single-threaded reference, both policies, both
-/// oracle modes.
+/// byte-identical to the owned oracle's single-threaded reference, both
+/// policies, unweighted and weighted, served by the owned oracle and by
+/// its mapped v2 image.
 #[test]
 fn thirty_two_clients_serve_byte_identically() {
     for weighted in [false, true] {
@@ -105,21 +122,26 @@ fn thirty_two_clients_serve_byte_identically() {
             "query_batch ≡ query (weighted={weighted})"
         );
 
-        let shared = Arc::new(oracle);
-        for policy in service_policies() {
-            let service =
-                OracleService::from_arc(Arc::clone(&shared), ServiceConfig::with_policy(policy));
-            let answers = hammer(&service, &pairs);
-            assert_eq!(
-                answers, reference,
-                "32-client answers diverged (weighted={weighted}, {policy})"
-            );
-            let stats = service.stats();
-            assert_eq!(stats.served, pairs.len() as u64);
-            assert!(stats.batches >= 1 && stats.batches <= pairs.len() as u64);
-            assert!(stats.largest_batch >= 1 && stats.largest_batch <= MAX_BATCH);
-            assert!(stats.qps > 0.0, "elapsed window must be positive");
-            assert!(stats.p50_ms <= stats.p999_ms);
+        let mapped = mapped_copy(&oracle, 42);
+        for shared in [Arc::new(oracle), Arc::new(mapped)] {
+            let mapped = shared.is_mapped();
+            for policy in service_policies() {
+                let service = OracleService::from_arc(
+                    Arc::clone(&shared),
+                    ServiceConfig::with_policy(policy),
+                );
+                let answers = hammer(&service, &pairs);
+                assert_eq!(
+                    answers, reference,
+                    "32-client answers diverged (weighted={weighted}, {policy}, mapped: {mapped})"
+                );
+                let stats = service.stats();
+                assert_eq!(stats.served, pairs.len() as u64);
+                assert!(stats.batches >= 1 && stats.batches <= pairs.len() as u64);
+                assert!(stats.largest_batch >= 1 && stats.largest_batch <= MAX_BATCH);
+                assert!(stats.qps > 0.0, "elapsed window must be positive");
+                assert!(stats.p50_ms <= stats.p999_ms);
+            }
         }
     }
 }
