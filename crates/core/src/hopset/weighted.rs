@@ -236,8 +236,8 @@ impl WeightedHopsets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psh_graph::generators;
     use psh_graph::traversal::dijkstra::dijkstra;
+    use psh_graph::{generators, Edge};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -345,6 +345,19 @@ mod tests {
         family_of(g, eta)
     }
 
+    /// [`king_grid_family`] over a 40-vertex path of weight-1 edges but
+    /// one, `(19, 20)`, of weight 16,000. A pair across it has a distance
+    /// `D` of 16,000 to 16,038, covered by the band of `d` 13,493
+    /// (η = 0.25) or 11,404 (η = 0.5), and its rounded value adds nearly
+    /// that band's `ŵ` per light edge to the heavy edge. That stays
+    /// within `(1+ζ)·D` at the paper's `ŵ = ζd/n` (at most 0.98 of it)
+    /// and exceeds it at twice that (up to 1.07), so this fixture, unlike
+    /// the others, can tell the grid's coarseness.
+    fn light_path_family(eta: f64) -> (CsrGraph, WeightedHopsets, Vec<Vec<u64>>) {
+        let edges = (0..39).map(|u| Edge::new(u, u + 1, if u == 19 { 16_000 } else { 1 }));
+        family_of(CsrGraph::from_edges(40, edges), eta)
+    }
+
     fn family_of(g: CsrGraph, eta: f64) -> (CsrGraph, WeightedHopsets, Vec<Vec<u64>>) {
         use crate::api::{HopsetBuilder, Seed};
         let run = HopsetBuilder::weighted(eta)
@@ -410,14 +423,16 @@ mod tests {
     /// with `d ≤ D`) that is at most `(1+ζ)·D`: either `ŵ = ζd/n`, or
     /// `ŵ = 1` and the settled value is `D` itself. On the king grid
     /// every covering band has `ŵ = 1`: no distance reaches the first
-    /// `ŵ > 1` band's `d`. On the heavy path the far pairs' covering
-    /// bands have `ŵ > 1`.
+    /// `ŵ > 1` band's `d`. On the heavy and light paths the far pairs'
+    /// covering bands have `ŵ > 1`, and on the light path the bound is
+    /// close to tight.
     #[test]
     fn a_settled_band_reads_within_its_rounding_error() {
         for eta in KING_ETAS {
             let fixtures = [
                 ("king grid", king_grid_family(eta), false),
                 ("heavy path", heavy_path_family(eta), true),
+                ("light path", light_path_family(eta), true),
             ];
             for (name, (g, family, exact), wide_covering) in fixtures {
                 let n = g.n() as VertexId;

@@ -19,9 +19,9 @@
 //! a parallel `(1+ε)`-approximate search. At the default parameters every
 //! hopset it kept was one star per band, and every answer already equalled
 //! the exact distance: it was an exact hop-limited Bellman–Ford that
-//! trailed sequential Dijkstra, and the bidirectional search answers the
-//! same pairs 4–5× faster per query on both benchmark shapes (README,
-//! "Which search serves"). So the approximate oracle left the serving
+//! trailed sequential Dijkstra, and the bidirectional search, on its
+//! radix heaps, answers the same pairs 5–7× faster per query on both
+//! benchmark shapes (README, "Which search serves"). So the approximate oracle left the serving
 //! path. The constructions stay for the experiment binaries:
 //! [`crate::api::HopsetBuilder`], [`crate::hopset::WeightedHopsets::query`]
 //! and the hop-limited sweeps of `psh_graph::traversal::bellman_ford`.
